@@ -2,8 +2,9 @@
  * @file
  * Integration tests for the fleet overload-protection layer: capacity-model
  * admission (reject-with-reason, re-admission after load drops), hard-cap
- * rejection under saturation churn, deadline-aware shedding conservation,
- * and watchdog eviction of a chaos-wedged worker (no hang).
+ * rejection under saturation churn, deadline-aware shedding conservation
+ * at the encode and decode points, and watchdog eviction of a chaos-wedged
+ * worker (no hang).
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <mutex>
 
 #include "common/rng.hpp"
+#include "energy/energy_model.hpp"
 #include "fleet/fleet.hpp"
 #include "frame/draw.hpp"
 
@@ -204,6 +206,74 @@ TEST(FleetGuard, ShedAllFramesKeepsAccountingExact)
         EXPECT_EQ(s.health, guard::HealthState::Degraded);
         per_stream_shed += s.shed;
     }
+    EXPECT_EQ(per_stream_shed, rep.shed_frames);
+}
+
+/**
+ * Decode-point shedding: chaos stalls the store on every batch for far
+ * longer than the frame period, so frames pass the encode-point check,
+ * get stored, and are past deadline + slack when the decode worker
+ * dequeues them. Such a frame paid the write side only: payload plus one
+ * copy of the metadata, no read-back, write-only DRAM energy, and region
+ * energies that still sum to the frame's DRAM energy.
+ */
+TEST(FleetGuard, DecodePointShedPaysWriteSideOnly)
+{
+    constexpr u32 kStreams = 2;
+    constexpr u32 kFrames = 6;
+    obs::ObsContext obs;
+    obs::TelemetrySink sink;
+    FleetConfig fc = guardFleet(kStreams, kFrames);
+    fc.stream.obs = &obs;
+    fc.stream.telemetry = &sink;
+    fc.stream.fps = 20.0; // 50 ms period
+    fc.use_deadlines = true;
+    fc.stream.fault.degradation.escalate_after_misses = 1'000'000'000;
+    fc.guard.shed.enabled = true;
+    fc.guard.shed.slack_ms = 0.0;
+    fc.chaos.enabled = true;
+    fc.chaos.queue_burst_rate = 1.0;
+    fc.chaos.queue_burst_us = 200'000;
+
+    FleetServer server(fc);
+    const FleetReport rep = server.run();
+    EXPECT_EQ(rep.frames, u64{kStreams} * kFrames);
+    EXPECT_EQ(rep.errors, 0u);
+
+    const EnergyConstants ec;
+    u64 journal_shed = 0, stored_shed = 0;
+    for (const obs::FrameTelemetry &ft : sink.frames()) {
+        if (!ft.shed)
+            continue;
+        ++journal_shed;
+        if (ft.bytes_written == 0)
+            continue;
+        ++stored_shed;
+        EXPECT_EQ(ft.bytes_read, 0u);
+        EXPECT_EQ(ft.pixels_kept, ft.bytes_written);
+        // The store wrote the payload and one copy of the metadata.
+        EXPECT_EQ(ft.metadata_bytes, ft.dram_bytes_written - ft.bytes_written);
+        EXPECT_DOUBLE_EQ(ft.energy_dram_nj,
+                         static_cast<double>(ft.pixels_kept) *
+                             (ec.ddr_comm_crossing_pj + ec.dram_write_pj) /
+                             1e3);
+        double region_energy_nj = 0.0;
+        u64 region_kept = 0;
+        for (const obs::RegionTelemetry &rt : ft.regions) {
+            region_energy_nj += rt.energy_nj;
+            region_kept += rt.pixels_kept;
+        }
+        EXPECT_EQ(region_kept, ft.pixels_kept);
+        EXPECT_NEAR(region_energy_nj, ft.energy_dram_nj,
+                    1e-6 * (1.0 + ft.energy_dram_nj));
+    }
+    EXPECT_GT(stored_shed, 0u);
+    EXPECT_EQ(journal_shed, rep.shed_frames);
+    EXPECT_EQ(obs.registry().counter("pipeline.shed_frames").value(),
+              rep.shed_frames);
+    u64 per_stream_shed = 0;
+    for (const FleetStreamReport &s : rep.streams)
+        per_stream_shed += s.shed;
     EXPECT_EQ(per_stream_shed, rep.shed_frames);
 }
 
