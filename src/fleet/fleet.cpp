@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -9,7 +10,6 @@
 #include "common/error.hpp"
 #include "common/json.hpp"
 #include "common/thread_pool.hpp"
-#include "energy/energy_model.hpp"
 
 namespace rpx::fleet {
 
@@ -25,6 +25,28 @@ u32
 resolveWorkers(u32 configured, u32 engines)
 {
     return configured ? configured : engines;
+}
+
+/**
+ * Pop a stage worker's next task. Under a watchdog the pop is timed so
+ * every pass bumps the stage heartbeat — a wedged peer cannot make this
+ * worker look dead too. Guard-off keeps the plain blocking pop (seed
+ * behavior, zero extra wakeups). Either way a nullopt means the queue is
+ * closed and drained.
+ */
+template <typename Queue>
+std::optional<FrameTask>
+popTask(Queue &q, std::atomic<u64> &beat, const guard::WatchdogConfig &wd)
+{
+    if (!wd.enabled)
+        return q.pop();
+    const auto every = std::chrono::microseconds(wd.interval_ms * u64{1000});
+    for (;;) {
+        std::optional<FrameTask> t = q.popFor(every);
+        beat.fetch_add(1, std::memory_order_relaxed);
+        if (t || (q.closed() && q.size() == 0))
+            return t;
+    }
 }
 
 } // namespace
@@ -63,12 +85,6 @@ FleetServer::~FleetServer() = default;
 u32
 FleetServer::addStreamLocked()
 {
-    if (live_ >= resolveMaxStreams(config_))
-        throwRuntime("fleet is at max_streams (",
-                     resolveMaxStreams(config_), ")");
-    if (capture_q_.closed())
-        throwRuntime("fleet has already drained; cannot add streams");
-
     const u32 id = next_id_++;
     PipelineConfig pc = config_.stream;
     // Built in two steps: GCC 12's -Wrestrict misfires on the one-line
@@ -159,25 +175,18 @@ FleetServer::admitLocked() const
 u32
 FleetServer::addStream()
 {
-    // One critical section: creation and (mid-run) seeding must be
-    // atomic, or run()'s start-up seeding loop can race this and submit
-    // the same stream's first frame twice.
-    std::lock_guard<std::mutex> lock(mutex_);
-    const guard::AdmissionResult verdict = admitLocked();
-    if (!verdict.admitted()) {
-        ++admission_rejects_;
-        throwRuntime(verdict.reason);
-    }
-    const u32 id = addStreamLocked();
-    if (running_)
-        // Joined mid-run: its first frame enters the graph immediately.
-        seedStream(streams_.at(id), id);
-    return id;
+    const guard::AdmissionResult res = tryAddStream();
+    if (!res.admitted())
+        throwRuntime(res.reason);
+    return res.id;
 }
 
 guard::AdmissionResult
 FleetServer::tryAddStream()
 {
+    // One critical section: creation and (mid-run) seeding must be
+    // atomic, or run()'s start-up seeding loop can race this and submit
+    // the same stream's first frame twice.
     std::lock_guard<std::mutex> lock(mutex_);
     guard::AdmissionResult res = admitLocked();
     if (!res.admitted()) {
@@ -186,6 +195,7 @@ FleetServer::tryAddStream()
     }
     res.id = addStreamLocked();
     if (running_)
+        // Joined mid-run: its first frame enters the graph immediately.
         seedStream(streams_.at(res.id), res.id);
     return res;
 }
@@ -196,15 +206,16 @@ FleetServer::streamReportLocked(u32 id, const StreamEntry &entry) const
     FleetStreamReport sr;
     sr.id = id;
     sr.label = entry.label;
-    sr.frames = entry.done;
-    sr.deadline_misses = entry.deadline_misses;
-    sr.quarantined = entry.quarantined;
-    sr.shed = entry.shed;
-    sr.errors = entry.errors;
-    sr.dma_retries = entry.dma_retries;
-    sr.dma_dropped_bursts = entry.dma_dropped_bursts;
-    sr.degradation_level = entry.degradation_level;
-    sr.completed = entry.done >= entry.target;
+    const FrameTotals &t = entry.totals;
+    sr.frames = t.frames;
+    sr.deadline_misses = t.deadline_misses;
+    sr.quarantined = t.quarantined;
+    sr.shed = t.shed;
+    sr.errors = t.errors;
+    sr.dma_retries = t.dma_retries;
+    sr.dma_dropped_bursts = t.dma_dropped_bursts;
+    sr.degradation_level = t.degradation_level;
+    sr.completed = t.frames >= entry.target;
     sr.health = entry.health.state();
     sr.health_transitions = entry.health.transitions();
     sr.health_recoveries = entry.health.recoveries();
@@ -317,7 +328,7 @@ FleetServer::seedStream(StreamEntry &entry, u32 id)
     // exceed live streams, and every queue holds max_streams of them.
     entry.seeded = true;
     entry.inflight_since = std::chrono::steady_clock::now();
-    FrameTask task = makeTask(entry, id, entry.done);
+    FrameTask task = makeTask(entry, id, entry.totals.frames);
     capture_q_.push(std::move(task));
 }
 
@@ -334,6 +345,45 @@ FleetServer::runStage(const Stage &stage, FrameTask &task)
 }
 
 void
+FleetServer::FrameTotals::add(const PipelineFrameResult &r, bool errored)
+{
+    ++frames;
+    if (errored) {
+        ++errors;
+        return;
+    }
+    deadline_misses += r.deadline_missed ? 1 : 0;
+    quarantined += r.quarantined ? 1 : 0;
+    shed += r.shed ? 1 : 0;
+    transient_faults += r.transient_faults;
+    dma_retries += r.dma_retries;
+    dma_dropped_bursts += r.dma_dropped_bursts;
+    bytes_written += r.traffic.bytes_written;
+    bytes_read += r.traffic.bytes_read;
+    metadata_bytes += r.traffic.metadata_bytes;
+    kept_sum += r.kept_fraction;
+    degradation_level = r.degradation_level;
+}
+
+void
+FleetServer::countFrameLocked(StreamEntry &entry,
+                              const PipelineFrameResult &r, bool errored)
+{
+    entry.totals.add(r, errored);
+    guard::HealthSignal sig;
+    if (errored) {
+        sig.decode_quarantined = true; // errors count as dirty frames
+    } else {
+        sig.decode_quarantined = r.quarantined;
+        sig.shed = r.shed;
+        sig.deadline_missed = r.deadline_missed;
+        sig.degradation_level = static_cast<u32>(
+            r.degradation_level < 0 ? 0 : r.degradation_level);
+    }
+    entry.health.onFrame(sig);
+}
+
+void
 FleetServer::finishFrame(FrameTask &task, bool errored)
 {
     latency_.record(std::chrono::duration<double, std::micro>(
@@ -344,50 +394,12 @@ FleetServer::finishFrame(FrameTask &task, bool errored)
     StreamEntry *entry = nullptr;
     bool resubmit = false;
     bool close = false;
-    bool retired = false;
     FleetStreamReport retired_report;
     u64 next = 0;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         entry = &streams_.at(id);
-        ++entry->done;
-        ++frames_done_;
-        guard::HealthSignal sig;
-        if (errored) {
-            ++entry->errors;
-            ++errors_;
-            sig.decode_quarantined = true; // errors count as dirty frames
-        } else {
-            const PipelineFrameResult &r = task.result;
-            if (r.deadline_missed) {
-                ++entry->deadline_misses;
-                ++deadline_misses_;
-            }
-            if (r.quarantined) {
-                ++entry->quarantined;
-                ++quarantined_;
-            }
-            if (r.shed) {
-                ++entry->shed;
-                ++shed_frames_;
-            }
-            transient_faults_ += r.transient_faults;
-            entry->dma_retries += r.dma_retries;
-            entry->dma_dropped_bursts += r.dma_dropped_bursts;
-            dma_retries_ += r.dma_retries;
-            dma_dropped_bursts_ += r.dma_dropped_bursts;
-            bytes_written_ += r.traffic.bytes_written;
-            bytes_read_ += r.traffic.bytes_read;
-            metadata_bytes_ += r.traffic.metadata_bytes;
-            kept_sum_ += r.kept_fraction;
-            entry->degradation_level = r.degradation_level;
-            sig.decode_quarantined = r.quarantined;
-            sig.shed = r.shed;
-            sig.deadline_missed = r.deadline_missed;
-            sig.degradation_level = static_cast<u32>(
-                r.degradation_level < 0 ? 0 : r.degradation_level);
-        }
-        entry->health.onFrame(sig);
+        countFrameLocked(*entry, task.result, errored);
         // Fold the measured engine-hold time into the admission cost
         // EWMA (shed/errored frames never held an engine; skip them).
         if (task.encode_hold_us > 0.0)
@@ -396,38 +408,32 @@ FleetServer::finishFrame(FrameTask &task, bool errored)
                     ? task.encode_hold_us
                     : 0.9 * encode_hold_ewma_us_ +
                           0.1 * task.encode_hold_us;
-        resubmit = entry->active && entry->done < entry->target;
+        resubmit = entry->active && entry->totals.frames < entry->target;
         if (resubmit) {
-            next = entry->done;
+            next = entry->totals.frames;
             entry->inflight_since = std::chrono::steady_clock::now();
             entry->wd_warned = false;
             entry->wd_quarantined = false;
         } else {
             retired_report = retireLocked(id, *entry);
-            retired = true;
             close = live_ == 0;
         }
     }
 
     if (resubmit) {
-        FrameTask nt;
-        bool built = false;
         try {
-            nt = makeTask(*entry, id, next);
-            built = true;
+            capture_q_.push(makeTask(*entry, id, next));
+            return;
         } catch (const std::exception &) {
-            // Scene source failed: retire the stream with an error.
+            // Scene source failed: frame n+1 is one errored frame, and
+            // the stream retires with it.
             std::lock_guard<std::mutex> lock(mutex_);
-            ++entry->errors;
-            ++errors_;
+            countFrameLocked(*entry, PipelineFrameResult{}, true);
             retired_report = retireLocked(id, *entry);
-            retired = true;
             close = live_ == 0;
         }
-        if (built)
-            capture_q_.push(std::move(nt));
     }
-    if (retired && config_.stream_retired) {
+    if (config_.stream_retired) {
         // Outside the lock: the hook may call addStream() to replace the
         // departed stream.
         config_.stream_retired(retired_report);
@@ -457,227 +463,21 @@ FleetServer::pastShedDeadline(const FrameTask &task) const
 void
 FleetServer::shedFrame(FrameTask &task, bool stored)
 {
-    StreamContext &s = *task.stream;
-    const PipelineConfig &cfg = s.config();
-    PipelineObs *po = s.sharedObs();
-    obs::ObsContext *ctx = po ? po->context() : nullptr;
-    const bool tele = s.telemetry() != nullptr;
-    const FrameIndex t = task.index;
-    PipelineFrameResult &result = task.result;
-
     // The result still carries a frame — the hold-last-good image the
     // decoder's quarantine verdicts serve — so a shed is a freshness
     // loss in the accounting, not a hole. (The vision sink itself only
     // sees decoded frames; shed is its own first-class outcome.)
-    result.held_last_good = true;
-    result.shed = true;
-    result.decoded = s.haveLastGood()
-                         ? s.lastGood()
-                         : Image(cfg.width, cfg.height,
-                                 PixelFormat::Gray8, 0);
-    result.kept_fraction = 0.0; // nothing fresh delivered
-    result.index = t;
-
-    result.csi_dropped_lines = task.csi_status.dropped_lines;
-    result.dma_retries = task.store_report.dma_retries;
-    result.dma_dropped_bursts = task.store_report.dma_dropped_bursts;
-    result.transient_faults =
-        task.store_report.dma_retries +
-        task.store_report.dma_dropped_bursts +
-        (task.csi_status.corrupted_bytes > 0 ? 1 : 0) +
-        (task.csi_status.dropped_lines > 0 ? 1 : 0);
-
-    // The degradation ladder sees the shed as a missed frame (the stream
-    // is not keeping up), but result.deadline_missed stays false: shed
-    // frames are first-class outcomes, not misses — the miss counters
-    // measure frames that ran to completion late.
-    fault::DegradationController *degrade = s.degradation();
-    if (degrade) {
-        fault::FrameHealth health;
-        health.deadline_missed = true;
-        health.transient_faults =
-            static_cast<u32>(result.transient_faults);
-        degrade->onFrame(health);
-        result.degradation_level = degrade->level();
-    }
-
-    // Traffic: an encode-point shed never touched DRAM (zero bytes); a
-    // decode-point shed already paid the write side (payload + metadata
-    // committed by the store stage) but reads nothing back.
-    if (stored) {
-        result.traffic.bytes_written = task.pixel_bytes;
-        result.traffic.metadata_bytes = task.metadata_bytes; // write only
-    }
-    result.traffic.footprint = s.store().totalFootprint();
-    s.traffic().add(result.traffic);
-
-    // Energy mirrors the traffic split: sensing/CSI were spent either
-    // way; DRAM-side energy is write-only (one DDR crossing + array
-    // write) and only when the frame was stored.
-    const u64 pixels_in = task.pixels_in
-                              ? task.pixels_in
-                              : static_cast<u64>(task.gray.pixelCount());
-    const u64 kept_pixels =
-        stored ? static_cast<u64>(task.pixel_bytes) : 0;
-    double e_sense_nj = 0.0, e_csi_nj = 0.0, e_dram_nj = 0.0;
-    const EnergyConstants ec;
-    const double shed_dram_nj_per_px =
-        (ec.ddr_comm_crossing_pj + ec.dram_write_pj) / 1e3;
-    if (tele || (po && po->attached())) {
-        e_sense_nj = ec.sense_pj * static_cast<double>(pixels_in) / 1e3;
-        e_csi_nj = ec.csi_pj * static_cast<double>(pixels_in) / 1e3;
-        e_dram_nj =
-            shed_dram_nj_per_px * static_cast<double>(kept_pixels);
-        if (po)
-            po->addEnergy(e_sense_nj, e_csi_nj, e_dram_nj);
-    }
-
-    if (po && po->attached()) {
-        po->frames->inc();
-        po->bytes_written->add(result.traffic.bytes_written);
-        po->bytes_read->add(result.traffic.bytes_read);
-        po->metadata_bytes->add(result.traffic.metadata_bytes);
-        po->shed_frames->inc();
-        po->transient_faults->add(result.transient_faults);
-        po->dma_retries->add(result.dma_retries);
-        po->dma_dropped_bursts->add(result.dma_dropped_bursts);
-        po->kept_fraction->set(0.0);
-        po->footprint->set(
-            static_cast<double>(result.traffic.footprint));
-    }
-
-    if (obs::TelemetrySink *sink = s.telemetry()) {
-        obs::FrameTelemetry ft;
-        ft.index = static_cast<u64>(t);
-        ft.stream = cfg.stream_label;
-        ft.sensor_us = task.lat_sensor;
-        ft.isp_us = task.lat_isp;
-        ft.encode_us = task.lat_encode;
-        ft.dram_write_us = task.lat_dram_write;
-        ft.decode_us = 0.0; // never decoded
-        ft.total_us = std::chrono::duration<double, std::micro>(
-                          std::chrono::steady_clock::now() - task.start)
-                          .count();
-
-        ft.pixels_in = pixels_in;
-        ft.pixels_kept = kept_pixels;
-        ft.bytes_written = result.traffic.bytes_written;
-        ft.bytes_read = result.traffic.bytes_read;
-        ft.metadata_bytes = result.traffic.metadata_bytes;
-
-        const DramStats &ds = s.dram().stats();
-        ft.dram_write_transactions =
-            ds.write_transactions - task.dram_before.write_transactions;
-        ft.dram_read_transactions =
-            ds.read_transactions - task.dram_before.read_transactions;
-        ft.dram_bytes_written =
-            ds.bytes_written - task.dram_before.bytes_written;
-        ft.dram_bytes_read = ds.bytes_read - task.dram_before.bytes_read;
-
-        const EncoderStats &es = s.encoder().stats();
-        ft.compare_cycles =
-            es.compare_cycles - task.enc_before.compare_cycles;
-        ft.stream_cycles =
-            es.stream_cycles - task.enc_before.stream_cycles;
-        ft.region_comparisons =
-            es.region_comparisons - task.enc_before.region_comparisons;
-
-        ft.quarantined = false;
-        ft.held_last_good = true;
-        ft.deadline_missed = false;
-        ft.shed = true;
-        ft.csi_dropped_lines = result.csi_dropped_lines;
-        ft.transient_faults = result.transient_faults;
-        ft.dma_retries = result.dma_retries;
-        ft.dma_dropped_bursts = result.dma_dropped_bursts;
-        ft.degradation_level = result.degradation_level;
-
-        ft.energy_sense_nj = e_sense_nj;
-        ft.energy_csi_nj = e_csi_nj;
-        ft.energy_dram_nj = e_dram_nj;
-        ft.energy_total_nj = e_sense_nj + e_csi_nj + e_dram_nj;
-
-        // Per-region attribution exists only once the encoder ran; a
-        // stored shed attributes the written payload with the write-side
-        // energy constant so region sums still reconcile with the frame.
-        // (The encoder's label/attribution state is this frame's — one
-        // in-flight frame per stream.)
-        if (stored) {
-            const std::vector<RegionLabel> &labels =
-                s.encoder().regionLabels();
-            const RegionAttribution &attr =
-                s.encoder().lastFrameAttribution();
-            ft.regions.reserve(labels.size());
-            for (size_t i = 0; i < labels.size(); ++i) {
-                const RegionLabel &l = labels[i];
-                obs::RegionTelemetry rt;
-                rt.x = l.x;
-                rt.y = l.y;
-                rt.w = l.w;
-                rt.h = l.h;
-                rt.stride = l.stride;
-                rt.skip = l.skip;
-                rt.active = l.activeAt(t);
-                if (i < attr.kept.size()) {
-                    rt.pixels_kept = attr.kept[i];
-                    rt.comparisons = attr.comparisons[i];
-                }
-                rt.payload_bytes = rt.pixels_kept;
-                rt.energy_nj = shed_dram_nj_per_px *
-                               static_cast<double>(rt.pixels_kept);
-                ft.regions.push_back(std::move(rt));
-            }
-        }
-        sink->record(ft);
-    }
-
-    double frame_us;
-    if (ctx && ctx->trace()) {
-        obs::TraceRecorder *tr = ctx->trace();
-        frame_us = tr->nowUs() - task.trace_start_us;
-        tr->record({"frame", "pipeline", task.trace_start_us, frame_us,
-                    static_cast<u32>(obs::TraceLane::Pipeline),
-                    static_cast<i64>(t)});
-    } else {
-        frame_us = std::chrono::duration<double, std::micro>(
-                       std::chrono::steady_clock::now() - task.start)
-                       .count();
-    }
-    if (po && po->h_frame)
-        po->h_frame->record(frame_us);
-
-    // Drop the payloads a normal path would have consumed.
-    task.gray = Image();
-    task.encoded = EncodedFrame();
+    holdLastGood(task);
+    accountFrame(task, /*decoded=*/false, stored);
 }
 
 void
 FleetServer::captureLoop()
 {
-    // Under a watchdog, workers poll with a timeout so every loop pass
-    // bumps the stage heartbeat — a wedged peer cannot make this worker
-    // look dead too. Guard-off keeps the plain blocking pop (seed
-    // behavior, zero extra wakeups).
-    const bool timed = config_.guard.watchdog.enabled;
-    const auto beat_every =
-        std::chrono::microseconds(config_.guard.watchdog.interval_ms *
-                                  u64{1000});
-    for (;;) {
-        std::optional<FrameTask> t;
-        if (timed) {
-            t = capture_q_.popFor(beat_every);
-            beat_capture_.fetch_add(1, std::memory_order_relaxed);
-            if (!t) {
-                if (capture_q_.closed() && capture_q_.size() == 0)
-                    break;
-                continue; // timeout heartbeat
-            }
-        } else {
-            t = capture_q_.pop();
-            if (!t)
-                break;
-        }
-        FrameTask task = std::move(*t);
+    const guard::WatchdogConfig &wd = config_.guard.watchdog;
+    while (std::optional<FrameTask> t =
+               popTask(capture_q_, beat_capture_, wd)) {
+        FrameTask &task = *t;
         if (chaos_)
             chaos_->perturb(fault::ChaosSite::CaptureJitter,
                             task.stream->id(),
@@ -696,26 +496,10 @@ FleetServer::captureLoop()
 void
 FleetServer::encodeLoop()
 {
-    const bool timed = config_.guard.watchdog.enabled;
-    const auto beat_every =
-        std::chrono::microseconds(config_.guard.watchdog.interval_ms *
-                                  u64{1000});
-    for (;;) {
-        std::optional<FrameTask> t;
-        if (timed) {
-            t = encode_q_.popFor(beat_every);
-            beat_encode_.fetch_add(1, std::memory_order_relaxed);
-            if (!t) {
-                if (encode_q_.closed() && encode_q_.size() == 0)
-                    break;
-                continue;
-            }
-        } else {
-            t = encode_q_.pop();
-            if (!t)
-                break;
-        }
-        FrameTask task = std::move(*t);
+    const guard::WatchdogConfig &wd = config_.guard.watchdog;
+    while (std::optional<FrameTask> t =
+               popTask(encode_q_, beat_encode_, wd)) {
+        FrameTask &task = *t;
         // Load shedding happens *before* the engine lease: a frame the
         // fault plan sheds (deterministic Stage::Shed verdict) or one
         // already past deadline + slack cannot be saved by encoding it,
@@ -761,25 +545,9 @@ FleetServer::storeLoop()
     // Batched DRAM/DMA submission: drain whatever is queued (up to
     // store_batch_max frames) and commit the burst back-to-back, the way
     // a DMA engine chains descriptors across streams.
-    const bool timed = config_.guard.watchdog.enabled;
-    const auto beat_every =
-        std::chrono::microseconds(config_.guard.watchdog.interval_ms *
-                                  u64{1000});
-    for (;;) {
-        std::optional<FrameTask> first;
-        if (timed) {
-            first = store_q_.popFor(beat_every);
-            beat_store_.fetch_add(1, std::memory_order_relaxed);
-            if (!first) {
-                if (store_q_.closed() && store_q_.size() == 0)
-                    break;
-                continue;
-            }
-        } else {
-            first = store_q_.pop();
-            if (!first)
-                break;
-        }
+    const guard::WatchdogConfig &wd = config_.guard.watchdog;
+    while (std::optional<FrameTask> first =
+               popTask(store_q_, beat_store_, wd)) {
         std::vector<FrameTask> batch;
         batch.push_back(std::move(*first));
         while (batch.size() <
@@ -813,26 +581,10 @@ FleetServer::storeLoop()
 void
 FleetServer::decodeLoop()
 {
-    const bool timed = config_.guard.watchdog.enabled;
-    const auto beat_every =
-        std::chrono::microseconds(config_.guard.watchdog.interval_ms *
-                                  u64{1000});
-    for (;;) {
-        std::optional<FrameTask> t;
-        if (timed) {
-            t = decode_q_.popFor(beat_every);
-            beat_decode_.fetch_add(1, std::memory_order_relaxed);
-            if (!t) {
-                if (decode_q_.closed() && decode_q_.size() == 0)
-                    break;
-                continue;
-            }
-        } else {
-            t = decode_q_.pop();
-            if (!t)
-                break;
-        }
-        FrameTask task = std::move(*t);
+    const guard::WatchdogConfig &wd = config_.guard.watchdog;
+    while (std::optional<FrameTask> t =
+               popTask(decode_q_, beat_decode_, wd)) {
+        FrameTask &task = *t;
         // Second shed point: the frame is stored (write-side traffic
         // paid), but a hopeless frame still should not burn a decode
         // engine lease.
@@ -987,22 +739,36 @@ FleetServer::run()
 
     FleetReport rep;
     rep.streams_started = static_cast<u32>(streams_.size());
-    rep.frames = frames_done_;
-    rep.errors = errors_;
-    rep.deadline_misses = deadline_misses_;
-    rep.quarantined = quarantined_;
-    rep.transient_faults = transient_faults_;
-    rep.bytes_written = bytes_written_;
-    rep.bytes_read = bytes_read_;
-    rep.metadata_bytes = metadata_bytes_;
-    const u64 ok_frames = frames_done_ - errors_;
+    double kept_sum = 0.0;
+    for (const auto &[id, entry] : streams_) {
+        const FrameTotals &t = entry.totals;
+        rep.frames += t.frames;
+        rep.errors += t.errors;
+        rep.deadline_misses += t.deadline_misses;
+        rep.quarantined += t.quarantined;
+        rep.shed_frames += t.shed;
+        rep.transient_faults += t.transient_faults;
+        rep.dma_retries += t.dma_retries;
+        rep.dma_dropped_bursts += t.dma_dropped_bursts;
+        rep.bytes_written += t.bytes_written;
+        rep.bytes_read += t.bytes_read;
+        rep.metadata_bytes += t.metadata_bytes;
+        kept_sum += t.kept_sum;
+        FleetStreamReport sr = streamReportLocked(id, entry);
+        if (sr.completed)
+            ++rep.streams_completed;
+        rep.health_transitions += sr.health_transitions;
+        rep.health_recoveries += sr.health_recoveries;
+        rep.streams.push_back(std::move(sr));
+    }
+    const u64 ok_frames = rep.frames - rep.errors;
     rep.kept_fraction_mean =
-        ok_frames ? kept_sum_ / static_cast<double>(ok_frames) : 0.0;
+        ok_frames ? kept_sum / static_cast<double>(ok_frames) : 0.0;
     rep.wall_seconds =
         std::chrono::duration<double>(end - start).count();
     rep.frames_per_second =
         rep.wall_seconds > 0.0
-            ? static_cast<double>(frames_done_) / rep.wall_seconds
+            ? static_cast<double>(rep.frames) / rep.wall_seconds
             : 0.0;
     rep.latency_p50_us = latency_.quantile(0.5);
     rep.latency_p99_us = latency_.quantile(0.99);
@@ -1019,9 +785,6 @@ FleetServer::run()
     rep.store_queue = store_q_.stats();
     rep.encode_queue = encode_q_.stats();
     rep.decode_queue = decode_q_.stats();
-    rep.shed_frames = shed_frames_;
-    rep.dma_retries = dma_retries_;
-    rep.dma_dropped_bursts = dma_dropped_bursts_;
     rep.admission_rejects = admission_rejects_;
     rep.watchdog_warns = watchdog_warns_;
     rep.watchdog_quarantines = watchdog_quarantines_;
@@ -1029,14 +792,6 @@ FleetServer::run()
     if (chaos_) {
         rep.chaos_hits = chaos_->totalHits();
         rep.chaos_slept_us = chaos_->totalSleptUs();
-    }
-    for (const auto &[id, entry] : streams_) {
-        FleetStreamReport sr = streamReportLocked(id, entry);
-        if (sr.completed)
-            ++rep.streams_completed;
-        rep.health_transitions += sr.health_transitions;
-        rep.health_recoveries += sr.health_recoveries;
-        rep.streams.push_back(std::move(sr));
     }
     return rep;
 }

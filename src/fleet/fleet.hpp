@@ -265,18 +265,34 @@ class FleetServer
     PipelineObs &obs() { return *obs_; }
 
   private:
+    /**
+     * One stream's frame outcomes, each frame counted once by
+     * finishFrame(). The fleet-wide report is the sum over streams.
+     */
+    struct FrameTotals {
+        u64 frames = 0; //!< every outcome: delivered, shed and errored
+        u64 errors = 0;
+        u64 deadline_misses = 0;
+        u64 quarantined = 0;
+        u64 shed = 0;
+        u64 transient_faults = 0;
+        u64 dma_retries = 0;
+        u64 dma_dropped_bursts = 0;
+        Bytes bytes_written = 0;
+        Bytes bytes_read = 0;
+        Bytes metadata_bytes = 0;
+        double kept_sum = 0.0;     //!< over frames that did not error
+        int degradation_level = 0; //!< ladder level after the last frame
+
+        /** Count one frame; an errored frame carries no result. */
+        void add(const PipelineFrameResult &r, bool errored);
+    };
+
     struct StreamEntry {
         std::unique_ptr<StreamContext> ctx; //!< released at retirement
         std::string label; //!< outlives ctx for reports after retirement
         u64 target = 0;
-        u64 done = 0;
-        u64 deadline_misses = 0;
-        u64 quarantined = 0;
-        u64 shed = 0;
-        u64 errors = 0;
-        u64 dma_retries = 0;
-        u64 dma_dropped_bursts = 0;
-        int degradation_level = 0;
+        FrameTotals totals;
         bool active = true;    //!< still scheduled for more frames
         bool seeded = false;   //!< first frame has entered the graph
         bool finished = false; //!< left the fleet (completed or removed)
@@ -297,14 +313,20 @@ class FleetServer
     guard::AdmissionResult admitLocked() const;
     void seedStream(StreamEntry &entry, u32 id);
     FrameTask makeTask(StreamEntry &entry, u32 id, u64 frame);
-    void finishFrame(FrameTask &task, bool errored);
     /**
-     * Account a frame the guard decided not to decode: serve the
-     * hold-last-good image, record telemetry/energy/obs with the traffic
-     * the frame actually generated (write-side only when it reached the
-     * store, nothing otherwise), and feed the degradation ladder. The
-     * caller then routes the task through finishFrame as a normal
-     * completion — shed is first-class, not an error.
+     * Count a frame that left the graph in its stream's totals and health
+     * machine, then submit the stream's next frame or retire it.
+     */
+    void finishFrame(FrameTask &task, bool errored);
+    /** Count one frame outcome for a stream; caller holds mutex_. */
+    void countFrameLocked(StreamEntry &entry, const PipelineFrameResult &r,
+                          bool errored);
+    /**
+     * Shed a frame the guard decided not to decode: serve the
+     * hold-last-good image and account it through accountFrame(), the
+     * same path decoded frames take, with decoded = false. The caller then
+     * routes the task through finishFrame as a normal completion — shed
+     * is first-class, not an error.
      * @param stored true when the frame passed the store stage (decode-
      *               point shed); false at the encode-point shed.
      */
@@ -342,30 +364,20 @@ class FleetServer
     DecodeStage decode_;
     VisionStage vision_;
 
-    mutable std::mutex mutex_; //!< streams map + aggregate accounting
+    mutable std::mutex mutex_; //!< streams map + frame/guard accounting
     std::map<u32, StreamEntry> streams_;
     u32 next_id_ = 0;
     u32 live_ = 0;        //!< unfinished streams
     bool running_ = false;
     bool ran_ = false;
 
-    // Aggregates (guarded by mutex_ except the thread-safe histogram).
-    u64 frames_done_ = 0;
-    u64 errors_ = 0;
-    u64 deadline_misses_ = 0;
-    u64 quarantined_ = 0;
-    u64 shed_frames_ = 0;
-    u64 transient_faults_ = 0;
-    u64 dma_retries_ = 0;
-    u64 dma_dropped_bursts_ = 0;
+    // Guard aggregates (guarded by mutex_ except the thread-safe
+    // histogram). Frame outcomes live in the per-stream totals, which
+    // outlive retirement for the report.
     u64 admission_rejects_ = 0;
     u64 watchdog_warns_ = 0;
     u64 watchdog_quarantines_ = 0;
     u64 watchdog_evictions_ = 0;
-    Bytes bytes_written_ = 0;
-    Bytes bytes_read_ = 0;
-    Bytes metadata_bytes_ = 0;
-    double kept_sum_ = 0.0;
     /** EWMA of measured encode engine-hold µs (admission cost model). */
     double encode_hold_ewma_us_ = 0.0;
     obs::Histogram latency_;

@@ -119,6 +119,7 @@ CaptureStage::run(FrameTask &task) const
                      : s.csi().transferFrame(
                            static_cast<u64>(task.gray.pixelCount()));
     }
+    task.pixels_in = static_cast<u64>(task.gray.pixelCount());
     // The raw scene is not needed past this point; dropping it here keeps
     // a fleet's in-flight memory bounded by gray frames, not RGB scenes.
     task.scene = Image();
@@ -144,7 +145,6 @@ EncodeStage::run(FrameTask &task) const
     task.kept = task.encoded.keptFraction();
     task.pixel_bytes = task.encoded.pixelBytes();
     task.metadata_bytes = task.encoded.metadataBytes();
-    task.pixels_in = static_cast<u64>(task.gray.pixelCount());
     // The dense frame is consumed; only the packed payload travels on.
     task.gray = Image();
 }
@@ -173,7 +173,6 @@ DecodeStage::run(FrameTask &task) const
     PipelineObs *po = s.sharedObs();
     obs::ObsContext *ctx = obsOf(s);
     const bool tele = s.telemetry() != nullptr;
-    const FrameIndex t = task.index;
     PipelineFrameResult &result = task.result;
 
     // 4. Decode the full frame for the application (software decoder fast
@@ -187,18 +186,14 @@ DecodeStage::run(FrameTask &task) const
     {
         obs::ScopedStageTimer span(ctx, po ? po->h_decode : nullptr,
                                    "decode", "pipeline",
-                                   obs::TraceLane::Decoder, t,
+                                   obs::TraceLane::Decoder, task.index,
                                    tele ? &task.lat_decode : nullptr);
         if (cfg.fault.graceful) {
             SwDecodeStatus st = s.swDecoder().tryDecode(
                 *s.store().recent(0), history, result.decoded);
             if (st.quarantined) {
                 result.quarantined = true;
-                result.held_last_good = true;
-                result.decoded = s.haveLastGood()
-                                     ? s.lastGood()
-                                     : Image(cfg.width, cfg.height,
-                                             PixelFormat::Gray8, 0);
+                holdLastGood(task);
             } else {
                 s.setLastGood(result.decoded);
             }
@@ -207,20 +202,10 @@ DecodeStage::run(FrameTask &task) const
                 s.swDecoder().decode(*s.store().recent(0), history);
         }
     }
-    result.kept_fraction = task.kept;
-    result.index = t;
 
-    // 4b. Frame health drives the degradation ladder: a deadline miss is
-    //     a real wall-clock overrun (per-pipeline deadline_ms or the
-    //     fleet's EDF frame deadline) or an injected scheduling fault.
-    result.csi_dropped_lines = task.csi_status.dropped_lines;
-    result.dma_retries = task.store_report.dma_retries;
-    result.dma_dropped_bursts = task.store_report.dma_dropped_bursts;
-    result.transient_faults =
-        task.store_report.dma_retries +
-        task.store_report.dma_dropped_bursts +
-        (task.csi_status.corrupted_bytes > 0 ? 1 : 0) +
-        (task.csi_status.dropped_lines > 0 ? 1 : 0);
+    // 4b. Deadline verdict: a real wall-clock overrun (per-pipeline
+    //     deadline_ms or the fleet's EDF frame deadline) or an injected
+    //     scheduling fault.
     fault::FaultInjector *injector = s.injector();
     if (injector && injector->dropEvent(fault::Stage::Deadline))
         result.deadline_missed = true;
@@ -235,10 +220,53 @@ DecodeStage::run(FrameTask &task) const
     if (task.has_deadline &&
         std::chrono::steady_clock::now() > task.deadline)
         result.deadline_missed = true;
+
+    accountFrame(task, /*decoded=*/true, /*stored=*/true);
+}
+
+void
+holdLastGood(FrameTask &task)
+{
+    StreamContext &s = *task.stream;
+    const PipelineConfig &cfg = s.config();
+    task.result.held_last_good = true;
+    task.result.decoded =
+        s.haveLastGood()
+            ? s.lastGood()
+            : Image(cfg.width, cfg.height, PixelFormat::Gray8, 0);
+}
+
+void
+accountFrame(FrameTask &task, bool decoded, bool stored)
+{
+    StreamContext &s = *task.stream;
+    const PipelineConfig &cfg = s.config();
+    PipelineObs *po = s.sharedObs();
+    obs::ObsContext *ctx = obsOf(s);
+    const bool tele = s.telemetry() != nullptr;
+    const FrameIndex t = task.index;
+    PipelineFrameResult &result = task.result;
+
+    result.index = t;
+    result.shed = !decoded;
+    result.kept_fraction = decoded ? task.kept : 0.0; // a shed is not fresh
+    result.csi_dropped_lines = task.csi_status.dropped_lines;
+    result.dma_retries = task.store_report.dma_retries;
+    result.dma_dropped_bursts = task.store_report.dma_dropped_bursts;
+    result.transient_faults =
+        task.store_report.dma_retries +
+        task.store_report.dma_dropped_bursts +
+        (task.csi_status.corrupted_bytes > 0 ? 1 : 0) +
+        (task.csi_status.dropped_lines > 0 ? 1 : 0);
+
+    // 5. Frame health drives the degradation ladder. The ladder sees a
+    //    shed as a missed frame (the stream is not keeping up), but
+    //    result.deadline_missed stays false: the miss counters measure
+    //    frames that ran to completion late.
     fault::DegradationController *degrade = s.degradation();
     if (degrade) {
         fault::FrameHealth health;
-        health.deadline_missed = result.deadline_missed;
+        health.deadline_missed = result.deadline_missed || !decoded;
         health.decode_quarantined = result.quarantined;
         health.transient_faults =
             static_cast<u32>(result.transient_faults);
@@ -246,32 +274,35 @@ DecodeStage::run(FrameTask &task) const
         result.degradation_level = degrade->level();
     }
 
-    // 5. Traffic: the encoder wrote payload+metadata; the app read the
-    //    frame back through the decoder (which fetches only encoded pixels
-    //    plus the metadata working set).
-    result.traffic.bytes_written = task.pixel_bytes;
-    result.traffic.bytes_read = task.pixel_bytes;
-    result.traffic.metadata_bytes = 2 * task.metadata_bytes; // write+read
+    // 6. Traffic: the store wrote payload + metadata, and the decoder read
+    //    back only the encoded pixels plus the metadata working set. A
+    //    shed frame paid the write side if it was stored, nothing if not.
+    const Bytes payload = stored ? task.pixel_bytes : 0;
+    result.traffic.bytes_written = payload;
+    result.traffic.bytes_read = decoded ? payload : 0;
+    result.traffic.metadata_bytes =
+        (stored ? task.metadata_bytes : 0) +
+        (decoded ? task.metadata_bytes : 0);
     result.traffic.footprint = s.store().totalFootprint();
     s.traffic().add(result.traffic);
 
-    // 6. Energy attribution (first-order model, Appendix A.2): sensing and
+    // 7. Energy attribution (first-order model, Appendix A.2): sensing and
     //    CSI scale with dense pixels in; everything DRAM-side scales with
-    //    kept pixels (write+read DDR crossings plus the array accesses).
-    //    Computed only when someone is listening, so the bare pipeline
-    //    stays at seed cost.
+    //    kept pixels — a DDR crossing plus the array write for the store,
+    //    and another crossing plus the array read for the decode. Computed
+    //    only when someone is listening, so the bare pipeline stays at
+    //    seed cost.
     const u64 pixels_in = task.pixels_in;
-    const u64 kept_pixels =
-        static_cast<u64>(task.pixel_bytes); // 1 B per pixel
+    const u64 kept_pixels = static_cast<u64>(payload); // 1 B per pixel
+    const EnergyConstants ec;
+    const double dram_nj_per_px =
+        ((stored ? ec.ddr_comm_crossing_pj + ec.dram_write_pj : 0.0) +
+         (decoded ? ec.ddr_comm_crossing_pj + ec.dram_read_pj : 0.0)) /
+        1e3;
     double e_sense_nj = 0.0, e_csi_nj = 0.0, e_dram_nj = 0.0;
     if (tele || (po && po->attached())) {
-        const EnergyConstants ec;
         e_sense_nj = ec.sense_pj * static_cast<double>(pixels_in) / 1e3;
         e_csi_nj = ec.csi_pj * static_cast<double>(pixels_in) / 1e3;
-        const double dram_nj_per_px =
-            (2.0 * ec.ddr_comm_crossing_pj + ec.dram_write_pj +
-             ec.dram_read_pj) /
-            1e3;
         e_dram_nj = dram_nj_per_px * static_cast<double>(kept_pixels);
         if (po)
             po->addEnergy(e_sense_nj, e_csi_nj, e_dram_nj);
@@ -286,10 +317,12 @@ DecodeStage::run(FrameTask &task) const
             po->quarantined->inc();
         if (result.deadline_missed)
             po->deadline_misses->inc();
+        if (result.shed)
+            po->shed_frames->inc();
         po->transient_faults->add(result.transient_faults);
         po->dma_retries->add(result.dma_retries);
         po->dma_dropped_bursts->add(result.dma_dropped_bursts);
-        po->kept_fraction->set(task.kept);
+        po->kept_fraction->set(result.kept_fraction);
         po->footprint->set(
             static_cast<double>(result.traffic.footprint));
     }
@@ -333,6 +366,7 @@ DecodeStage::run(FrameTask &task) const
         ft.quarantined = result.quarantined;
         ft.held_last_good = result.held_last_good;
         ft.deadline_missed = result.deadline_missed;
+        ft.shed = result.shed;
         ft.csi_dropped_lines = result.csi_dropped_lines;
         ft.transient_faults = result.transient_faults;
         ft.dma_retries = result.dma_retries;
@@ -344,37 +378,36 @@ DecodeStage::run(FrameTask &task) const
         ft.energy_dram_nj = e_dram_nj;
         ft.energy_total_nj = e_sense_nj + e_csi_nj + e_dram_nj;
 
-        // Per-region attribution: the encoder's label list for this frame
-        // (post-degradation) with the work its attribution pass claimed.
-        // DRAM-path energy splits across regions by kept pixels, so the
-        // region energies sum exactly to the frame's energy_dram_nj.
-        const EnergyConstants ec;
-        const double dram_nj_per_px =
-            (2.0 * ec.ddr_comm_crossing_pj + ec.dram_write_pj +
-             ec.dram_read_pj) /
-            1e3;
-        const std::vector<RegionLabel> &labels =
-            s.encoder().regionLabels();
-        const RegionAttribution &attr = s.encoder().lastFrameAttribution();
-        ft.regions.reserve(labels.size());
-        for (size_t i = 0; i < labels.size(); ++i) {
-            const RegionLabel &l = labels[i];
-            obs::RegionTelemetry rt;
-            rt.x = l.x;
-            rt.y = l.y;
-            rt.w = l.w;
-            rt.h = l.h;
-            rt.stride = l.stride;
-            rt.skip = l.skip;
-            rt.active = l.activeAt(t);
-            if (i < attr.kept.size()) {
-                rt.pixels_kept = attr.kept[i];
-                rt.comparisons = attr.comparisons[i];
+        // Per-region attribution exists once the frame was stored: the
+        // encoder's label list for this frame (post-degradation; one frame
+        // in flight per stream) with the work its attribution pass
+        // claimed. DRAM-path energy splits across regions by kept pixels,
+        // so the region energies sum exactly to the frame's energy_dram_nj.
+        if (stored) {
+            const std::vector<RegionLabel> &labels =
+                s.encoder().regionLabels();
+            const RegionAttribution &attr =
+                s.encoder().lastFrameAttribution();
+            ft.regions.reserve(labels.size());
+            for (size_t i = 0; i < labels.size(); ++i) {
+                const RegionLabel &l = labels[i];
+                obs::RegionTelemetry rt;
+                rt.x = l.x;
+                rt.y = l.y;
+                rt.w = l.w;
+                rt.h = l.h;
+                rt.stride = l.stride;
+                rt.skip = l.skip;
+                rt.active = l.activeAt(t);
+                if (i < attr.kept.size()) {
+                    rt.pixels_kept = attr.kept[i];
+                    rt.comparisons = attr.comparisons[i];
+                }
+                rt.payload_bytes = rt.pixels_kept; // Gray8: 1 B per pixel
+                rt.energy_nj =
+                    dram_nj_per_px * static_cast<double>(rt.pixels_kept);
+                ft.regions.push_back(std::move(rt));
             }
-            rt.payload_bytes = rt.pixels_kept; // Gray8: 1 byte per pixel
-            rt.energy_nj =
-                dram_nj_per_px * static_cast<double>(rt.pixels_kept);
-            ft.regions.push_back(std::move(rt));
         }
         sink->record(ft);
     }

@@ -14,10 +14,19 @@
  *   Store    — DMA commit of the encoded frame into the stream's
  *              framebuffer ring shard (batched across streams by the
  *              fleet's store worker);
- *   Decode   — whole-frame software decode (strict or corruption-safe),
- *              frame-health ladder update, traffic/energy/obs/telemetry
- *              attribution, deadline verdict;
+ *   Decode   — whole-frame software decode (strict or corruption-safe)
+ *              and the deadline verdict, then the frame's terminal
+ *              accounting;
  *   Vision   — optional per-frame application hook (frame sink).
+ *
+ * Every frame that leaves the graph with a result — decoded, quarantined
+ * or shed by the fleet guard — is accounted by one function,
+ * accountFrame(): fault sums and the degradation ladder, traffic and
+ * energy, the pipeline.* registry counters, the telemetry record, the
+ * frame span. What differs between outcomes follows from two facts —
+ * whether the frame was decoded and whether it reached the store — so a
+ * shed frame cannot drift from a decoded one. (Errored frames have no
+ * result and reach neither the registry nor the journal.)
  *
  * Stages are stateless and const: every mutable datum lives in the
  * StreamContext (per-stream state) or the FrameTask (per-frame state), so
@@ -61,7 +70,7 @@ struct FrameTask {
     double kept = 0.0;
     Bytes pixel_bytes = 0;
     Bytes metadata_bytes = 0;
-    u64 pixels_in = 0;
+    u64 pixels_in = 0; //!< dense pixels captured (set by CaptureStage)
 
     // Timing. `start` anchors the frame's wall-clock latency; the fleet
     // sets `deadline` (EDF) while the facade leaves it unset.
@@ -109,14 +118,36 @@ class StoreStage
 };
 
 /**
- * Decode + frame finish: whole-frame decode, health/degradation, traffic,
- * energy, obs counters, telemetry record, frame-latency accounting.
+ * Decode: whole-frame decode (a quarantined frame holds the last good
+ * image), deadline verdict, then accountFrame(task, true, true).
  */
 class DecodeStage
 {
   public:
     void run(FrameTask &task) const;
 };
+
+/**
+ * Serve the hold-last-good image as the frame's result: the last frame
+ * that decoded cleanly, or black before there is one.
+ */
+void holdLastGood(FrameTask &task);
+
+/**
+ * Terminal accounting for a frame that leaves the graph with a result:
+ * fault sums and the degradation ladder, traffic and its energy split
+ * (Appendix A.2), the pipeline.* counters, the FrameTelemetry record with
+ * per-region attribution, the frame span and the frame histogram.
+ *
+ * @param decoded the decode stage ran. Otherwise the frame is shed: its
+ *                result is marked shed with kept fraction 0, and the
+ *                degradation ladder counts it as a miss while the miss
+ *                counters do not.
+ * @param stored  the frame reached the store, so the write side (payload
+ *                plus one metadata copy) was paid; a decoded frame also
+ *                paid the read side. An unstored frame moved no DRAM bytes.
+ */
+void accountFrame(FrameTask &task, bool decoded, bool stored);
 
 /**
  * Vision: the application end of the graph. Holds an optional frame sink

@@ -2,8 +2,9 @@
  * @file
  * Integration tests for the multi-stream fleet server: byte-identity of a
  * 1-stream fleet against the legacy pipeline, engine-pool starvation,
- * all-streams-miss deadline escalation, stream join/leave mid-run, and
- * per-stream telemetry conservation against the shared registry.
+ * all-streams-miss deadline escalation, stream join/leave mid-run,
+ * per-stream telemetry conservation against the shared registry, and frame
+ * conservation when the scene source fails.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <map>
 #include <mutex>
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -352,6 +354,47 @@ TEST(Fleet, ChurnUnderFaultInjectionConservesTelemetry)
               static_cast<u64>(meta));
     EXPECT_EQ(rep.quarantined, quarantined);
     EXPECT_EQ(rep.transient_faults, transients);
+}
+
+/**
+ * A scene source that throws while a stream's next frame is built costs
+ * that stream one errored frame and retires it. The frame is counted like
+ * any other outcome, so frames == delivered + shed + errors holds for the
+ * report and for every stream.
+ */
+TEST(Fleet, SceneSourceFailureCountsOneErroredFrame)
+{
+    constexpr u32 kFailStream = 1;
+    constexpr u64 kFailFrame = 2;
+    FleetConfig fc = smallFleet(3, 5);
+    fc.scene_source = [](u32 id, u64 frame) {
+        if (id == kFailStream && frame == kFailFrame)
+            throw std::runtime_error("scene source failed");
+        return sceneFor(id, frame);
+    };
+    std::mutex mutex;
+    std::map<u32, u64> delivered;
+    fc.frame_sink = [&](StreamContext &s, const PipelineFrameResult &) {
+        std::lock_guard<std::mutex> lock(mutex);
+        ++delivered[s.id()];
+    };
+    FleetServer server(fc);
+    const FleetReport rep = server.run();
+
+    EXPECT_EQ(rep.errors, 1u);
+    u64 delivered_total = 0;
+    for (const FleetStreamReport &s : rep.streams) {
+        delivered_total += delivered[s.id];
+        EXPECT_EQ(s.frames, delivered[s.id] + s.shed + s.errors)
+            << "stream " << s.id;
+        if (s.id == kFailStream) {
+            EXPECT_EQ(s.frames, kFailFrame + 1);
+            EXPECT_EQ(s.errors, 1u);
+            EXPECT_FALSE(s.completed);
+        }
+    }
+    EXPECT_EQ(rep.frames, delivered_total + rep.shed_frames + rep.errors);
+    EXPECT_EQ(rep.frames, 2u * 5u + kFailFrame + 1);
 }
 
 /**
