@@ -53,8 +53,14 @@ struct Case {
     int regions;
     int max_stride;
     int max_skip;
+    /** Fills the four bytes that were alignment padding before `seed`.
+     *  gtest names each case by printing the raw bytes of this struct, so
+     *  padding made the names vary between runs; an explicit field pins
+     *  them to the names the suite has always been listed under. */
+    u32 name_bytes;
     u64 seed;
 };
+static_assert(sizeof(Case) == 24, "case names print all 24 bytes");
 
 class RoundTripProperty : public ::testing::TestWithParam<Case>
 {
@@ -213,10 +219,10 @@ TEST_P(RoundTripProperty, StrideBlockReplication)
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, RoundTripProperty,
-    ::testing::Values(Case{1, 1, 1, 1}, Case{1, 4, 3, 2},
-                      Case{3, 2, 2, 3}, Case{5, 3, 3, 4},
-                      Case{8, 4, 2, 5}, Case{12, 2, 3, 6},
-                      Case{20, 4, 3, 7}, Case{40, 3, 2, 8}));
+    ::testing::Values(Case{1, 1, 1, 0xff, 1}, Case{1, 4, 3, 0x6c, 2},
+                      Case{3, 2, 2, 0xb1, 3}, Case{5, 3, 3, 0x00, 4},
+                      Case{8, 4, 2, 0xff, 5}, Case{12, 2, 3, 0x00, 6},
+                      Case{20, 4, 3, 0x6c, 7}, Case{40, 3, 2, 0x6c, 8}));
 
 /** History-depth sweep: a frame store of depth D serves skips of up to
  *  D-1 frames; deeper skips decode black. */
