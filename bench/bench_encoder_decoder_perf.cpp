@@ -177,6 +177,43 @@ BENCHMARK(BM_SoftwareDecoder1080p)->Arg(10)->Arg(30)->Arg(60)->Arg(100)
     ->Unit(benchmark::kMillisecond);
 
 /**
+ * Software decoder on the paper's foveated layout at 1080p: a 480x272
+ * stride-1 fovea over a stride-4, skip-2 periphery, decoding a frame
+ * whose periphery is skipped, with 4 frames of history. Most pixels come
+ * from St upscans and history fills, the cases the 30%-regional case
+ * above (stride-1 R pixels only) never reaches.
+ */
+void
+BM_SoftwareDecoderFoveated1080p(benchmark::State &state)
+{
+    const i32 w = 1920, h = 1080;
+    RhythmicEncoder enc(w, h);
+    std::vector<RegionLabel> labels = {{0, 0, w, h, 4, 2, 0},
+                                       {720, 404, 480, 272, 1, 1, 0}};
+    sortRegionsByY(labels);
+    enc.setRegionLabels(labels);
+    const Image frame = noiseFrame(w, h);
+    std::vector<EncodedFrame> frames; // t = 0..5; t = 5 skips the periphery
+    for (FrameIndex t = 0; t < 6; ++t)
+        frames.push_back(enc.encodeFrame(frame, t));
+    const std::vector<const EncodedFrame *> history = {
+        &frames[4], &frames[3], &frames[2], &frames[1]};
+    const SoftwareDecoder sw;
+    Image out;
+    for (auto _ : state) {
+        sw.decodeInto(frames[5], history, out);
+        benchmark::DoNotOptimize(out.data().data());
+        benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(state.iterations() *
+                            static_cast<i64>(w) * h);
+    state.counters["history%"] =
+        100.0 * static_cast<double>(sw.lastHistoryFills()) /
+        static_cast<double>(static_cast<i64>(w) * h);
+}
+BENCHMARK(BM_SoftwareDecoderFoveated1080p)->Unit(benchmark::kMillisecond);
+
+/**
  * Band-parallel software decode of the 30%-regional 1080p frame across
  * worker counts (threads = 1 is the serial path). Output is byte-equal
  * across all settings, so this isolates the thread-pool scaling.
@@ -391,6 +428,10 @@ addMicrobenchTrendMetrics(obs::BenchReport &report,
     if (benchutil::findGauge(samples, "BM_SoftwareDecoder1080p/30",
                              ".real_time_ns", v))
         report.setMetric("sw_decode_ms_30pct", v / 1e6, "ms", "lower",
+                         "wall");
+    if (benchutil::findGauge(samples, "BM_SoftwareDecoderFoveated1080p",
+                             ".real_time_ns", v))
+        report.setMetric("sw_decode_ms_foveated", v / 1e6, "ms", "lower",
                          "wall");
 }
 

@@ -153,8 +153,8 @@ class RhythmicDecoder
      * at result[base ..]. Runs the vectorised row scan: codes are
      * unpacked once through the SIMD shim and R/St offsets come from a
      * running in-row R tracker, reproducing the per-pixel
-     * findPixelSource walk exactly (see SoftwareDecoder's fast-path
-     * notes); pixels it cannot answer in-row take translateFallback.
+     * findPixelSource walk exactly (DESIGN.md §10); pixels it cannot
+     * answer in-row take translateFallback.
      */
     void translateSegment(i32 y, i32 x0, i32 x1, size_t base,
                           std::vector<SubRequest> &subs,

@@ -11,8 +11,9 @@
  *    output rows,
  *  - bands only *read* the shared encoded frames (current + history),
  *    which are immutable during the decode — an upscan or history lookup
- *    crossing a band boundary sees the same mask/offsets the serial pass
- *    would, because each band decoder's prefix cache spans the full frame,
+ *    crossing a band boundary sees the same sources the serial pass
+ *    would, because each band decoder primes its source carries from
+ *    max_upscan rows above the band,
  *  - each band writes a disjoint row range of the output image.
  * The per-band history-fill / black-pixel tallies are additive per pixel,
  * so summing them reproduces the serial counters exactly.

@@ -1,5 +1,7 @@
 #include "core/sw_decoder.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 #include "common/simd.hpp"
 
@@ -12,102 +14,143 @@ SoftwareDecoder::SoftwareDecoder(const Config &config) : config_(config)
 }
 
 void
+SoftwareDecoder::SourceCarry::bind(const EncodedFrame &f)
+{
+    frame = &f;
+    next_row = 0;
+    const size_t w = static_cast<size_t>(f.width);
+    codes.resize(w);
+    offset.resize(w);
+    row.assign(w, -1);
+}
+
+void
+SoftwareDecoder::SourceCarry::advanceTo(i32 y, i32 from)
+{
+    constexpr u8 kR = static_cast<u8>(PixelCode::R);
+    const size_t w = codes.size();
+    for (i32 r = std::max(next_row, from); r <= y; ++r) {
+        simd::unpackMask2bpp(frame->mask.bytes().data(),
+                             static_cast<size_t>(r) * w, w, codes.data());
+        // The R at column x is payload entry offsetOf(r) + (R codes
+        // before x). Every column from the row's first R on now sources
+        // from the latest R at or left of it; columns before it keep the
+        // carry from the rows above.
+        const u32 base = frame->offsets.offsetOf(r);
+        size_t x = 0;
+        while (x < w && codes[x] != kR)
+            ++x;
+        u32 seen = 0;
+        for (; x < w; ++x) {
+            seen += codes[x] == kR ? 1u : 0u;
+            offset[x] = base + seen - 1;
+            row[x] = r;
+        }
+    }
+    next_row = std::max(next_row, y + 1);
+}
+
+void
 SoftwareDecoder::decodeCoreInto(
     const EncodedFrame &current,
     const std::vector<const EncodedFrame *> &history, i32 y0, i32 y1,
     Image &out) const
 {
-    cache_cur_.rebind(&current);
-    while (hist_cache_pool_.size() < history.size())
-        hist_cache_pool_.emplace_back();
+    cur_carry_.bind(current);
+    while (hist_carries_.size() < history.size())
+        hist_carries_.emplace_back();
     for (size_t k = 0; k < history.size(); ++k)
-        hist_cache_pool_[k].rebind(history[k]);
-
-    last_history_fills_ = 0;
-    last_black_ = 0;
+        hist_carries_[k].bind(*history[k]);
 
     // Payload bounds: validate() guarantees the row-offset table stays
     // inside [0, pixels.size()], but a corrupt mask can still disagree
     // with the offsets, so every derived payload index is range-checked
     // before the read — an out-of-range source demotes the pixel to the
     // history/black fallback instead of reading out of bounds.
-    const size_t cur_limit = current.pixels.size();
     const size_t w = static_cast<size_t>(current.width);
+    const size_t cur_limit = current.pixels.size();
+    const u32 *cur_offset = cur_carry_.offset.data();
+    const i32 *cur_row = cur_carry_.row.data();
     row_codes_.resize(w);
+    pending_.resize(w);
+    u64 fills = 0;
+    u64 black = 0;
 
     for (i32 y = y0; y < y1; ++y) {
+        // A source counts only within max_upscan rows above y; carries
+        // catch up from there, which also primes the first row of a band.
+        const i32 min_row = static_cast<i32>(
+            std::max<i64>(0, static_cast<i64>(y) - config_.max_upscan));
         u8 *row = out.row(y);
         simd::unpackMask2bpp(current.mask.bytes().data(),
                              static_cast<size_t>(y) * w, w,
                              row_codes_.data());
-        // In-row R tracker for the fast path: r_count is the R prefix at
-        // the cursor, last_off the payload offset of the nearest R at or
-        // left of it. Both reproduce findPixelSource's dy == 0 answer
-        // exactly; pixels it cannot answer take the identical legacy walk.
+
+        // Current frame. An R is payload entry row_off + (R codes before
+        // it); an St with an R at or left of it in its own row takes the
+        // latest such R; any other St looks up the current-frame carry,
+        // which advances only for rows that need it. Unresolved pixels
+        // queue for history.
         const u32 row_off = current.offsets.offsetOf(y);
-        u32 r_count = 0;
-        bool have_r = false;
-        size_t last_off = 0;
-        for (i32 x = 0; x < current.width; ++x) {
-            const PixelCode code =
-                static_cast<PixelCode>(row_codes_[static_cast<size_t>(x)]);
+        u32 r_seen = 0;
+        u32 last = 0;
+        size_t pending = 0;
+        for (size_t x = 0; x < w; ++x) {
+            const PixelCode code = static_cast<PixelCode>(row_codes_[x]);
             if (code == PixelCode::N) {
-                ++last_black_;
+                ++black;
                 continue; // already black
             }
-            if (code == PixelCode::R || code == PixelCode::St) {
-                bool resolved = false;
-                size_t offset = 0;
-                if (config_.fast_path) {
-                    if (code == PixelCode::R) {
-                        offset = static_cast<size_t>(row_off) + r_count;
-                        ++r_count;
-                        have_r = true;
-                        last_off = offset;
-                        resolved = true;
-                    } else if (have_r) {
-                        offset = last_off;
-                        resolved = true;
-                    }
-                }
-                if (!resolved) {
-                    // St with no in-row R at-or-left (or the reference
-                    // path): generic upscan walk. For the fast path the
-                    // dy == 0 probe finds nothing by construction, so the
-                    // answers coincide.
-                    auto src = findPixelSource(cache_cur_, x, y,
-                                               config_.max_upscan);
-                    if (src) {
-                        offset = src->offset;
-                        resolved = true;
-                    }
-                }
-                if (resolved && offset < cur_limit) {
-                    row[x] = current.pixels[offset];
-                    continue;
+            size_t offset = cur_limit; // no source
+            if (code == PixelCode::R) {
+                last = row_off + r_seen++;
+                offset = last;
+            } else if (code == PixelCode::St) {
+                if (r_seen > 0) {
+                    offset = last;
+                } else {
+                    if (cur_carry_.next_row <= y)
+                        cur_carry_.advanceTo(y, min_row);
+                    if (cur_row[x] >= min_row)
+                        offset = cur_offset[x];
                 }
             }
-            // Sk (or unresolvable St): most recent history frame that
-            // sampled this pixel wins.
-            bool filled = false;
-            for (size_t k = 0; k < history.size(); ++k) {
-                const EncodedFrame &past = *history[k];
-                const PixelCode pcode = past.mask.at(x, y);
-                if (pcode != PixelCode::R && pcode != PixelCode::St)
-                    continue;
-                auto src = findPixelSource(hist_cache_pool_[k], x, y,
-                                           config_.max_upscan);
-                if (src && src->offset < past.pixels.size()) {
-                    row[x] = past.pixels[src->offset];
-                    ++last_history_fills_;
-                    filled = true;
-                    break;
-                }
-            }
-            if (!filled)
-                ++last_black_;
+            if (offset < cur_limit)
+                row[x] = current.pixels[offset];
+            else
+                pending_[pending++] = static_cast<u32>(x);
         }
+
+        // History, most recent first: a pending pixel fills from the
+        // first frame that sampled it (R or St) and has its source in
+        // reach. Each history carry advances only for rows with pending
+        // pixels left when its turn comes.
+        for (size_t k = 0; k < history.size() && pending > 0; ++k) {
+            SourceCarry &past = hist_carries_[k];
+            past.advanceTo(y, min_row);
+            const u8 *codes = past.codes.data();
+            const u32 *offset = past.offset.data();
+            const i32 *src_row = past.row.data();
+            const u8 *pixels = past.frame->pixels.data();
+            const size_t limit = past.frame->pixels.size();
+            size_t still = 0;
+            for (size_t i = 0; i < pending; ++i) {
+                const u32 x = pending_[i];
+                const PixelCode pcode = static_cast<PixelCode>(codes[x]);
+                if ((pcode == PixelCode::R || pcode == PixelCode::St) &&
+                    src_row[x] >= min_row && offset[x] < limit) {
+                    row[x] = pixels[offset[x]];
+                    ++fills;
+                } else {
+                    pending_[still++] = x;
+                }
+            }
+            pending = still;
+        }
+        black += pending;
     }
+    last_history_fills_ = fills;
+    last_black_ = black;
 }
 
 Image

@@ -15,17 +15,22 @@
  *    of throwing, and silently skips unusable history frames, so a
  *    pipeline facing injected or real faults keeps producing frames.
  *
- * The core runs a row-run fast path by default: each row's 2-bit codes are
- * expanded once through the SIMD shim and R/St pixels are resolved with a
- * running in-row R tracker, falling back to the generic upscan walk only
- * for pixels whose source is not in the current row. The fast path is
- * byte-identical to the reference per-pixel walk by construction (an R
- * pixel's payload offset is exactly row_offset + in-row R prefix; an St
- * pixel with an in-row R at-or-left resolves to that R's offset; anything
- * else takes the identical legacy path); set Config::fast_path = false to
- * run the reference walk itself — the identity suite compares the two.
+ * The core resolves pixel sources with one row-carried sweep per frame
+ * (DESIGN.md §10). For the current frame and each history frame it keeps
+ * a source carry: per column, the payload offset and row of the nearest
+ * R at or left of that column, in the nearest row at or above the last
+ * row swept. Advancing a carry by one row is one SIMD code unpack plus one
+ * linear pass, and a pixel resolves with one lookup and a distance check
+ * against max_upscan. That lookup is exactly findPixelSource's answer
+ * (its first dy with an R at or left of x), so the decoder needs no
+ * per-pixel upscan search. R pixels, and St pixels with an R at or left
+ * in their own row, resolve from a running in-row R count; carries
+ * advance lazily, only for rows that need them, and catch up from
+ * max_upscan rows above — which also primes the first row of a band. The
+ * per-pixel findPixelSource walk that defines these semantics lives in
+ * tests/ as the differential oracle.
  *
- * Decode scratch state (prefix caches, row code buffers, history filters)
+ * Decode scratch state (source carries, history filters)
  * is pooled in the instance, so steady-state decoding performs zero heap
  * allocations (asserted by tests/core/decode_alloc_test.cpp). The flip
  * side: a SoftwareDecoder instance is NOT safe for concurrent use — give
@@ -60,12 +65,6 @@ class SoftwareDecoder
     struct Config {
         u8 black_value = 0;
         int max_upscan = 64;
-        /**
-         * Use the vectorised row-run core (byte-identical to the
-         * reference walk). false = run the reference per-pixel walk,
-         * kept for differential testing.
-         */
-        bool fast_path = true;
     };
 
     explicit SoftwareDecoder(const Config &config);
@@ -132,6 +131,29 @@ class SoftwareDecoder
 
   private:
     /**
+     * Rolling source carry over one frame. For each column x, offset[x]
+     * and row[x] locate the nearest R at or left of x in the nearest row
+     * at or above the last swept row (row[x] = -1 when there is none);
+     * codes holds the last swept row's unpacked codes.
+     */
+    struct SourceCarry {
+        const EncodedFrame *frame = nullptr;
+        i32 next_row = 0; //!< first row not yet swept
+        std::vector<u8> codes;
+        std::vector<u32> offset;
+        std::vector<i32> row;
+
+        /** Point at `f` and forget every source (keeps capacity). */
+        void bind(const EncodedFrame &f);
+
+        /**
+         * Sweep rows [max(next_row, from), y]. Rows skipped below `from`
+         * only held sources that the caller's distance check rejects.
+         */
+        void advanceTo(i32 y, i32 from);
+    };
+
+    /**
      * Shared bounds-checked reconstruction over pre-validated frames,
      * writing rows [y0, y1) of `out` (already shaped and black-filled).
      */
@@ -142,12 +164,13 @@ class SoftwareDecoder
     Config config_;
     mutable u64 last_history_fills_ = 0;
     mutable u64 last_black_ = 0;
-    // Pooled decode scratch (cleared/rebound per frame, never shrunk) —
-    // what makes steady-state decode allocation-free and the instance
+    // Pooled decode scratch (rebound per frame, never shrunk) — what
+    // makes steady-state decode allocation-free and the instance
     // single-threaded.
-    mutable MaskPrefixCache cache_cur_;
-    mutable std::vector<MaskPrefixCache> hist_cache_pool_;
+    mutable SourceCarry cur_carry_;
+    mutable std::vector<SourceCarry> hist_carries_;
     mutable std::vector<u8> row_codes_;
+    mutable std::vector<u32> pending_; //!< columns awaiting history
     mutable std::vector<const EncodedFrame *> usable_;
 };
 

@@ -4,10 +4,11 @@
  *
  * This TU replaces global operator new/delete with counting wrappers, so
  * it can assert that — after a warm-up decode populates the pooled
- * scratch (prefix caches, row-code buffers, the RhythmicDecoder's frame
+ * scratch (source carries, the RhythmicDecoder's prefix caches and frame
  * arena) — repeated decodes of same-geometry frames perform ZERO heap
- * allocations: SoftwareDecoder::decodeInto, ParallelDecoder (threads=1),
- * and RhythmicDecoder::requestPixelsInto alike.
+ * allocations: SoftwareDecoder::decodeInto, ParallelDecoder (threads=1,
+ * and the band decodes of threads=2), and
+ * RhythmicDecoder::requestPixelsInto alike.
  *
  * The hooks are process-global, which is exactly why this suite lives in
  * its own binary: no other test sees the counting allocator, and gtest's
@@ -33,11 +34,31 @@
 namespace {
 
 std::atomic<unsigned long long> g_allocations{0};
+/** Allocations made on threads that did not set t_counts_as_main. */
+std::atomic<unsigned long long> g_worker_allocations{0};
+thread_local bool t_counts_as_main = false;
 
 unsigned long long
 allocationCount()
 {
     return g_allocations.load(std::memory_order_relaxed);
+}
+
+unsigned long long
+workerAllocationCount()
+{
+    return g_worker_allocations.load(std::memory_order_relaxed);
+}
+
+// Out of line so operator new stays small enough to inline: GCC's
+// -Wmismatched-new-delete fires when it sees a call to the replaced
+// operator new paired with the inlined free() in operator delete.
+[[gnu::noinline]] void
+countAllocation()
+{
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+    if (!t_counts_as_main)
+        g_worker_allocations.fetch_add(1, std::memory_order_relaxed);
 }
 
 } // namespace
@@ -46,7 +67,7 @@ allocationCount()
 void *
 operator new(std::size_t size)
 {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
+    countAllocation();
     if (void *p = std::malloc(size ? size : 1))
         return p;
     throw std::bad_alloc();
@@ -127,9 +148,9 @@ TEST(DecodeAlloc, SoftwareDecoderSteadyStateAllocatesNothing)
         dec.decodeInto(frames[newest], history, out);
     };
 
-    // Warm-up round: pools, prefix caches (built lazily per touched
-    // row), and the output image allocate here. The measured round
-    // decodes the same frames, i.e. the steady-state working set.
+    // Warm-up round: pools, source carries and the output image
+    // allocate here. The measured round decodes the same frames, i.e.
+    // the steady-state working set.
     decodeOne(5);
     decodeOne(4);
     decodeOne(3);
@@ -184,6 +205,66 @@ TEST(DecodeAlloc, ParallelDecoderSerialPathAllocatesNothing)
     dec.decodeInto(f1, history, out);
     dec.decodeInto(f1, history, out);
     EXPECT_EQ(allocationCount() - before, 0u);
+}
+
+/**
+ * The paper's foveated layout: a stride-1 fovea over a stride-4, skip-2
+ * periphery, decoded with a 4-frame history on frames that skip the
+ * periphery (history fills through the lazy history carries) and on
+ * frames that sample it (St rows through the current-frame carry).
+ * The threads = 2 fan-out itself allocates (futures and the pool's job
+ * queue, on the submitting thread), so there the band decodes — all of
+ * which run on pool workers — are what must stay allocation-free.
+ */
+TEST(DecodeAlloc, FoveatedHistoryDecodeAllocatesNothingWarm)
+{
+    const i32 w = 96, h = 72;
+    RhythmicEncoder enc(w, h);
+    std::vector<RegionLabel> labels = {{0, 0, w, h, 4, 2, 0},
+                                       {24, 16, 32, 24, 1, 1, 0}};
+    sortRegionsByY(labels);
+    enc.setRegionLabels(labels);
+    std::vector<EncodedFrame> frames;
+    for (FrameIndex t = 0; t < 7; ++t)
+        frames.push_back(enc.encodeFrame(noiseFrame(w, h, 51 + t), t));
+
+    std::vector<const EncodedFrame *> history;
+    const auto historyOf = [&](size_t newest) {
+        history.clear();
+        for (size_t k = 1; k <= 4; ++k)
+            history.push_back(&frames[newest - k]);
+    };
+
+    t_counts_as_main = true;
+    const SoftwareDecoder serial;
+    ParallelDecoder::Config pcfg;
+    pcfg.threads = 2;
+    pcfg.min_band_rows = 4;
+    ParallelDecoder parallel(pcfg);
+    Image out;
+    const auto decodeRound = [&] {
+        for (const size_t newest : {5u, 6u}) { // skips, then samples
+            historyOf(newest);
+            serial.decodeInto(frames[newest], history, out);
+            parallel.decodeInto(frames[newest], history, out);
+        }
+    };
+    decodeRound();
+    decodeRound();
+
+    historyOf(5);
+    unsigned long long before = allocationCount();
+    serial.decodeInto(frames[5], history, out);
+    EXPECT_GT(serial.lastHistoryFills(), 0u);
+    historyOf(6);
+    serial.decodeInto(frames[6], history, out);
+    EXPECT_EQ(allocationCount() - before, 0u)
+        << "warm foveated serial decode must not touch the heap";
+
+    before = workerAllocationCount();
+    decodeRound();
+    EXPECT_EQ(workerAllocationCount() - before, 0u)
+        << "warm foveated band decodes must not touch the heap";
 }
 
 TEST(DecodeAlloc, RhythmicDecoderTransactionsAllocateNothingWarm)

@@ -1,16 +1,18 @@
 /**
  * @file
- * Decode-path identity suite (ISSUE 8), modeled on the ParallelEncoder
- * suite from ISSUE 4: the reference per-pixel walk, the vectorised
- * row-run fast path, and the band-parallel decoder must produce
- * byte-identical images (and matching history/black tallies) for every
- * comparison mode, thread count, awkward geometry, and SIMD level —
- * including the corruption-safe tryDecode path with quarantined frames.
+ * Decode-path identity suite: the reference per-pixel walk
+ * (reference_decode.hpp), the row-carried SoftwareDecoder, and the
+ * band-parallel decoder must produce byte-identical images (and matching
+ * history/black tallies) for every comparison mode, thread count,
+ * awkward geometry, upscan bound, and SIMD level — including the
+ * corruption-safe tryDecode path with quarantined frames and frames
+ * whose mask disagrees with their row offsets.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -20,6 +22,7 @@
 #include "core/parallel_decoder.hpp"
 #include "core/sw_decoder.hpp"
 #include "frame/draw.hpp"
+#include "reference_decode.hpp"
 
 namespace rpx {
 namespace {
@@ -56,21 +59,6 @@ scatterRegions(i32 w, i32 h, u64 seed, int count)
     return regions;
 }
 
-/** Encode a 4-frame rhythmic sequence; frames[0] is the newest. */
-std::vector<EncodedFrame>
-encodeSequence(i32 w, i32 h, ComparisonMode mode, u64 seed)
-{
-    RhythmicEncoder::Config cfg;
-    cfg.mode = mode;
-    RhythmicEncoder enc(w, h, cfg);
-    enc.setRegionLabels(scatterRegions(w, h, seed, 12));
-    std::vector<EncodedFrame> frames;
-    for (FrameIndex t = 0; t < 4; ++t)
-        frames.push_back(
-            enc.encodeFrame(noiseFrame(w, h, seed + t), t));
-    std::reverse(frames.begin(), frames.end());
-    return frames;
-}
 
 std::vector<const EncodedFrame *>
 historyOf(const std::vector<EncodedFrame> &frames)
@@ -81,9 +69,82 @@ historyOf(const std::vector<EncodedFrame> &frames)
     return history;
 }
 
+/** Encode t = 0..count-1 under fixed labels; frames[0] is the newest. */
+std::vector<EncodedFrame>
+encodeWithLabels(i32 w, i32 h, std::vector<RegionLabel> labels,
+                 FrameIndex count, u64 seed,
+                 ComparisonMode mode = ComparisonMode::Hybrid)
+{
+    sortRegionsByY(labels);
+    RhythmicEncoder::Config cfg;
+    cfg.mode = mode;
+    RhythmicEncoder enc(w, h, cfg);
+    enc.setRegionLabels(labels);
+    std::vector<EncodedFrame> frames;
+    for (FrameIndex t = 0; t < count; ++t)
+        frames.push_back(enc.encodeFrame(noiseFrame(w, h, seed + t), t));
+    std::reverse(frames.begin(), frames.end());
+    return frames;
+}
+
+/** A 4-frame sequence over scattered regions; frames[0] is the newest. */
+std::vector<EncodedFrame>
+encodeSequence(i32 w, i32 h, ComparisonMode mode, u64 seed)
+{
+    return encodeWithLabels(w, h, scatterRegions(w, h, seed, 12), 4, seed,
+                            mode);
+}
+
+/**
+ * Every decode path against the reference walk: serial and
+ * ParallelDecoder at 2 and 7 threads (4-row bands), at every SIMD level.
+ * Goes through tryDecode, so frames that pass validate() but whose mask
+ * disagrees with their row offsets still decode. Each decoder first
+ * decodes the frame without history, so carry state left over from an
+ * earlier decode would show.
+ */
+void
+expectMatchesReference(const EncodedFrame &current,
+                       const std::vector<const EncodedFrame *> &history,
+                       const SoftwareDecoder::Config &cfg,
+                       const std::string &what)
+{
+    const ReferenceDecode ref = referenceDecode(current, history, cfg);
+    for (const simd::Level level : simd::supportedLevels()) {
+        ASSERT_TRUE(simd::setLevel(level));
+        const std::string where =
+            what + " level=" + simd::levelName(level);
+        const SoftwareDecoder serial(cfg);
+        Image got;
+        EXPECT_TRUE(serial.tryDecode(current, {}, got).ok) << where;
+        EXPECT_TRUE(serial.tryDecode(current, history, got).ok) << where;
+        EXPECT_EQ(got.data(), ref.image.data()) << where;
+        EXPECT_EQ(serial.lastHistoryFills(), ref.history_fills) << where;
+        EXPECT_EQ(serial.lastBlackPixels(), ref.black) << where;
+        for (const int threads : {2, 7}) {
+            ParallelDecoder::Config pcfg;
+            pcfg.threads = threads;
+            pcfg.min_band_rows = 4;
+            pcfg.decoder = cfg;
+            ParallelDecoder parallel(pcfg);
+            Image banded;
+            EXPECT_TRUE(parallel.tryDecode(current, {}, banded).ok);
+            EXPECT_TRUE(parallel.tryDecode(current, history, banded).ok)
+                << where << " threads=" << threads;
+            EXPECT_EQ(banded.data(), ref.image.data())
+                << where << " threads=" << threads;
+            EXPECT_EQ(parallel.lastHistoryFills(), ref.history_fills)
+                << where << " threads=" << threads;
+            EXPECT_EQ(parallel.lastBlackPixels(), ref.black)
+                << where << " threads=" << threads;
+        }
+    }
+    simd::resetLevel();
+}
+
 /**
  * The headline property: for every comparison mode, thread count, and
- * awkward geometry, the reference per-pixel walk, the serial fast path,
+ * awkward geometry, the reference per-pixel walk, the serial decoder,
  * and the band-parallel decoder reconstruct byte-identical images with
  * matching fill tallies.
  */
@@ -104,17 +165,14 @@ TEST(ParallelDecoder, BitIdenticalToSerialAcrossModesAndThreads)
             const std::vector<const EncodedFrame *> history =
                 historyOf(frames);
 
-            SoftwareDecoder::Config ref_cfg;
-            ref_cfg.fast_path = false; // the per-pixel reference walk
-            const SoftwareDecoder reference(ref_cfg);
-            const Image want = reference.decode(frames[0], history);
+            const ReferenceDecode ref = referenceDecode(frames[0], history);
+            const Image &want = ref.image;
 
-            const SoftwareDecoder fast;
-            EXPECT_EQ(fast.decode(frames[0], history).data(), want.data())
-                << "fast path diverged at " << w << "x" << h;
-            EXPECT_EQ(fast.lastHistoryFills(),
-                      reference.lastHistoryFills());
-            EXPECT_EQ(fast.lastBlackPixels(), reference.lastBlackPixels());
+            const SoftwareDecoder serial;
+            EXPECT_EQ(serial.decode(frames[0], history).data(), want.data())
+                << "serial decode diverged at " << w << "x" << h;
+            EXPECT_EQ(serial.lastHistoryFills(), ref.history_fills);
+            EXPECT_EQ(serial.lastBlackPixels(), ref.black);
 
             for (const int threads : thread_counts) {
                 ParallelDecoder::Config pcfg;
@@ -125,11 +183,9 @@ TEST(ParallelDecoder, BitIdenticalToSerialAcrossModesAndThreads)
                 parallel.decodeInto(frames[0], history, got);
                 EXPECT_EQ(got.data(), want.data())
                     << "threads=" << threads << " at " << w << "x" << h;
-                EXPECT_EQ(parallel.lastHistoryFills(),
-                          reference.lastHistoryFills())
+                EXPECT_EQ(parallel.lastHistoryFills(), ref.history_fills)
                     << "threads=" << threads;
-                EXPECT_EQ(parallel.lastBlackPixels(),
-                          reference.lastBlackPixels())
+                EXPECT_EQ(parallel.lastBlackPixels(), ref.black)
                     << "threads=" << threads;
             }
         }
@@ -143,10 +199,7 @@ TEST(ParallelDecoder, BitIdenticalAtEverySimdLevel)
         encodeSequence(57, 33, ComparisonMode::Hybrid, 77);
     const std::vector<const EncodedFrame *> history = historyOf(frames);
 
-    SoftwareDecoder::Config ref_cfg;
-    ref_cfg.fast_path = false;
-    const SoftwareDecoder reference(ref_cfg);
-    const Image want = reference.decode(frames[0], history);
+    const Image want = referenceDecode(frames[0], history).image;
 
     for (const simd::Level level : simd::supportedLevels()) {
         ASSERT_TRUE(simd::setLevel(level));
@@ -215,6 +268,123 @@ TEST(ParallelDecoder, TryDecodeMatchesSerialWithQuarantinedFrames)
         EXPECT_FALSE(bad_st.reason.empty());
         EXPECT_EQ(untouched.at(1, 1), 200)
             << "quarantine must not touch the output image";
+    }
+}
+
+/**
+ * The carry's distance check: St rows whose nearest R row lies beyond
+ * max_upscan fall back to history or black exactly as the upscan walk
+ * does, for bounds below, at and above the stride.
+ */
+TEST(DecoderCarry, UpscanBoundAcrossStrides)
+{
+    const i32 w = 61, h = 45;
+    for (const i32 stride : {1, 2, 4, 8}) {
+        // A periphery sampled on even frames, a stride-1 fovea and a
+        // strided patch whose R rows do not line up with the periphery's.
+        const std::vector<EncodedFrame> frames = encodeWithLabels(
+            w, h,
+            {{0, 0, w, h, stride, 2, 0},
+             {9, 5, 20, 14, 1, 1, 0},
+             {30, 3, 27, 37, stride, 1, 0}},
+            5, 0x51u * static_cast<u64>(stride));
+        // The oldest history frame is dense over the left half, so some
+        // unresolved pixels fill from history and the rest stay black.
+        const std::vector<EncodedFrame> dense =
+            encodeWithLabels(w, h, {{0, 0, w / 2, h, 1, 1, 0}}, 1, 99);
+        for (const int max_upscan : {0, 1, 3, 64}) {
+            SoftwareDecoder::Config cfg;
+            cfg.max_upscan = max_upscan;
+            // frames[0] (t = 4) samples the periphery; frames[1] skips it.
+            for (size_t cur = 0; cur < 2; ++cur) {
+                std::vector<const EncodedFrame *> history;
+                for (size_t k = cur + 1; k < frames.size(); ++k)
+                    history.push_back(&frames[k]);
+                history.push_back(&dense[0]);
+                expectMatchesReference(
+                    frames[cur], history, cfg,
+                    "stride=" + std::to_string(stride) +
+                        " max_upscan=" + std::to_string(max_upscan) +
+                        " cur=" + std::to_string(cur));
+            }
+        }
+    }
+}
+
+/**
+ * History frames whose region layouts differ from the current frame's:
+ * only two short skipped strips, far apart, need history, so the lazy
+ * history carries jump over the rows between them.
+ */
+TEST(DecoderCarry, HistoryWithOtherLayoutsCatchesUpLazily)
+{
+    const i32 w = 64, h = 96;
+    // Encoded at t = 2: both phase-1 strips are skipped (Sk).
+    const std::vector<EncodedFrame> current = encodeWithLabels(
+        w, h,
+        {{0, 0, w, 20, 1, 1, 0},
+         {0, 20, w, 4, 2, 2, 1},
+         {0, 50, w, 30, 3, 1, 0},
+         {0, 80, w, 3, 3, 2, 1}},
+        3, 7);
+    ASSERT_GT(current[0].mask.histogram()[static_cast<size_t>(
+                  PixelCode::Sk)],
+              0u);
+
+    const std::vector<EncodedFrame> scattered =
+        encodeSequence(w, h, ComparisonMode::Hybrid, 21);
+    const std::vector<EncodedFrame> sparse =
+        encodeWithLabels(w, h, {{0, 0, w, h, 8, 1, 0}}, 1, 31);
+    const std::vector<EncodedFrame> lower =
+        encodeWithLabels(w, h, {{5, 40, 50, 56, 4, 1, 0}}, 1, 41);
+    const std::vector<const EncodedFrame *> history = {
+        &scattered[0], &sparse[0], &scattered[2], &lower[0]};
+
+    for (const int max_upscan : {0, 2, 5, 64}) {
+        SoftwareDecoder::Config cfg;
+        cfg.max_upscan = max_upscan;
+        expectMatchesReference(current[0], history, cfg,
+                               "max_upscan=" + std::to_string(max_upscan));
+    }
+}
+
+/**
+ * A frame that passes validate() while its mask claims more R codes than
+ * its row offsets and payload hold: sources past the payload end demote
+ * the pixel to history, whether that frame is the current one or a
+ * history frame.
+ */
+TEST(DecoderCarry, MaskOffsetDisagreementDemotesToHistory)
+{
+    const i32 w = 40, h = 32;
+    // t = 2 samples the stride-4 periphery, t = 3 and t = 1 skip it.
+    const std::vector<EncodedFrame> frames = encodeWithLabels(
+        w, h, {{0, 0, w, h, 4, 2, 0}, {4, 4, 16, 12, 1, 1, 0}}, 4, 61);
+    const EncodedFrame &sampled = frames[1];
+
+    // Row h - 4 is an R row of the periphery grid; mark it all R, so its
+    // R pixels past the first w / 4 and the St rows below it carry
+    // payload offsets beyond the end of the payload.
+    EncodedFrame bad = sampled;
+    for (i32 x = 0; x < w; ++x)
+        bad.mask.set(x, h - 4, PixelCode::R);
+    ASSERT_TRUE(bad.validate());
+
+    const std::vector<const EncodedFrame *> older = {&frames[2],
+                                                     &frames[3]};
+    EXPECT_GT(referenceDecode(bad, older).history_fills,
+              referenceDecode(sampled, older).history_fills)
+        << "the corrupt rows must reach the history fallback";
+
+    const std::vector<const EncodedFrame *> with_bad = {&bad, &frames[2],
+                                                        &frames[3]};
+    for (const int max_upscan : {0, 3, 64}) {
+        SoftwareDecoder::Config cfg;
+        cfg.max_upscan = max_upscan;
+        const std::string bound = " max_upscan=" + std::to_string(max_upscan);
+        expectMatchesReference(bad, older, cfg, "bad current" + bound);
+        expectMatchesReference(frames[0], with_bad, cfg,
+                               "bad history" + bound);
     }
 }
 
