@@ -14,9 +14,8 @@
  * store gates on numbers that do not move with CI runner load.
  *
  * `--out-dir DIR` (default build/bench_out; stripped before
- * google-benchmark sees argv) selects where the two artifacts land:
- * METRICS_encoder_decoder.json (full registry snapshot) and
- * BENCH_encoder_decoder.json (headline BenchReport for trend_compare).
+ * google-benchmark sees argv) selects where BENCH_encoder_decoder.json,
+ * the headline BenchReport for trend_compare, lands.
  */
 
 #include <algorithm>
@@ -37,7 +36,6 @@
 #include "frame/draw.hpp"
 #include "memory/dram.hpp"
 #include "obs/bench_report.hpp"
-#include "obs/metrics_export.hpp"
 #include "obs/perf_registry.hpp"
 #include "obs/telemetry.hpp"
 #include "sim/pipeline.hpp"
@@ -461,10 +459,6 @@ main(int argc, char **argv)
     const std::string report_path =
         rpx::obs::benchReportPath(out_dir, "encoder_decoder");
     rpx::obs::writeBenchReportFile(report, report_path);
-    const std::string metrics_path =
-        out_dir + "/METRICS_encoder_decoder.json";
-    rpx::obs::writeMetricsJsonFile(registry, metrics_path);
-    std::cout << "\nWrote " << metrics_path << "\nWrote " << report_path
-              << "\n";
+    std::cout << "\nWrote " << report_path << "\n";
     return 0;
 }

@@ -20,14 +20,12 @@
  *                 to the first clean frame
  *
  * Flags: --quick (shorter sequence, CI smoke), --out-dir DIR (artifact
- * directory, default build/bench_out), --out FILE (override for the raw
- * metrics snapshot path). Two artifacts land in the out dir: the full
- * gauge snapshot (METRICS_fault_resilience.json, one gauge per table
- * cell) and the BenchReport of headline metrics
- * (BENCH_fault_resilience.json) that trend_compare gates on. The sweep
- * is fully seeded, so the headline metrics are "model"-kind: byte-stable
- * for a given sequence length (--quick vs full differ — compare like
- * with like; the committed trend baseline uses --quick).
+ * directory, default build/bench_out). The out dir receives the
+ * BenchReport of headline metrics (BENCH_fault_resilience.json) that
+ * trend_compare gates on. The sweep is fully seeded, so the headline
+ * metrics are "model"-kind: byte-stable for a given sequence length
+ * (--quick vs full differ — compare like with like; the committed trend
+ * baseline uses --quick).
  */
 
 #include <algorithm>
@@ -41,7 +39,6 @@
 #include "frame/draw.hpp"
 #include "frame/metrics.hpp"
 #include "obs/bench_report.hpp"
-#include "obs/metrics_export.hpp"
 #include "sim/pipeline.hpp"
 
 using namespace rpx;
@@ -170,18 +167,15 @@ main(int argc, char **argv)
 {
     bool quick = false;
     std::string out_dir = "build/bench_out";
-    std::string out_path; // empty = derive from out_dir
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--quick") == 0) {
             quick = true;
-        } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-            out_path = argv[++i];
         } else if (std::strcmp(argv[i], "--out-dir") == 0 &&
                    i + 1 < argc) {
             out_dir = argv[++i];
         } else {
             std::cerr << "usage: bench_fault_resilience [--quick] "
-                         "[--out-dir DIR] [--out FILE]\n";
+                         "[--out-dir DIR]\n";
             return 1;
         }
     }
@@ -205,28 +199,6 @@ main(int argc, char **argv)
     std::cout << "  rate      frames quarant  held  dl_miss escal recov "
                  "transients  psnr_db  rec_frames\n";
 
-    obs::PerfRegistry registry;
-    auto emit = [&](const SweepRow &row, const std::string &tag) {
-        const std::string base = "fault_resilience." + tag;
-        registry.gauge(base + ".rate").set(row.rate);
-        registry.gauge(base + ".frames").set(row.frames);
-        registry.gauge(base + ".quarantined")
-            .set(static_cast<double>(row.quarantined));
-        registry.gauge(base + ".held_frames")
-            .set(static_cast<double>(row.held));
-        registry.gauge(base + ".deadline_misses")
-            .set(static_cast<double>(row.deadline_misses));
-        registry.gauge(base + ".escalations")
-            .set(static_cast<double>(row.escalations));
-        registry.gauge(base + ".recoveries")
-            .set(static_cast<double>(row.recoveries));
-        registry.gauge(base + ".transient_faults")
-            .set(static_cast<double>(row.transients));
-        registry.gauge(base + ".mean_psnr_db").set(row.mean_psnr_db);
-        registry.gauge(base + ".mean_recovery_frames")
-            .set(row.mean_recovery_frames);
-    };
-
     char line[160];
     std::vector<SweepRow> rows;
     for (double rate : rates) {
@@ -244,9 +216,6 @@ main(int argc, char **argv)
                       static_cast<unsigned long long>(row.transients),
                       row.mean_psnr_db, row.mean_recovery_frames);
         std::cout << line << "\n";
-        char tag[32];
-        std::snprintf(tag, sizeof(tag), "rate_%.0e", rate);
-        emit(row, tag);
     }
 
     std::cout << "\nInterpretation: quarantined frames are caught by the "
@@ -270,10 +239,6 @@ main(int argc, char **argv)
     const std::string report_path =
         obs::benchReportPath(out_dir, "fault_resilience");
     obs::writeBenchReportFile(report, report_path);
-    if (out_path.empty())
-        out_path = out_dir + "/METRICS_fault_resilience.json";
-    obs::writeMetricsJsonFile(registry, out_path);
-    std::cout << "\nWrote " << out_path << "\nWrote " << report_path
-              << "\n";
+    std::cout << "\nWrote " << report_path << "\n";
     return 0;
 }

@@ -21,12 +21,11 @@
  *              disabled here so misses never perturb the model numbers)
  *
  * Flags: --quick (small fleet, CI smoke), --out-dir DIR (default
- * build/bench_out), --out FILE (metrics snapshot override). Artifacts:
- * METRICS_fleet.json (one gauge per table cell) and BENCH_fleet.json
- * (the trend-gated BenchReport). Traffic/kept metrics are seeded and
- * wall-clock-free, hence "model" kind (tight gating); throughput and
- * latency quantiles are "wall" kind (report-only). The committed trend
- * baseline uses --quick.
+ * build/bench_out), which receives BENCH_fleet.json (the trend-gated
+ * BenchReport). Traffic/kept metrics are seeded and wall-clock-free,
+ * hence "model" kind (tight gating); throughput and latency quantiles
+ * are "wall" kind (report-only). The committed trend baseline uses
+ * --quick.
  */
 
 #include <cstdio>
@@ -39,7 +38,6 @@
 #include "fleet/fleet.hpp"
 #include "frame/draw.hpp"
 #include "obs/bench_report.hpp"
-#include "obs/metrics_export.hpp"
 
 using namespace rpx;
 
@@ -106,18 +104,14 @@ main(int argc, char **argv)
 {
     bool quick = false;
     std::string out_dir = "build/bench_out";
-    std::string out_path; // empty = derive from out_dir
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--quick") == 0) {
             quick = true;
-        } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-            out_path = argv[++i];
         } else if (std::strcmp(argv[i], "--out-dir") == 0 &&
                    i + 1 < argc) {
             out_dir = argv[++i];
         } else {
-            std::cerr << "usage: bench_fleet [--quick] [--out-dir DIR] "
-                         "[--out FILE]\n";
+            std::cerr << "usage: bench_fleet [--quick] [--out-dir DIR]\n";
             return 1;
         }
     }
@@ -133,7 +127,6 @@ main(int argc, char **argv)
     std::cout << "  streams  frames      fps    p50_us    p99_us   "
                  "p999_us  write_mb  meta_kb  kept%  batch  dl_miss\n";
 
-    obs::PerfRegistry registry;
     obs::BenchReport report;
     report.bench = "fleet";
     report.commit = obs::benchCommitFromEnv();
@@ -157,34 +150,6 @@ main(int argc, char **argv)
             100.0 * r.kept_fraction_mean, r.mean_store_batch,
             static_cast<unsigned long long>(r.deadline_misses));
         std::cout << line << "\n";
-
-        const std::string base = "fleet.s" + std::to_string(n);
-        registry.gauge(base + ".streams").set(n);
-        registry.gauge(base + ".frames")
-            .set(static_cast<double>(r.frames));
-        registry.gauge(base + ".errors")
-            .set(static_cast<double>(r.errors));
-        registry.gauge(base + ".bytes_written")
-            .set(static_cast<double>(r.bytes_written));
-        registry.gauge(base + ".metadata_bytes")
-            .set(static_cast<double>(r.metadata_bytes));
-        registry.gauge(base + ".kept_fraction")
-            .set(r.kept_fraction_mean);
-        registry.gauge(base + ".frames_per_second")
-            .set(r.frames_per_second);
-        registry.gauge(base + ".latency_p50_us").set(r.latency_p50_us);
-        registry.gauge(base + ".latency_p99_us").set(r.latency_p99_us);
-        registry.gauge(base + ".latency_p999_us").set(r.latency_p999_us);
-        registry.gauge(base + ".mean_store_batch")
-            .set(r.mean_store_batch);
-        registry.gauge(base + ".deadline_misses")
-            .set(static_cast<double>(r.deadline_misses));
-        registry.gauge(base + ".encode_engine_waits")
-            .set(static_cast<double>(r.encode_engines.waits));
-        registry.gauge(base + ".decode_engine_waits")
-            .set(static_cast<double>(r.decode_engines.waits));
-        registry.gauge(base + ".encode_queue_high_water")
-            .set(static_cast<double>(r.encode_queue.high_water));
 
         // Model metrics are byte-stable for a fixed sweep shape; wall
         // metrics ride along for the report but only warn on drift.
@@ -250,17 +215,6 @@ main(int argc, char **argv)
                          : 0.0;
             const std::string tag =
                 shed ? "_overload_shed_on" : "_overload_shed_off";
-            const std::string base =
-                std::string("fleet.overload.shed_") +
-                (shed ? "on" : "off");
-            registry.gauge(base + ".frames")
-                .set(static_cast<double>(r.frames));
-            registry.gauge(base + ".shed_frames")
-                .set(static_cast<double>(r.shed_frames));
-            registry.gauge(base + ".deadline_misses")
-                .set(static_cast<double>(r.deadline_misses));
-            registry.gauge(base + ".latency_p99_us")
-                .set(r.latency_p99_us);
             report.setMetric("p99_us" + tag, r.latency_p99_us, "us",
                              "lower", "wall");
             report.setMetric("shed_rate" + tag, shed_rate, "ratio",
@@ -281,10 +235,6 @@ main(int argc, char **argv)
 
     const std::string report_path = obs::benchReportPath(out_dir, "fleet");
     obs::writeBenchReportFile(report, report_path);
-    if (out_path.empty())
-        out_path = out_dir + "/METRICS_fleet.json";
-    obs::writeMetricsJsonFile(registry, out_path);
-    std::cout << "\nWrote " << out_path << "\nWrote " << report_path
-              << "\n";
+    std::cout << "\nWrote " << report_path << "\n";
     return 0;
 }

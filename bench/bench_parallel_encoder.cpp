@@ -13,11 +13,9 @@
  *  - Mpixel/s throughput.
  *
  * `--out-dir DIR` (default build/bench_out; stripped before
- * google-benchmark sees argv) selects where the two artifacts land:
- * METRICS_parallel_encoder.json (full registry snapshot) and
- * BENCH_parallel_encoder.json (headline BenchReport for trend_compare —
- * bit_identical gates as a model metric, the speedups are wall-kind and
- * only warn).
+ * google-benchmark sees argv) selects where BENCH_parallel_encoder.json
+ * lands: the headline BenchReport for trend_compare, where bit_identical
+ * gates as a model metric and the speedups are wall-kind and only warn.
  */
 
 #include <chrono>
@@ -32,7 +30,6 @@
 #include "core/parallel_encoder.hpp"
 #include "frame/draw.hpp"
 #include "obs/bench_report.hpp"
-#include "obs/metrics_export.hpp"
 #include "obs/perf_registry.hpp"
 
 namespace rpx {
@@ -242,10 +239,6 @@ main(int argc, char **argv)
     const std::string report_path =
         rpx::obs::benchReportPath(out_dir, "parallel_encoder");
     rpx::obs::writeBenchReportFile(report, report_path);
-    const std::string metrics_path =
-        out_dir + "/METRICS_parallel_encoder.json";
-    rpx::obs::writeMetricsJsonFile(registry, metrics_path);
-    std::cout << "\nWrote " << metrics_path << "\nWrote " << report_path
-              << "\n";
+    std::cout << "\nWrote " << report_path << "\n";
     return 0;
 }

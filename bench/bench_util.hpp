@@ -2,14 +2,10 @@
  * @file
  * Shared plumbing for the bench_* binaries' report output.
  *
- * Every bench takes `--out-dir DIR` (default build/bench_out) and writes
- * two artifacts there:
- *   - METRICS_<bench>.json — the full PerfRegistry snapshot (every run,
- *     every counter; for humans and ad-hoc digging);
- *   - BENCH_<bench>.json   — the BenchReport of headline metrics that the
- *     trend store commits and trend_compare gates on.
- * The prefixes differ on purpose: trend_compare globs BENCH_*.json and
- * must not try to parse a raw metrics snapshot as a report.
+ * Every bench takes `--out-dir DIR` (default build/bench_out, relative to
+ * the working directory) and writes BENCH_<bench>.json there: the
+ * BenchReport of headline metrics that the trend store commits and
+ * trend_compare gates on.
  */
 
 #ifndef RPX_BENCH_UTIL_HPP

@@ -34,10 +34,10 @@
  * JSON (per-stream frame counts, deadline misses, queue/engine stats).
  */
 
-#include <cstring>
 #include <iostream>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 
 #include <fstream>
@@ -81,14 +81,39 @@ usage()
     std::exit(2);
 }
 
+/** The flags each command reads; anything else is a usage error. */
+const std::set<std::string> kRunFlags = {
+    "task", "scheme", "cycle", "frames", "encoder-threads",
+    "decoder-threads", "region-trace-out", "trace-out", "metrics-out",
+    "journal-out", "streams", "fleet-report", "admission", "watchdog-ms",
+    "shed-slack-ms", "log-level"};
+const std::set<std::string> kReplayFlags = {
+    "trace", "scheme", "width", "height", "fps", "trace-out", "metrics-out",
+    "log-level"};
+
+/**
+ * Read `--flag value` pairs. A flag the command does not read, or a
+ * trailing flag with no value, prints usage and exits 2 rather than
+ * being silently ignored.
+ */
 std::map<std::string, std::string>
-parseFlags(int argc, char **argv, int first)
+parseFlags(int argc, char **argv, int first,
+           const std::set<std::string> &known)
 {
     std::map<std::string, std::string> flags;
-    for (int i = first; i + 1 < argc; i += 2) {
-        if (std::strncmp(argv[i], "--", 2) != 0)
+    for (int i = first; i < argc; i += 2) {
+        const std::string flag = argv[i];
+        const std::string name = flag.rfind("--", 0) == 0 ? flag.substr(2)
+                                                          : std::string();
+        if (!known.count(name)) {
+            std::cerr << "unknown flag: " << flag << "\n";
             usage();
-        flags[argv[i] + 2] = argv[i + 1];
+        }
+        if (i + 1 >= argc) {
+            std::cerr << "flag " << flag << " needs a value\n";
+            usage();
+        }
+        flags[name] = argv[i + 1];
     }
     return flags;
 }
@@ -419,9 +444,9 @@ main(int argc, char **argv)
     const std::string command = argv[1];
     try {
         if (command == "run")
-            return runCommand(parseFlags(argc, argv, 2));
+            return runCommand(parseFlags(argc, argv, 2, kRunFlags));
         if (command == "replay")
-            return replayCommand(parseFlags(argc, argv, 2));
+            return replayCommand(parseFlags(argc, argv, 2, kReplayFlags));
     } catch (const std::exception &e) {
         std::cerr << "error: " << e.what() << "\n";
         return 1;

@@ -1,8 +1,10 @@
 #include "common/json.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -448,6 +450,19 @@ escape(const std::string &s)
         }
     }
     return out;
+}
+
+std::string
+number(double v)
+{
+    if (!std::isfinite(v))
+        return "0";
+    if (std::nearbyint(v) == v && std::abs(v) < 9.007199254740992e15)
+        return std::to_string(static_cast<long long>(v));
+    std::ostringstream os;
+    os.precision(std::numeric_limits<double>::max_digits10);
+    os << v;
+    return os.str();
 }
 
 } // namespace rpx::json

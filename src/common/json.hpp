@@ -8,8 +8,9 @@
  * reports, tests parse-back journals to prove conservation, and tools load
  * committed baselines. This is the one shared reader. It parses standard
  * JSON (RFC 8259 minus \uXXXX surrogate pairs, which our writers never
- * emit) into a small value tree; writers elsewhere stay hand-rolled string
- * builders, matching the repo's existing exporter style.
+ * emit) into a small value tree. Writers build their documents as plain
+ * strings but render every string through escape() and every double
+ * through number(), so all artifacts share one escaping and number rule.
  */
 
 #ifndef RPX_COMMON_JSON_HPP
@@ -95,6 +96,13 @@ std::vector<Value> parseLines(const std::string &text);
 
 /** Escape a string for embedding in a JSON string literal. */
 std::string escape(const std::string &s);
+
+/**
+ * Render a double as a JSON number that parses back to the same value:
+ * integral values below 2^53 print as integers, other finite values at
+ * max_digits10, and non-finite values (which JSON cannot express) as 0.
+ */
+std::string number(double v);
 
 } // namespace rpx::json
 

@@ -1,7 +1,6 @@
 #include "fleet/fleet.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <optional>
 #include <sstream>
 #include <thread>
@@ -396,6 +395,15 @@ FleetServer::finishFrame(FrameTask &task, bool errored)
     bool close = false;
     FleetStreamReport retired_report;
     u64 next = 0;
+    // Retire under mutex_. A running stream_retired hook may still add a
+    // replacement, so the fleet closes only when no stream is live and no
+    // hook is running; otherwise the last hook out closes it.
+    const auto retire = [&] {
+        retired_report = retireLocked(id, *entry);
+        if (config_.stream_retired)
+            ++retire_hooks_running_;
+        close = live_ == 0 && retire_hooks_running_ == 0;
+    };
     {
         std::lock_guard<std::mutex> lock(mutex_);
         entry = &streams_.at(id);
@@ -415,8 +423,7 @@ FleetServer::finishFrame(FrameTask &task, bool errored)
             entry->wd_warned = false;
             entry->wd_quarantined = false;
         } else {
-            retired_report = retireLocked(id, *entry);
-            close = live_ == 0;
+            retire();
         }
     }
 
@@ -429,20 +436,16 @@ FleetServer::finishFrame(FrameTask &task, bool errored)
             // the stream retires with it.
             std::lock_guard<std::mutex> lock(mutex_);
             countFrameLocked(*entry, PipelineFrameResult{}, true);
-            retired_report = retireLocked(id, *entry);
-            close = live_ == 0;
+            retire();
         }
     }
     if (config_.stream_retired) {
         // Outside the lock: the hook may call addStream() to replace the
         // departed stream.
         config_.stream_retired(retired_report);
-        if (close) {
-            // Re-check shutdown: a replacement added by the hook must
-            // not find its queues closed under it.
-            std::lock_guard<std::mutex> lock(mutex_);
-            close = live_ == 0;
-        }
+        std::lock_guard<std::mutex> lock(mutex_);
+        --retire_hooks_running_;
+        close = live_ == 0 && retire_hooks_running_ == 0;
     }
     if (close)
         capture_q_.close();
@@ -796,19 +799,6 @@ FleetServer::run()
     return rep;
 }
 
-namespace {
-
-std::string
-num(double v)
-{
-    std::ostringstream os;
-    os.precision(std::numeric_limits<double>::max_digits10);
-    os << v;
-    return os.str();
-}
-
-} // namespace
-
 std::string
 toJson(const FleetReport &r)
 {
@@ -827,17 +817,18 @@ toJson(const FleetReport &r)
        << "  \"bytes_written\": " << r.bytes_written << ",\n"
        << "  \"bytes_read\": " << r.bytes_read << ",\n"
        << "  \"metadata_bytes\": " << r.metadata_bytes << ",\n"
-       << "  \"kept_fraction_mean\": " << num(r.kept_fraction_mean)
+       << "  \"kept_fraction_mean\": " << json::number(r.kept_fraction_mean)
        << ",\n"
-       << "  \"wall_seconds\": " << num(r.wall_seconds) << ",\n"
-       << "  \"frames_per_second\": " << num(r.frames_per_second)
+       << "  \"wall_seconds\": " << json::number(r.wall_seconds) << ",\n"
+       << "  \"frames_per_second\": " << json::number(r.frames_per_second)
        << ",\n"
-       << "  \"latency_us\": {\"p50\": " << num(r.latency_p50_us)
-       << ", \"p99\": " << num(r.latency_p99_us)
-       << ", \"p999\": " << num(r.latency_p999_us) << "},\n"
+       << "  \"latency_us\": {\"p50\": " << json::number(r.latency_p50_us)
+       << ", \"p99\": " << json::number(r.latency_p99_us)
+       << ", \"p999\": " << json::number(r.latency_p999_us) << "},\n"
        << "  \"store_batches\": " << r.store_batches << ",\n"
        << "  \"max_store_batch\": " << r.max_store_batch << ",\n"
-       << "  \"mean_store_batch\": " << num(r.mean_store_batch) << ",\n"
+       << "  \"mean_store_batch\": " << json::number(r.mean_store_batch)
+       << ",\n"
        << "  \"engines\": {\n"
        << "    \"encode\": {\"acquisitions\": "
        << r.encode_engines.acquisitions

@@ -368,6 +368,7 @@ class FleetServer
     std::map<u32, StreamEntry> streams_;
     u32 next_id_ = 0;
     u32 live_ = 0;        //!< unfinished streams
+    u32 retire_hooks_running_ = 0; //!< stream_retired calls in progress
     bool running_ = false;
     bool ran_ = false;
 

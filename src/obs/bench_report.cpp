@@ -15,17 +15,6 @@ namespace {
 constexpr const char *kSchema = "rpx-bench-report-v1";
 constexpr const char *kSoakSchema = "rpx-soak-report-v1";
 
-std::string
-num(double v)
-{
-    if (!std::isfinite(v))
-        return "0";
-    std::ostringstream os;
-    os.precision(15);
-    os << v;
-    return os.str();
-}
-
 } // namespace
 
 std::string
@@ -39,7 +28,7 @@ writeBenchReportJson(const BenchReport &report)
     bool first = true;
     for (const auto &[name, m] : report.metrics) {
         os << (first ? "" : ",") << "\n    \"" << json::escape(name)
-           << "\": {\"value\": " << num(m.value) << ", \"unit\": \""
+           << "\": {\"value\": " << json::number(m.value) << ", \"unit\": \""
            << json::escape(m.unit) << "\", \"direction\": \""
            << json::escape(m.direction) << "\", \"kind\": \""
            << json::escape(m.kind) << "\"}";

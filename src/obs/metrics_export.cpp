@@ -1,12 +1,9 @@
 #include "obs/metrics_export.hpp"
 
-#include <cmath>
 #include <fstream>
-#include <limits>
-#include <sstream>
 
 #include "common/error.hpp"
-#include "obs/trace.hpp"
+#include "common/json.hpp"
 
 namespace rpx::obs {
 
@@ -24,28 +21,6 @@ kindName(MetricSample::Kind kind)
         return "histogram";
     }
     return "unknown";
-}
-
-/**
- * JSON has no Inf/NaN; clamp to null-safe 0 (only empty histograms).
- * Counters are u64 sums surfaced as doubles — render integral values as
- * integers and everything else with round-trip precision, so journal and
- * metrics artifacts reconcile exactly instead of to 6 significant digits.
- */
-std::string
-jsonNumber(double v)
-{
-    if (!std::isfinite(v))
-        return "0";
-    if (std::nearbyint(v) == v && std::abs(v) < 9.007199254740992e15) {
-        std::ostringstream os;
-        os << static_cast<long long>(v);
-        return os.str();
-    }
-    std::ostringstream os;
-    os.precision(std::numeric_limits<double>::max_digits10);
-    os << v;
-    return os.str();
 }
 
 /**
@@ -81,23 +56,23 @@ writeMetricsJson(const std::vector<MetricSample> &samples, std::ostream &os)
         if (!first)
             os << ",";
         first = false;
-        os << "\n\"" << jsonEscape(s.name) << "\":{\"kind\":\""
+        os << "\n\"" << json::escape(s.name) << "\":{\"kind\":\""
            << kindName(s.kind) << "\"";
         if (s.kind == MetricSample::Kind::Histogram) {
-            os << ",\"count\":" << jsonNumber(s.value)
-               << ",\"sum\":" << jsonNumber(s.sum)
-               << ",\"min\":" << jsonNumber(s.min)
-               << ",\"max\":" << jsonNumber(s.max) << ",\"bounds\":[";
+            os << ",\"count\":" << json::number(s.value)
+               << ",\"sum\":" << json::number(s.sum)
+               << ",\"min\":" << json::number(s.min)
+               << ",\"max\":" << json::number(s.max) << ",\"bounds\":[";
             for (size_t i = 0; i < s.bounds.size(); ++i)
-                os << (i ? "," : "") << jsonNumber(s.bounds[i]);
+                os << (i ? "," : "") << json::number(s.bounds[i]);
             os << "],\"buckets\":[";
             for (size_t i = 0; i < s.buckets.size(); ++i)
                 os << (i ? "," : "") << s.buckets[i];
-            os << "],\"p50\":" << jsonNumber(sampleQuantile(s, 0.50))
-               << ",\"p99\":" << jsonNumber(sampleQuantile(s, 0.99))
-               << ",\"p999\":" << jsonNumber(sampleQuantile(s, 0.999));
+            os << "],\"p50\":" << json::number(sampleQuantile(s, 0.50))
+               << ",\"p99\":" << json::number(sampleQuantile(s, 0.99))
+               << ",\"p999\":" << json::number(sampleQuantile(s, 0.999));
         } else {
-            os << ",\"value\":" << jsonNumber(s.value);
+            os << ",\"value\":" << json::number(s.value);
         }
         os << "}";
     }
@@ -110,11 +85,11 @@ writeMetricsCsv(const std::vector<MetricSample> &samples, std::ostream &os)
     os << "name,kind,value,sum,min,max,p50,p99,p999\n";
     for (const MetricSample &s : samples) {
         os << csvEscape(s.name) << "," << kindName(s.kind) << ","
-           << jsonNumber(s.value) << "," << jsonNumber(s.sum) << ","
-           << jsonNumber(s.min) << "," << jsonNumber(s.max) << ","
-           << jsonNumber(sampleQuantile(s, 0.50)) << ","
-           << jsonNumber(sampleQuantile(s, 0.99)) << ","
-           << jsonNumber(sampleQuantile(s, 0.999)) << "\n";
+           << json::number(s.value) << "," << json::number(s.sum) << ","
+           << json::number(s.min) << "," << json::number(s.max) << ","
+           << json::number(sampleQuantile(s, 0.50)) << ","
+           << json::number(sampleQuantile(s, 0.99)) << ","
+           << json::number(sampleQuantile(s, 0.999)) << "\n";
     }
 }
 

@@ -1,7 +1,5 @@
 #include "obs/telemetry.hpp"
 
-#include <cmath>
-#include <limits>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -11,26 +9,6 @@ namespace rpx::obs {
 namespace {
 
 constexpr const char *kSchema = "rpx-frame-telemetry-v1";
-
-/**
- * Round-trip-safe number rendering (journals are parsed back by tests and
- * summed against registry counters, so integral values must print exactly).
- */
-std::string
-num(double v)
-{
-    if (!std::isfinite(v))
-        return "0";
-    if (std::nearbyint(v) == v && std::abs(v) < 9.007199254740992e15) {
-        std::ostringstream os;
-        os << static_cast<long long>(v);
-        return os.str();
-    }
-    std::ostringstream os;
-    os.precision(std::numeric_limits<double>::max_digits10);
-    os << v;
-    return os.str();
-}
 
 const char *
 boolName(bool b)
@@ -122,12 +100,12 @@ writeFrameJson(const FrameTelemetry &f)
     os << "{\"schema\":\"" << kSchema << "\",\"frame\":" << f.index;
     if (!f.stream.empty())
         os << ",\"stream\":\"" << json::escape(f.stream) << "\"";
-    os << ",\"lat_us\":{\"sensor\":" << num(f.sensor_us)
-       << ",\"isp\":" << num(f.isp_us)
-       << ",\"encode\":" << num(f.encode_us)
-       << ",\"dram_write\":" << num(f.dram_write_us)
-       << ",\"decode\":" << num(f.decode_us)
-       << ",\"total\":" << num(f.total_us) << "}"
+    os << ",\"lat_us\":{\"sensor\":" << json::number(f.sensor_us)
+       << ",\"isp\":" << json::number(f.isp_us)
+       << ",\"encode\":" << json::number(f.encode_us)
+       << ",\"dram_write\":" << json::number(f.dram_write_us)
+       << ",\"decode\":" << json::number(f.decode_us)
+       << ",\"total\":" << json::number(f.total_us) << "}"
        << ",\"pixels\":{\"in\":" << f.pixels_in
        << ",\"kept\":" << f.pixels_kept << "}"
        << ",\"bytes\":{\"written\":" << f.bytes_written
@@ -154,10 +132,10 @@ writeFrameJson(const FrameTelemetry &f)
     if (f.dma_dropped_bursts)
         os << ",\"dma_dropped_bursts\":" << f.dma_dropped_bursts;
     os << ",\"degradation_level\":" << f.degradation_level << "}"
-       << ",\"energy_nj\":{\"sense\":" << num(f.energy_sense_nj)
-       << ",\"csi\":" << num(f.energy_csi_nj)
-       << ",\"dram\":" << num(f.energy_dram_nj)
-       << ",\"total\":" << num(f.energy_total_nj) << "}"
+       << ",\"energy_nj\":{\"sense\":" << json::number(f.energy_sense_nj)
+       << ",\"csi\":" << json::number(f.energy_csi_nj)
+       << ",\"dram\":" << json::number(f.energy_dram_nj)
+       << ",\"total\":" << json::number(f.energy_total_nj) << "}"
        << ",\"regions\":[";
     for (size_t i = 0; i < f.regions.size(); ++i) {
         const RegionTelemetry &r = f.regions[i];
@@ -168,7 +146,7 @@ writeFrameJson(const FrameTelemetry &f)
            << ",\"kept\":" << r.pixels_kept
            << ",\"comparisons\":" << r.comparisons
            << ",\"payload_bytes\":" << r.payload_bytes
-           << ",\"energy_nj\":" << num(r.energy_nj) << "}";
+           << ",\"energy_nj\":" << json::number(r.energy_nj) << "}";
     }
     os << "]}";
     return os.str();

@@ -1,9 +1,9 @@
 #include "obs/trace.hpp"
 
-#include <cstdio>
 #include <fstream>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 
 namespace rpx::obs {
 
@@ -37,41 +37,6 @@ TraceRecorder::spans() const
     return spans_;
 }
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
 void
 TraceRecorder::writeJson(std::ostream &os) const
 {
@@ -82,9 +47,10 @@ TraceRecorder::writeJson(std::ostream &os) const
         if (!first)
             os << ",";
         first = false;
-        os << "\n{\"name\":\"" << jsonEscape(s.name) << "\",\"cat\":\""
-           << jsonEscape(s.cat) << "\",\"ph\":\"X\",\"ts\":" << s.ts_us
-           << ",\"dur\":" << s.dur_us << ",\"pid\":1,\"tid\":" << s.tid;
+        os << "\n{\"name\":\"" << json::escape(s.name) << "\",\"cat\":\""
+           << json::escape(s.cat) << "\",\"ph\":\"X\",\"ts\":"
+           << json::number(s.ts_us) << ",\"dur\":" << json::number(s.dur_us)
+           << ",\"pid\":1,\"tid\":" << s.tid;
         if (s.frame >= 0)
             os << ",\"args\":{\"frame\":" << s.frame << "}";
         os << "}";

@@ -59,9 +59,6 @@ class TraceRecorder
     std::vector<TraceSpan> spans_;
 };
 
-/** Escape a string for embedding in a JSON string literal. */
-std::string jsonEscape(const std::string &s);
-
 } // namespace rpx::obs
 
 #endif // RPX_OBS_TRACE_HPP

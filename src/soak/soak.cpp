@@ -740,8 +740,10 @@ toJson(const SoakResult &result)
     os << "  \"rss_peak_kb\": " << result.rss_peak_kb << ",\n";
     os << "  \"arena_high_water_bytes\": " << result.arena_high_water_bytes
        << ",\n";
-    os << "  \"checkpoint_p50_us\": " << result.checkpoint_p50_us << ",\n";
-    os << "  \"checkpoint_p99_us\": " << result.checkpoint_p99_us << ",\n";
+    os << "  \"checkpoint_p50_us\": " << json::number(result.checkpoint_p50_us)
+       << ",\n";
+    os << "  \"checkpoint_p99_us\": " << json::number(result.checkpoint_p99_us)
+       << ",\n";
     os << "  \"violations\": [";
     for (size_t i = 0; i < result.violations.size(); ++i)
         os << (i ? ", " : "") << "\"" << json::escape(result.violations[i])
@@ -754,7 +756,7 @@ toJson(const SoakResult &result)
            << ", \"frames_drift\": " << cp.frames_drift
            << ", \"live_streams\": " << cp.live_streams
            << ", \"rss_kb\": " << cp.rss_kb << ", \"duration_us\": "
-           << cp.duration_us << "}";
+           << json::number(cp.duration_us) << "}";
     }
     os << (result.checkpoint_log.empty() ? "" : "\n  ") << "],\n";
 

@@ -1,6 +1,7 @@
 /**
  * @file
- * rpx::json reader: value model, parser edge cases, JSONL, escaping.
+ * rpx::json reader: value model, parser edge cases, JSONL, escaping and
+ * the shared number rule.
  * Every machine-readable obs format (metric snapshots, telemetry
  * journals, bench reports) flows through this parser on the way back in,
  * so the error surface is pinned down as tightly as the happy path.
@@ -8,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "common/json.hpp"
@@ -88,6 +91,32 @@ TEST(JsonEscape, RoundTripsThroughParse)
     const std::string nasty = "q\"uote \\ back\nnew\ttab\x01了";
     const Value v = parse("\"" + escape(nasty) + "\"");
     EXPECT_EQ(v.str(), nasty);
+}
+
+/** The telemetry journal's rendering, which every writer now shares. */
+TEST(JsonNumber, MatchesJournalRendering)
+{
+    EXPECT_EQ(number(0.0), "0");
+    EXPECT_EQ(number(-0.0), "0");
+    EXPECT_EQ(number(42.0), "42");
+    EXPECT_EQ(number(-7.0), "-7");
+    EXPECT_EQ(number(9007199254740991.0), "9007199254740991");
+    EXPECT_EQ(number(9007199254740992.0), "9007199254740992");
+    EXPECT_EQ(number(1e300), "1.0000000000000001e+300");
+    EXPECT_EQ(number(0.5), "0.5");
+    EXPECT_EQ(number(0.1), "0.10000000000000001");
+    EXPECT_EQ(number(1403461.25), "1403461.25");
+    EXPECT_EQ(number(-2.75e-7), "-2.7500000000000001e-07");
+    EXPECT_EQ(number(std::numeric_limits<double>::quiet_NaN()), "0");
+    EXPECT_EQ(number(std::numeric_limits<double>::infinity()), "0");
+    EXPECT_EQ(number(-std::numeric_limits<double>::infinity()), "0");
+}
+
+TEST(JsonNumber, RoundTripsThroughParse)
+{
+    for (const double v : {0.1, 1.0 / 3.0, 1403461.25, 6.02214076e23,
+                           -123456.789, 4.9e-324})
+        EXPECT_EQ(parse(number(v)).number(), v) << number(v);
 }
 
 } // namespace

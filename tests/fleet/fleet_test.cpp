@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <map>
 #include <mutex>
 #include <numeric>
@@ -354,6 +356,56 @@ TEST(Fleet, ChurnUnderFaultInjectionConservesTelemetry)
               static_cast<u64>(meta));
     EXPECT_EQ(rep.quarantined, quarantined);
     EXPECT_EQ(rep.transient_faults, transients);
+}
+
+/**
+ * A retire hook may add its replacement only after every other stream has
+ * retired. The fleet must stay open while that hook runs: closing on the
+ * last live stream alone would refuse the replacement as "drained".
+ */
+TEST(Fleet, SlowRetireHookStillAddsReplacement)
+{
+    FleetConfig fc = smallFleet(2, 6);
+    FleetServer *server_ptr = nullptr;
+    std::atomic<bool> removed{false};
+    std::mutex mutex;
+    std::condition_variable cv;
+    u32 retirements = 0;
+    std::atomic<u32> replacement_id{~0u};
+    fc.frame_sink = [&](StreamContext &s, const PipelineFrameResult &r) {
+        // Stream 0 leaves after its first frame, long before stream 1.
+        if (s.id() == 0 && r.index == 0 && !removed.exchange(true)) {
+            EXPECT_TRUE(server_ptr->removeStream(0));
+        }
+    };
+    fc.stream_retired = [&](const FleetStreamReport &sr) {
+        std::unique_lock<std::mutex> lock(mutex);
+        ++retirements;
+        cv.notify_all();
+        if (sr.id != 0)
+            return;
+        // Hold stream 0's hook until stream 1 has retired as well, so no
+        // stream is live when the replacement arrives.
+        EXPECT_TRUE(cv.wait_for(lock, std::chrono::seconds(10),
+                                [&] { return retirements >= 2; }));
+        lock.unlock();
+        try {
+            replacement_id = server_ptr->addStream();
+        } catch (const std::exception &e) {
+            ADD_FAILURE() << "replacement refused: " << e.what();
+        }
+    };
+    FleetServer server(fc);
+    server_ptr = &server;
+    const FleetReport rep = server.run();
+
+    EXPECT_EQ(rep.streams_started, 3u);
+    EXPECT_EQ(rep.frames, 1u + 6u + 6u);
+    std::map<u32, FleetStreamReport> by_id;
+    for (const auto &s : rep.streams)
+        by_id[s.id] = s;
+    ASSERT_TRUE(by_id.count(replacement_id.load()));
+    EXPECT_EQ(by_id.at(replacement_id.load()).frames, 6u);
 }
 
 /**

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/json.hpp"
 #include "core/decoder.hpp"
 #include "core/encoder.hpp"
 #include "core/frame_store.hpp"
@@ -423,6 +424,21 @@ TEST(TraceRecorder, EmitsValidChromeTraceJson)
     EXPECT_EQ(events->array[1].find("name")->str, "decode \"quoted\"\n");
     // Non-frame-scoped spans omit args.
     EXPECT_EQ(events->array[2].find("args"), nullptr);
+}
+
+/** Spans late in a long run keep sub-microsecond timestamps. */
+TEST(TraceRecorder, LateSpanTimestampsRoundTripExactly)
+{
+    obs::TraceRecorder tr;
+    tr.record({"decode", "pipeline", 1403461.25, 0.125,
+               static_cast<u32>(obs::TraceLane::Decoder), 3});
+    std::ostringstream os;
+    tr.writeJson(os);
+
+    const json::Value root = json::parse(os.str());
+    const json::Value &span = root.at("traceEvents").array().at(0);
+    EXPECT_EQ(span.at("ts").number(), 1403461.25);
+    EXPECT_EQ(span.at("dur").number(), 0.125);
 }
 
 // ---------------------------------------------------------------------------

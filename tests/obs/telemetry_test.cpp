@@ -245,6 +245,76 @@ TEST(PipelineTelemetry, JournalRoundTripsThroughJsonl)
     }
 }
 
+/**
+ * Journal bytes are a compatibility surface: the same record must always
+ * serialise to the same line, fractional and guard-era fields included.
+ */
+TEST(PipelineTelemetry, JournalLineBytesArePinned)
+{
+    obs::FrameTelemetry f;
+    f.index = 7;
+    f.stream = "s3";
+    f.sensor_us = 12.5;
+    f.isp_us = 0.1;
+    f.encode_us = 1403461.25;
+    f.dram_write_us = 3.0;
+    f.decode_us = 2.0 / 3.0;
+    f.total_us = 1403479.5;
+    f.pixels_in = 6144;
+    f.pixels_kept = 1536;
+    f.bytes_written = 1536;
+    f.bytes_read = 1024;
+    f.metadata_bytes = 96;
+    f.dram_write_transactions = 24;
+    f.dram_read_transactions = 16;
+    f.dram_bytes_written = 1536;
+    f.dram_bytes_read = 1024;
+    f.compare_cycles = 3072;
+    f.stream_cycles = 6144;
+    f.region_comparisons = 12288;
+    f.deadline_missed = true;
+    f.shed = true;
+    f.transient_faults = 1;
+    f.dma_retries = 2;
+    f.degradation_level = 1;
+    f.energy_sense_nj = 1234.5;
+    f.energy_csi_nj = 0.3;
+    f.energy_dram_nj = 1e-9;
+    f.energy_total_nj = 1e17;
+    obs::RegionTelemetry r;
+    r.x = 4;
+    r.y = 8;
+    r.w = 32;
+    r.h = 24;
+    r.stride = 2;
+    r.skip = 1;
+    r.active = true;
+    r.pixels_kept = 192;
+    r.comparisons = 768;
+    r.payload_bytes = 192;
+    r.energy_nj = 7.25;
+    f.regions.push_back(r);
+
+    EXPECT_EQ(
+        obs::writeFrameJson(f),
+        "{\"schema\":\"rpx-frame-telemetry-v1\",\"frame\":7,\"stream\":"
+        "\"s3\",\"lat_us\":{\"sensor\":12.5,\"isp\":0.10000000000000001,"
+        "\"encode\":1403461.25,\"dram_write\":3,\"decode\":"
+        "0.66666666666666663,\"total\":1403479.5},\"pixels\":{\"in\":6144,"
+        "\"kept\":1536},\"bytes\":{\"written\":1536,\"read\":1024,"
+        "\"metadata\":96},\"dram\":{\"write_tx\":24,\"read_tx\":16,"
+        "\"bytes_written\":1536,\"bytes_read\":1024},\"cycles\":{"
+        "\"compare\":3072,\"stream\":6144},\"comparisons\":12288,"
+        "\"health\":{\"quarantined\":false,\"held_last_good\":false,"
+        "\"deadline_missed\":true,\"shed\":true,\"csi_dropped_lines\":0,"
+        "\"transient_faults\":1,\"dma_retries\":2,\"degradation_level\":1},"
+        "\"energy_nj\":{\"sense\":1234.5,\"csi\":0.29999999999999999,"
+        "\"dram\":1.0000000000000001e-09,\"total\":1e+17},\"regions\":[{"
+        "\"x\":4,\"y\":8,\"w\":32,\"h\":24,\"stride\":2,\"skip\":1,"
+        "\"active\":true,\"kept\":192,\"comparisons\":768,"
+        "\"payload_bytes\":192,\"energy_nj\":7.25}]}");
+}
+
 TEST(PipelineTelemetry, JournalFileHoldsOneLinePerFrame)
 {
     const i32 w = 64, h = 48;

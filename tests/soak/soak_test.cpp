@@ -1,15 +1,18 @@
 /**
  * @file
- * Soak-harness tests (ISSUE 9): a short churn+fault soak must complete
- * its whole frame budget with zero conservation drift, the same seed
- * must reproduce the same model outcome, trace replay must drive the
- * harness from a recorded trace, and the emitted report must be
- * consumable by the bench/trend tooling.
+ * Soak-harness tests: a short churn+fault soak must complete its whole
+ * frame budget with zero conservation drift, the same seed must
+ * reproduce the same model outcome, trace replay must drive the harness
+ * from a recorded trace, and the emitted report must be consumable by
+ * the bench/trend tooling. The CiConfig cases repeat the conservation,
+ * chaos and replay checks at the full CI soak configuration.
  */
 
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <map>
+#include <string>
 
 #include "common/json.hpp"
 #include "obs/bench_report.hpp"
@@ -35,19 +38,100 @@ shortSoak(u32 streams, double duration_s)
     return o;
 }
 
+/**
+ * The CI soak configuration: `rpx_soak --streams 64 --duration 2 --fps 30
+ * --seed 1234 --faults on --churn on --checkpoint-every 128`, plus
+ * `--chaos on` when asked. Without chaos, its outcome is the committed
+ * bench/trend/BENCH_soak.json baseline.
+ */
+soak::SoakOptions
+ciSoak(bool chaos)
+{
+    soak::SoakOptions o;
+    o.streams = 64;
+    o.duration_s = 2.0;
+    o.fps = 30.0;
+    o.seed = 1234;
+    o.faults = true;
+    o.churn = true;
+    o.chaos = chaos;
+    o.checkpoint_every = 128;
+    return o;
+}
+
+/**
+ * A clean run: no violations or errors, zero final drift, and every
+ * journalled frame is either a delivered budget frame or a shed one.
+ */
+void
+expectConserved(const soak::SoakResult &res)
+{
+    EXPECT_TRUE(res.ok) << (res.violations.empty()
+                                ? "not ok without violations"
+                                : res.violations.front());
+    EXPECT_EQ(res.frames, res.frames_budget + res.shed_frames);
+    EXPECT_EQ(res.final_frames_drift, 0u);
+    EXPECT_EQ(res.final_bytes_drift, 0);
+    EXPECT_EQ(res.fleet.errors, 0u);
+}
+
+/**
+ * The guard absorbed the chaos it exists for: the chaos plan's
+ * deterministic Stage::Shed verdicts shed frames that the fleet
+ * accounted, at least one quarantined stream recovered, and the
+ * wall-clock chaos sites fired.
+ */
+void
+expectChaosHandled(const soak::SoakResult &res)
+{
+    EXPECT_GT(res.shed_frames, 0u);
+    EXPECT_EQ(res.shed_frames, res.fleet.shed_frames);
+    EXPECT_GE(res.health_recoveries, 1u);
+    EXPECT_GT(res.chaos_hits, 0u);
+}
+
+/** Two runs of one seed agree on every model quantity. */
+void
+expectSameModelOutcome(const soak::SoakResult &a, const soak::SoakResult &b)
+{
+    EXPECT_EQ(a.frames, b.frames);
+    EXPECT_EQ(a.frames_budget, b.frames_budget);
+    EXPECT_EQ(a.generations, b.generations);
+    EXPECT_EQ(a.fault_drops, b.fault_drops);
+    EXPECT_EQ(a.fault_byte_errors, b.fault_byte_errors);
+    EXPECT_EQ(a.fault_stalls, b.fault_stalls);
+    EXPECT_EQ(a.degrade_escalations, b.degrade_escalations);
+    EXPECT_EQ(a.degrade_recoveries, b.degrade_recoveries);
+    EXPECT_EQ(a.shed_frames, b.shed_frames);
+    EXPECT_EQ(a.health_recoveries, b.health_recoveries);
+    EXPECT_EQ(a.final_frames_drift, b.final_frames_drift);
+    EXPECT_EQ(a.final_bytes_drift, b.final_bytes_drift);
+    EXPECT_EQ(a.fleet.quarantined, b.fleet.quarantined);
+    EXPECT_EQ(a.fleet.deadline_misses, b.fleet.deadline_misses);
+    EXPECT_EQ(a.fleet.transient_faults, b.fleet.transient_faults);
+    EXPECT_EQ(a.fleet.health_transitions, b.fleet.health_transitions);
+    EXPECT_EQ(a.fleet.bytes_written, b.fleet.bytes_written);
+    EXPECT_EQ(a.fleet.bytes_read, b.fleet.bytes_read);
+    EXPECT_EQ(a.fleet.metadata_bytes, b.fleet.metadata_bytes);
+    // Every model metric of the embedded bench reports matches too.
+    const auto modelMetrics = [](const obs::BenchReport &r) {
+        std::map<std::string, double> out;
+        for (const auto &[name, metric] : r.metrics)
+            if (metric.kind == "model")
+                out.emplace(name, metric.value);
+        return out;
+    };
+    EXPECT_EQ(modelMetrics(a.bench), modelMetrics(b.bench));
+}
+
 TEST(Soak, ChurnWithFaultsCompletesBudgetWithZeroDrift)
 {
     const soak::SoakOptions o = shortSoak(64, 0.2); // 6 frames per slot
     const soak::SoakResult res = soak::runSoak(o);
 
-    ASSERT_TRUE(res.ok) << (res.violations.empty()
-                                ? "not ok without violations"
-                                : res.violations.front());
+    expectConserved(res);
     EXPECT_EQ(res.frames, res.frames_budget);
     EXPECT_EQ(res.frames_budget, 64u * 6u);
-    EXPECT_EQ(res.final_frames_drift, 0u);
-    EXPECT_EQ(res.final_bytes_drift, 0);
-    EXPECT_EQ(res.fleet.errors, 0u);
     // 6-frame budgets force every slot through several generations.
     EXPECT_GT(res.generations, 64u);
     EXPECT_GE(res.checkpoints, 1u);
@@ -65,26 +149,7 @@ TEST(Soak, SameSeedReproducesModelOutcome)
 
     ASSERT_TRUE(a.ok);
     ASSERT_TRUE(b.ok);
-    EXPECT_EQ(a.frames, b.frames);
-    EXPECT_EQ(a.generations, b.generations);
-    EXPECT_EQ(a.fault_drops, b.fault_drops);
-    EXPECT_EQ(a.fault_byte_errors, b.fault_byte_errors);
-    EXPECT_EQ(a.degrade_escalations, b.degrade_escalations);
-    EXPECT_EQ(a.degrade_recoveries, b.degrade_recoveries);
-    EXPECT_EQ(a.fleet.quarantined, b.fleet.quarantined);
-    EXPECT_EQ(a.fleet.deadline_misses, b.fleet.deadline_misses);
-    EXPECT_EQ(a.fleet.transient_faults, b.fleet.transient_faults);
-    EXPECT_EQ(a.fleet.bytes_written, b.fleet.bytes_written);
-    EXPECT_EQ(a.fleet.bytes_read, b.fleet.bytes_read);
-    EXPECT_EQ(a.fleet.metadata_bytes, b.fleet.metadata_bytes);
-    // Every model metric of the embedded bench report matches too.
-    for (const auto &[name, metric] : a.bench.metrics) {
-        if (metric.kind != "model")
-            continue;
-        const auto it = b.bench.metrics.find(name);
-        ASSERT_NE(it, b.bench.metrics.end()) << name;
-        EXPECT_EQ(metric.value, it->second.value) << name;
-    }
+    expectSameModelOutcome(a, b);
 }
 
 TEST(Soak, DifferentSeedChangesTheFaultPattern)
@@ -176,22 +241,11 @@ TEST(Soak, ChaosSoakShedsRecoversAndConserves)
     o.chaos = true;
     const soak::SoakResult res = soak::runSoak(o);
 
-    ASSERT_TRUE(res.ok) << (res.violations.empty()
-                                ? "not ok without violations"
-                                : res.violations.front());
     // Shed frames are accounted but not delivered, so the churn ledger
     // schedules make-up frames until the delivered count hits the
     // budget: journal total == budget + shed, exactly.
-    EXPECT_EQ(res.frames, res.frames_budget + res.shed_frames);
-    EXPECT_EQ(res.final_frames_drift, 0u);
-    EXPECT_EQ(res.final_bytes_drift, 0);
-    EXPECT_EQ(res.fleet.errors, 0u);
-    // The chaos plan's Stage::Shed verdicts are deterministic model
-    // events; the wall-clock chaos sites report hits independently.
-    EXPECT_GT(res.shed_frames, 0u);
-    EXPECT_EQ(res.shed_frames, res.fleet.shed_frames);
-    EXPECT_GE(res.health_recoveries, 1u);
-    EXPECT_GT(res.chaos_hits, 0u);
+    expectConserved(res);
+    expectChaosHandled(res);
 }
 
 /** Chaos perturbs time only: the model outcome is seed-reproducible. */
@@ -205,14 +259,43 @@ TEST(Soak, ChaosSameSeedReproducesModelOutcome)
 
     ASSERT_TRUE(a.ok);
     ASSERT_TRUE(b.ok);
-    EXPECT_EQ(a.frames, b.frames);
-    EXPECT_EQ(a.generations, b.generations);
-    EXPECT_EQ(a.shed_frames, b.shed_frames);
-    EXPECT_EQ(a.health_recoveries, b.health_recoveries);
-    EXPECT_EQ(a.fleet.quarantined, b.fleet.quarantined);
-    EXPECT_EQ(a.fleet.bytes_written, b.fleet.bytes_written);
-    EXPECT_EQ(a.fleet.metadata_bytes, b.fleet.metadata_bytes);
-    EXPECT_EQ(a.fleet.health_transitions, b.fleet.health_transitions);
+    expectSameModelOutcome(a, b);
+}
+
+TEST(Soak, CiConfigChurnWithFaultsConserves)
+{
+    const soak::SoakResult res = soak::runSoak(ciSoak(false));
+    expectConserved(res);
+    EXPECT_EQ(res.frames, res.frames_budget);
+    EXPECT_EQ(res.frames_budget, 64u * 60u);
+    EXPECT_GT(res.checkpoints, 0u);
+}
+
+TEST(Soak, CiConfigChaosShedsRecoversAndConserves)
+{
+    const soak::SoakResult res = soak::runSoak(ciSoak(true));
+    expectConserved(res);
+    expectChaosHandled(res);
+    EXPECT_EQ(res.frames_budget, 64u * 60u);
+    EXPECT_GT(res.checkpoints, 0u);
+}
+
+TEST(Soak, CiConfigSameSeedReproducesModelOutcome)
+{
+    const soak::SoakResult a = soak::runSoak(ciSoak(false));
+    const soak::SoakResult b = soak::runSoak(ciSoak(false));
+    ASSERT_TRUE(a.ok);
+    ASSERT_TRUE(b.ok);
+    expectSameModelOutcome(a, b);
+}
+
+TEST(Soak, CiConfigChaosSameSeedReproducesModelOutcome)
+{
+    const soak::SoakResult a = soak::runSoak(ciSoak(true));
+    const soak::SoakResult b = soak::runSoak(ciSoak(true));
+    ASSERT_TRUE(a.ok);
+    ASSERT_TRUE(b.ok);
+    expectSameModelOutcome(a, b);
 }
 
 TEST(Soak, RejectsBadOptions)

@@ -9,10 +9,11 @@
  *                 [--gate-wall] [--update]
  *
  * Exit status: 0 = no gating regression, 1 = at least one model metric
- * (or, with --gate-wall, wall metric) worsened beyond its threshold,
- * 2 = usage/IO error. "model" metrics come from the deterministic
- * cycle/energy/traffic models and gate tightly; "wall" metrics are
- * wall-clock and only warn by default (CI runners are noisy).
+ * (or, with --gate-wall, wall metric) worsened beyond its threshold, or
+ * a candidate report is malformed or empty, 2 = usage/IO error. "model"
+ * metrics come from the deterministic cycle/energy/traffic models and
+ * gate tightly; "wall" metrics are wall-clock and only warn by default
+ * (CI runners are noisy).
  *
  * --update copies the candidate reports over the baseline store (refresh
  * after an intentional change); it still prints the comparison first.
@@ -21,6 +22,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -128,13 +130,16 @@ main(int argc, char **argv)
         TrendResult total;
         int compared = 0;
         for (const fs::path &cand_path : candidates) {
-            // Malformed reports warn-and-continue: one broken artifact
-            // must not mask the comparison of every other bench.
+            // A malformed or empty candidate is a broken artifact of this
+            // run and gates, but only after every other bench has been
+            // compared, so one bad file does not mask the rest.
             BenchReport cand;
             try {
                 cand = rpx::obs::readBenchReportFile(cand_path.string());
+                if (cand.metrics.empty())
+                    throw std::runtime_error("report has no metrics");
             } catch (const std::exception &e) {
-                total.warnings.push_back(fileIssue(
+                total.regressions.push_back(fileIssue(
                     cand_path.filename().string(),
                     std::string("unreadable candidate report: ") +
                         e.what()));
