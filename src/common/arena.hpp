@@ -68,33 +68,10 @@ class FrameArena {
     }
 
     /**
-     * Largest retainedBytes() ever observed at a lease. Survives trim()
-     * and clear() so churny owners still report their true peak.
+     * Largest retainedBytes() ever observed at a lease. Survives clear()
+     * so owners still report their true peak.
      */
     size_t highWaterBytes() const { return high_water_; }
-
-    /**
-     * Bound retention: if retainedBytes() exceeds `max_bytes`, release
-     * every slot's backing storage (references become dangling, the next
-     * lease re-warms). Streams that shrink their geometry mid-run would
-     * otherwise pin their largest-ever frame forever — across a churny
-     * fleet that adds up to an unbounded-looking RSS ramp. Returns true
-     * if storage was released.
-     */
-    bool trim(size_t max_bytes)
-    {
-        if (retainedBytes() <= max_bytes)
-            return false;
-        for (auto &v : byte_slots_) {
-            v.clear();
-            v.shrink_to_fit();
-        }
-        for (auto &v : word_slots_) {
-            v.clear();
-            v.shrink_to_fit();
-        }
-        return true;
-    }
 
     /** Release all backing storage (references become dangling). */
     void clear()

@@ -29,7 +29,7 @@ void
 RhythmicDecoder::refreshScratchpad()
 {
     // The scratchpad mirrors the metadata of the four most recent encoded
-    // frames (§4.2.1). Rebuild the caches when the frame set changed. The
+    // frames (§4.2.1). Reload the slots when the frame set changed. The
     // key pairs the slot pointer with the frame's capture index: the frame
     // store's deque can reuse element storage as slots cycle, so a new
     // frame may alias an evicted one's address, and the pointer alone
@@ -126,9 +126,18 @@ RhythmicDecoder::refreshScratchpad()
             continue;
         }
 
-        e.cache.rebind(&meta);
+        e.carry.bind(meta);
         e.valid = true;
     }
+}
+
+SourceCarry &
+RhythmicDecoder::carryAt(ScratchEntry &e, i32 y)
+{
+    if (y + 1 < e.carry.next_row)
+        e.carry.bind(e.meta);
+    e.carry.advanceTo(y, minSourceRow(y, config_.max_upscan));
+    return e.carry;
 }
 
 void
@@ -157,12 +166,13 @@ RhythmicDecoder::translateSegment(i32 y, i32 x0, i32 x1, size_t base,
 
     // In-row R tracker (the Translator's fast path): r_count is the R
     // prefix at the cursor and last_off the payload offset of the nearest
-    // R at or left of it. Seeded from the prefix cache so mid-row entry
-    // points resolve exactly like the per-pixel walk; the offset of the
-    // r_count'th R in the row is row_off + r_count - 1 by construction.
+    // R at or left of it. A mid-row start seeds the count from the mask;
+    // the offset of the r_count'th R in the row is row_off + r_count - 1
+    // by construction.
     const u32 row_off = current.offsets.offsetOf(y);
     const u32 total = current.offsets.total();
-    u32 r_count = cur->cache.encodedBefore(x0, y);
+    const i32 min_row = minSourceRow(y, config_.max_upscan);
+    u32 r_count = current.mask.encodedBefore(x0, y);
     bool have_r = r_count > 0;
     u32 last_off = have_r ? row_off + r_count - 1 : 0;
 
@@ -180,29 +190,22 @@ RhythmicDecoder::translateSegment(i32 y, i32 x0, i32 x1, size_t base,
             // sampling unit (§4.2.2). The offset bound is a no-op for
             // consistent frames; it only bites when an unsealed store
             // let a mask/offset mismatch through validation.
-            bool resolved = false;
-            u32 offset = 0;
+            u32 offset = total; // no source
             if (code == PixelCode::R) {
-                offset = row_off + r_count;
-                ++r_count;
+                offset = row_off + r_count++;
                 have_r = true;
                 last_off = offset;
-                resolved = true;
             } else if (have_r) {
                 offset = last_off;
-                resolved = true;
             } else {
-                // St with no in-row R at-or-left: the generic upscan
-                // walk (its dy == 0 probe finds nothing by construction,
-                // so the answers coincide with the reference).
-                auto src = findPixelSource(cur->cache, x, y,
-                                           config_.max_upscan);
-                if (src) {
-                    offset = src->offset;
-                    resolved = true;
-                }
+                // St with no R at or left in its row: the nearest R in
+                // the rows above, within max_upscan, from the carry.
+                const SourceCarry &carry = carryAt(*cur, y);
+                const size_t col = static_cast<size_t>(x);
+                if (carry.row[col] >= min_row)
+                    offset = carry.offset[col];
             }
-            if (resolved && offset < total) {
+            if (offset < total) {
                 subs.push_back({0, offset, pos});
                 ++stats_.sub_requests_intra;
                 if (code == PixelCode::St)
@@ -221,18 +224,20 @@ RhythmicDecoder::translateFallback(i32 x, i32 y, size_t result_pos,
                                    std::vector<SubRequest> &subs,
                                    std::vector<u8> &result)
 {
-    // Sk (or unresolvable St): search the recently stored encoded frames.
+    // Sk (or unresolvable St): the newest stored frame that sampled the
+    // pixel (R or St) and has its source in reach.
+    const i32 min_row = minSourceRow(y, config_.max_upscan);
+    const size_t col = static_cast<size_t>(x);
     for (size_t k = 1; k < scratchCount(); ++k) {
-        if (!scratch_[k]->valid)
+        ScratchEntry &e = *scratch_[k];
+        if (!e.valid)
             continue; // quarantined history frame
-        const EncodedFrame &past = scratch_[k]->meta;
-        const PixelCode pcode = past.mask.at(x, y);
-        if (pcode != PixelCode::R && pcode != PixelCode::St)
-            continue;
-        auto src = findPixelSource(scratch_[k]->cache, x, y,
-                                   config_.max_upscan);
-        if (src && src->offset < past.offsets.total()) {
-            subs.push_back({k, src->offset, result_pos});
+        const SourceCarry &past = carryAt(e, y);
+        const PixelCode pcode = static_cast<PixelCode>(past.codes[col]);
+        if ((pcode == PixelCode::R || pcode == PixelCode::St) &&
+            past.row[col] >= min_row &&
+            past.offset[col] < e.meta.offsets.total()) {
+            subs.push_back({k, past.offset[col], result_pos});
             ++stats_.sub_requests_inter;
             ++stats_.history_hits;
             return;
@@ -371,11 +376,6 @@ RhythmicDecoder::requestPixelsInto(i32 x, i32 y, i32 count,
     // scratchpad; accounted there).
     if (obs_transactions_)
         mirrorObs();
-
-    // Arena references from this transaction are dead here, so trimming
-    // cannot dangle them; the next transaction re-warms the pool.
-    if (config_.arena_max_bytes != 0)
-        arena_.trim(config_.arena_max_bytes);
 }
 
 void

@@ -27,6 +27,7 @@
 
 #include "common/arena.hpp"
 #include "core/frame_store.hpp"
+#include "core/source_carry.hpp"
 #include "obs/obs.hpp"
 #include "stream/fifo.hpp"
 
@@ -82,15 +83,6 @@ class RhythmicDecoder
          * (fewer modelled cycles) on sparse masks.
          */
         u32 burst_gap_bytes = 0;
-        /**
-         * Retention ceiling for the per-transaction scratch arena, in
-         * bytes. 0 (default) never trims — the zero-allocation
-         * steady-state contract. A fleet whose streams churn through
-         * differing geometries sets a bound so a briefly-large frame
-         * cannot pin its scratch capacity for the life of the decoder;
-         * the next transaction after a trim re-warms the pool.
-         */
-        size_t arena_max_bytes = 0;
     };
 
     RhythmicDecoder(FrameStore &store, const Config &config);
@@ -150,18 +142,18 @@ class RhythmicDecoder
 
     /**
      * Translate the in-row pixel run [x0, x1) of row y, whose values land
-     * at result[base ..]. Runs the vectorised row scan: codes are
-     * unpacked once through the SIMD shim and R/St offsets come from a
-     * running in-row R tracker, reproducing the per-pixel
-     * findPixelSource walk exactly (DESIGN.md §10); pixels it cannot
-     * answer in-row take translateFallback.
+     * at result[base ..]. Codes are unpacked once through the SIMD shim;
+     * R pixels, and St pixels with an R at or left in the row, resolve
+     * from a running in-row R count seeded from the mask. Every other
+     * pixel reads the slot's SourceCarry (DESIGN.md §10) or takes
+     * translateFallback.
      */
     void translateSegment(i32 y, i32 x0, i32 x1, size_t base,
                           std::vector<SubRequest> &subs,
                           std::vector<u8> &result);
 
-    /** The history walk for one pixel: serves Sk pixels, unresolvable St
-     *  pixels, and every pixel of a quarantined newest frame. */
+    /** The history lookup for one pixel: serves Sk pixels, unresolvable
+     *  St pixels, and every pixel of a quarantined newest frame. */
     void translateFallback(i32 x, i32 y, size_t result_pos,
                            std::vector<SubRequest> &subs,
                            std::vector<u8> &result);
@@ -187,20 +179,27 @@ class RhythmicDecoder
     /**
      * One metadata-scratchpad slot: the EncMask/RowOffsets reconstructed
      * from DRAM bytes (pixel payloads stay in DRAM; meta.pixels stays
-     * empty) plus a prefix cache for fast in-row queries. `valid` is
-     * false when the fetched metadata failed its safety checks (bounds
-     * validation, or the CRC when the store seals metadata): the frame
-     * is quarantined — never addressed — and requests against it fall
-     * back to history or black instead of chasing corrupt offsets.
+     * empty) plus the SourceCarry that resolves pixel sources in it.
+     * `valid` is false when the fetched metadata failed its safety checks
+     * (bounds validation, or the CRC when the store seals metadata): the
+     * frame is quarantined — never addressed — and requests against it
+     * fall back to history or black instead of chasing corrupt offsets.
      * Entries are pooled across refreshes (unique_ptr keeps them
      * address-stable while the pool grows) so a warm refresh reuses all
      * metadata storage instead of reallocating it per frame.
      */
     struct ScratchEntry {
         EncodedFrame meta;
-        MaskPrefixCache cache;
+        SourceCarry carry;
         bool valid = false;
     };
+
+    /**
+     * The slot's carry, swept through row y for sources within
+     * max_upscan rows. A row above the last swept one rebinds the carry
+     * first, so requests may arrive in any order.
+     */
+    SourceCarry &carryAt(ScratchEntry &e, i32 y);
 
     /** Slot pool; the first scratchCount() entries mirror the store. */
     std::vector<std::unique_ptr<ScratchEntry>> scratch_;

@@ -2,7 +2,6 @@
 
 #include "common/crc32.hpp"
 #include "common/error.hpp"
-#include "common/simd.hpp"
 
 namespace rpx {
 
@@ -97,95 +96,6 @@ EncodedFrame::checkConsistency() const
     }
     RPX_ASSERT(running == pixels.size(),
                "mask R count disagrees with encoded pixel count");
-}
-
-void
-MaskPrefixCache::rebind(const EncodedFrame *frame)
-{
-    frame_ = frame;
-    const size_t rows =
-        frame ? static_cast<size_t>(frame->height) : size_t{0};
-    if (rows_.size() > rows)
-        rows_.resize(rows);
-    // clear() (not resize(0)) keeps each row's capacity for the next frame.
-    for (auto &row : rows_)
-        row.clear();
-    while (rows_.size() < rows)
-        rows_.emplace_back();
-    touched_ = 0;
-}
-
-const std::vector<u32> &
-MaskPrefixCache::rowPrefix(i32 y)
-{
-    RPX_ASSERT(frame_ != nullptr, "MaskPrefixCache is unbound");
-    RPX_ASSERT(y >= 0 && y < frame_->height, "prefix row out of bounds");
-    auto &row = rows_[static_cast<size_t>(y)];
-    if (row.empty()) {
-        const size_t w = static_cast<size_t>(frame_->width);
-        row.resize(w + 1);
-        codes_.resize(w);
-        simd::unpackMask2bpp(frame_->mask.bytes().data(),
-                             static_cast<size_t>(y) * w, w, codes_.data());
-        u32 running = 0;
-        for (size_t x = 0; x < w; ++x) {
-            row[x] = running;
-            if (codes_[x] == static_cast<u8>(PixelCode::R))
-                ++running;
-        }
-        row.back() = running;
-        ++touched_;
-    }
-    return row;
-}
-
-u32
-MaskPrefixCache::encodedBefore(i32 x, i32 y)
-{
-    const auto &row = rowPrefix(y);
-    RPX_ASSERT(x >= 0 && static_cast<size_t>(x) < row.size(),
-               "prefix column out of bounds");
-    return row[static_cast<size_t>(x)];
-}
-
-i32
-MaskPrefixCache::lastEncodedAtOrBefore(i32 x, i32 y)
-{
-    const auto &row = rowPrefix(y);
-    const u32 count = row[static_cast<size_t>(x) + 1];
-    if (count == 0)
-        return -1;
-    // The last R at or before x is the largest column whose prefix entry is
-    // count - 1 followed by count; binary search the monotone prefix.
-    i32 lo = 0, hi = x;
-    while (lo < hi) {
-        const i32 mid = lo + (hi - lo + 1) / 2;
-        if (row[static_cast<size_t>(mid)] < count)
-            lo = mid;
-        else
-            hi = mid - 1;
-    }
-    return lo;
-}
-
-std::optional<PixelSource>
-findPixelSource(MaskPrefixCache &cache, i32 x, i32 y, int max_upscan)
-{
-    const EncodedFrame &f = cache.frame();
-    RPX_ASSERT(x >= 0 && x < f.width && y >= 0 && y < f.height,
-               "findPixelSource out of bounds");
-    for (int dy = 0; dy <= max_upscan; ++dy) {
-        const i32 yy = y - dy;
-        if (yy < 0)
-            break;
-        const i32 xx = cache.lastEncodedAtOrBefore(x, yy);
-        if (xx >= 0) {
-            const u32 offset =
-                f.offsets.offsetOf(yy) + cache.encodedBefore(xx, yy);
-            return PixelSource{xx, yy, offset};
-        }
-    }
-    return std::nullopt;
 }
 
 } // namespace rpx

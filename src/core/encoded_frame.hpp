@@ -8,7 +8,6 @@
 #ifndef RPX_CORE_ENCODED_FRAME_HPP
 #define RPX_CORE_ENCODED_FRAME_HPP
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -92,76 +91,6 @@ struct EncodedFrame {
     /** Throws std::runtime_error when the invariants do not hold. */
     void checkConsistency() const;
 };
-
-/** Location of the R pixel that sources a reconstructed pixel value. */
-struct PixelSource {
-    i32 x = 0;          //!< column of the source R pixel
-    i32 y = 0;          //!< row of the source R pixel
-    u32 offset = 0;     //!< index into the encoded pixel payload
-};
-
-/**
- * Per-frame accelerator for mask prefix queries.
- *
- * Decoding needs "number of R codes before column x in row y" and "nearest
- * R at or before column x" repeatedly; this cache materialises a per-row
- * prefix-count array on first touch (the hardware keeps the equivalent in
- * its metadata scratchpad).
- */
-class MaskPrefixCache
-{
-  public:
-    /** Unbound cache; rebind() before use. Lets owners pool instances. */
-    MaskPrefixCache() = default;
-
-    explicit MaskPrefixCache(const EncodedFrame &frame) { rebind(&frame); }
-
-    /**
-     * Point the cache at a (new) frame and invalidate all materialised
-     * rows. Row storage is retained, so rebinding a pooled cache to the
-     * next frame of the same geometry allocates nothing once warm.
-     * Pass nullptr to unbind.
-     */
-    void rebind(const EncodedFrame *frame);
-
-    const EncodedFrame &frame() const
-    {
-        RPX_ASSERT(frame_ != nullptr, "MaskPrefixCache is unbound");
-        return *frame_;
-    }
-
-    /** Number of R codes in row y strictly before column x. */
-    u32 encodedBefore(i32 x, i32 y);
-
-    /** Column of the nearest R at or before x in row y; -1 when none. */
-    i32 lastEncodedAtOrBefore(i32 x, i32 y);
-
-    /** Rows whose prefix array has been materialised (metadata touched). */
-    size_t rowsTouched() const { return touched_; }
-
-  private:
-    const std::vector<u32> &rowPrefix(i32 y);
-
-    const EncodedFrame *frame_ = nullptr;
-    /** Per-row R prefix; an empty inner vector marks a row not yet built. */
-    std::vector<std::vector<u32>> rows_;
-    /** Unpacked code bytes for the row being materialised. */
-    std::vector<u8> codes_;
-    size_t touched_ = 0;
-};
-
-/**
- * Resolve the source R pixel for a regional pixel (x, y) of `frame`.
- *
- * Implements the reconstruction semantics of §4.2.2 with a resampling
- * buffer: an R pixel sources itself; an St pixel sources the nearest R at
- * or to the left in the nearest row at or above it (searched up to
- * `max_upscan` rows). For stride-s regions this yields exact s x s
- * nearest-neighbour block replication. Returns nullopt when no source
- * exists within the scan bound (the caller falls back to history or black).
- */
-std::optional<PixelSource> findPixelSource(MaskPrefixCache &cache, i32 x,
-                                           i32 y, int max_upscan = 64);
 
 } // namespace rpx
 

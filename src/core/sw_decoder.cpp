@@ -1,7 +1,5 @@
 #include "core/sw_decoder.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
 #include "common/simd.hpp"
 
@@ -11,43 +9,6 @@ SoftwareDecoder::SoftwareDecoder(const Config &config) : config_(config)
 {
     if (config.max_upscan < 0)
         throwInvalid("max_upscan must be non-negative");
-}
-
-void
-SoftwareDecoder::SourceCarry::bind(const EncodedFrame &f)
-{
-    frame = &f;
-    next_row = 0;
-    const size_t w = static_cast<size_t>(f.width);
-    codes.resize(w);
-    offset.resize(w);
-    row.assign(w, -1);
-}
-
-void
-SoftwareDecoder::SourceCarry::advanceTo(i32 y, i32 from)
-{
-    constexpr u8 kR = static_cast<u8>(PixelCode::R);
-    const size_t w = codes.size();
-    for (i32 r = std::max(next_row, from); r <= y; ++r) {
-        simd::unpackMask2bpp(frame->mask.bytes().data(),
-                             static_cast<size_t>(r) * w, w, codes.data());
-        // The R at column x is payload entry offsetOf(r) + (R codes
-        // before x). Every column from the row's first R on now sources
-        // from the latest R at or left of it; columns before it keep the
-        // carry from the rows above.
-        const u32 base = frame->offsets.offsetOf(r);
-        size_t x = 0;
-        while (x < w && codes[x] != kR)
-            ++x;
-        u32 seen = 0;
-        for (; x < w; ++x) {
-            seen += codes[x] == kR ? 1u : 0u;
-            offset[x] = base + seen - 1;
-            row[x] = r;
-        }
-    }
-    next_row = std::max(next_row, y + 1);
 }
 
 void
@@ -79,8 +40,7 @@ SoftwareDecoder::decodeCoreInto(
     for (i32 y = y0; y < y1; ++y) {
         // A source counts only within max_upscan rows above y; carries
         // catch up from there, which also primes the first row of a band.
-        const i32 min_row = static_cast<i32>(
-            std::max<i64>(0, static_cast<i64>(y) - config_.max_upscan));
+        const i32 min_row = minSourceRow(y, config_.max_upscan);
         u8 *row = out.row(y);
         simd::unpackMask2bpp(current.mask.bytes().data(),
                              static_cast<size_t>(y) * w, w,

@@ -15,20 +15,12 @@
  *    of throwing, and silently skips unusable history frames, so a
  *    pipeline facing injected or real faults keeps producing frames.
  *
- * The core resolves pixel sources with one row-carried sweep per frame
- * (DESIGN.md §10). For the current frame and each history frame it keeps
- * a source carry: per column, the payload offset and row of the nearest
- * R at or left of that column, in the nearest row at or above the last
- * row swept. Advancing a carry by one row is one SIMD code unpack plus one
- * linear pass, and a pixel resolves with one lookup and a distance check
- * against max_upscan. That lookup is exactly findPixelSource's answer
- * (its first dy with an R at or left of x), so the decoder needs no
- * per-pixel upscan search. R pixels, and St pixels with an R at or left
- * in their own row, resolve from a running in-row R count; carries
- * advance lazily, only for rows that need them, and catch up from
- * max_upscan rows above — which also primes the first row of a band. The
- * per-pixel findPixelSource walk that defines these semantics lives in
- * tests/ as the differential oracle.
+ * The core resolves pixel sources with one row-carried SourceCarry sweep
+ * per frame, current and history alike (core/source_carry.hpp, DESIGN.md
+ * §10). R pixels, and St pixels with an R at or left in their own row,
+ * resolve from a running in-row R count; carries advance lazily, only for
+ * rows that need them, and catch up from max_upscan rows above — which
+ * also primes the first row of a band.
  *
  * Decode scratch state (source carries, history filters)
  * is pooled in the instance, so steady-state decoding performs zero heap
@@ -44,6 +36,7 @@
 #include <vector>
 
 #include "core/encoded_frame.hpp"
+#include "core/source_carry.hpp"
 #include "frame/image.hpp"
 
 namespace rpx {
@@ -130,29 +123,6 @@ class SoftwareDecoder
     u64 lastBlackPixels() const { return last_black_; }
 
   private:
-    /**
-     * Rolling source carry over one frame. For each column x, offset[x]
-     * and row[x] locate the nearest R at or left of x in the nearest row
-     * at or above the last swept row (row[x] = -1 when there is none);
-     * codes holds the last swept row's unpacked codes.
-     */
-    struct SourceCarry {
-        const EncodedFrame *frame = nullptr;
-        i32 next_row = 0; //!< first row not yet swept
-        std::vector<u8> codes;
-        std::vector<u32> offset;
-        std::vector<i32> row;
-
-        /** Point at `f` and forget every source (keeps capacity). */
-        void bind(const EncodedFrame &f);
-
-        /**
-         * Sweep rows [max(next_row, from), y]. Rows skipped below `from`
-         * only held sources that the caller's distance check rejects.
-         */
-        void advanceTo(i32 y, i32 from);
-    };
-
     /**
      * Shared bounds-checked reconstruction over pre-validated frames,
      * writing rows [y0, y1) of `out` (already shaped and black-filled).

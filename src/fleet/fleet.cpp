@@ -230,7 +230,7 @@ FleetServer::retireLocked(u32 id, StreamEntry &entry)
     entry.active = false;
     --live_;
     // Release everything the stream owned (sensor models, framebuffer
-    // ring, decoder scratchpads). Without this, long join/leave churn
+    // ring, software-decoder pools). Without this, long join/leave churn
     // accumulates one dead StreamContext per departed stream — the
     // unbounded-memory shape the soak harness exists to catch. The
     // entry itself (counters + label) stays for the final report.

@@ -175,9 +175,10 @@ DecodeStage::run(FrameTask &task) const
     const bool tele = s.telemetry() != nullptr;
     PipelineFrameResult &result = task.result;
 
-    // 4. Decode the full frame for the application (software decoder fast
-    //    path; the hardware decoder unit serves per-transaction requests
-    //    and is exercised by tests/examples). The graceful path validates
+    // 4. Decode the full frame for the application with the software
+    //    decoder. The PMMU transaction decoder (RhythmicDecoder) is not a
+    //    fleet stage: VisionPipeline builds one over the stream's frame
+    //    store for per-transaction requests. The graceful path validates
     //    the stored frame and, when it is quarantined, serves the last
     //    good image (or black before any good frame exists).
     std::vector<const EncodedFrame *> history;

@@ -84,7 +84,6 @@ StreamContext::StreamContext(const PipelineConfig &config,
                                                  config.height, ec);
     store_ = std::make_unique<FrameStore>(*dram_, config.width,
                                           config.height, config.history);
-    decoder_ = std::make_unique<RhythmicDecoder>(*store_);
 
     ParallelDecoder::Config dc;
     dc.threads = config.decoder_threads;
@@ -114,7 +113,6 @@ StreamContext::StreamContext(const PipelineConfig &config,
         dram_->attachObs(ctx);
         driver_->attachObs(ctx);
         encoder_->attachObs(ctx);
-        decoder_->attachObs(ctx);
         if (injector_)
             injector_->attachObs(ctx);
         if (degrade_)

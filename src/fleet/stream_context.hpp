@@ -6,7 +6,7 @@
  * DRAM→decoder chain into one class. The fleet refactor splits that into
  *  - StreamContext: everything a camera stream *owns* — its sensor/ISP
  *    models, region registers and runtime, rhythm state, framebuffer ring
- *    shard (FrameStore + DramModel), decoder scratchpads, traffic/energy
+ *    shard (FrameStore + DramModel), software decoder, traffic/energy
  *    accounting, resilience ladder, and telemetry label; and
  *  - the stage objects in stages.hpp, which are stateless and operate on
  *    any StreamContext, so a bounded pool of engine workers can time-share
@@ -25,7 +25,6 @@
 #include <string>
 
 #include "baseline/frame_based.hpp"
-#include "core/decoder.hpp"
 #include "core/encoder.hpp"
 #include "core/frame_store.hpp"
 #include "core/parallel_decoder.hpp"
@@ -253,7 +252,6 @@ class StreamContext
     const ParallelEncoder &encoder() const { return *encoder_; }
     FrameStore &store() { return *store_; }
     const FrameStore &store() const { return *store_; }
-    RhythmicDecoder &decoder() { return *decoder_; }
     ParallelDecoder &swDecoder() { return *sw_decoder_; }
     DramModel &dram() { return *dram_; }
     const DramModel &dram() const { return *dram_; }
@@ -301,7 +299,6 @@ class StreamContext
     std::unique_ptr<RegionRuntime> runtime_;
     std::unique_ptr<ParallelEncoder> encoder_;
     std::unique_ptr<FrameStore> store_;
-    std::unique_ptr<RhythmicDecoder> decoder_;
     std::unique_ptr<ParallelDecoder> sw_decoder_;
     TrafficSummary traffic_;
     FrameIndex next_frame_ = 0;

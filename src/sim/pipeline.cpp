@@ -4,8 +4,10 @@ namespace rpx {
 
 VisionPipeline::VisionPipeline(const PipelineConfig &config)
     : obs_(std::make_unique<fleet::PipelineObs>(config.obs)),
-      ctx_(std::make_unique<fleet::StreamContext>(config, obs_.get()))
+      ctx_(std::make_unique<fleet::StreamContext>(config, obs_.get())),
+      decoder_(std::make_unique<RhythmicDecoder>(ctx_->store()))
 {
+    decoder_->attachObs(obs_->context());
 }
 
 PipelineFrameResult

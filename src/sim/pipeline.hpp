@@ -17,6 +17,7 @@
 
 #include <memory>
 
+#include "core/decoder.hpp"
 #include "fleet/stages.hpp"
 #include "fleet/stream_context.hpp"
 
@@ -48,7 +49,8 @@ class VisionPipeline
     {
         return ctx_->encoder();
     }
-    RhythmicDecoder &decoder() { return ctx_->decoder(); }
+    /** The PMMU transaction decoder over this pipeline's frame store. */
+    RhythmicDecoder &decoder() { return *decoder_; }
     const FrameStore &frameStore() const { return ctx_->store(); }
     const DramModel &dram() const { return ctx_->dram(); }
     const TrafficSummary &traffic() const { return ctx_->traffic(); }
@@ -76,6 +78,7 @@ class VisionPipeline
   private:
     std::unique_ptr<fleet::PipelineObs> obs_;
     std::unique_ptr<fleet::StreamContext> ctx_;
+    std::unique_ptr<RhythmicDecoder> decoder_;
 };
 
 } // namespace rpx

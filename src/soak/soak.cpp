@@ -598,8 +598,6 @@ SoakRunner::finalChecks(const fleet::FleetReport &rep, SoakResult &res)
             res.degrade_recoveries = v;
         }
     }
-    res.arena_high_water_bytes = static_cast<u64>(
-        obs_.registry().gauge("decoder.arena_high_water_bytes").value());
 
     res.rss_peak_kb = std::max(rss_peak_, peakRssKb());
     res.checkpoint_p50_us = sortedQuantile(check_durations_, 0.5);
@@ -738,8 +736,6 @@ toJson(const SoakResult &result)
     os << "  \"chaos_hits\": " << result.chaos_hits << ",\n";
     os << "  \"rss_start_kb\": " << result.rss_start_kb << ",\n";
     os << "  \"rss_peak_kb\": " << result.rss_peak_kb << ",\n";
-    os << "  \"arena_high_water_bytes\": " << result.arena_high_water_bytes
-       << ",\n";
     os << "  \"checkpoint_p50_us\": " << json::number(result.checkpoint_p50_us)
        << ",\n";
     os << "  \"checkpoint_p99_us\": " << json::number(result.checkpoint_p99_us)

@@ -130,7 +130,6 @@ struct SoakResult {
     // Memory.
     u64 rss_start_kb = 0;
     u64 rss_peak_kb = 0;
-    u64 arena_high_water_bytes = 0; //!< decoder arena gauge sample
 
     // Checkpoint latency (wall).
     double checkpoint_p50_us = 0.0;

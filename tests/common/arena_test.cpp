@@ -1,9 +1,8 @@
 /**
  * @file
  * FrameArena retention semantics: capacity is kept across leases (the
- * zero-allocation steady-state contract), the high-water gauge tracks the
- * true peak, and trim() bounds retention so churny owners with shrinking
- * geometry cannot pin their largest-ever footprint forever.
+ * zero-allocation steady-state contract) and the high-water gauge tracks
+ * the true peak.
  */
 
 #include <gtest/gtest.h>
@@ -41,46 +40,6 @@ TEST(Arena, HighWaterTracksPeakAcrossShrinkAndClear)
     // Smaller re-leases never move the high-water mark down.
     arena.bytes(0, 64);
     EXPECT_EQ(arena.highWaterBytes(), peak);
-}
-
-TEST(Arena, TrimBoundsRetention)
-{
-    FrameArena arena;
-    arena.bytes(0, 1 << 20);
-    arena.bytes(1, 1 << 18);
-    arena.words(0, 1 << 12);
-    ASSERT_GT(arena.retainedBytes(), size_t{1} << 20);
-
-    // Under the bound: no-op.
-    EXPECT_FALSE(arena.trim(size_t{8} << 20));
-    EXPECT_GT(arena.retainedBytes(), size_t{1} << 20);
-
-    // Over the bound: all backing storage released.
-    EXPECT_TRUE(arena.trim(1 << 16));
-    EXPECT_EQ(arena.retainedBytes(), 0u);
-
-    // The pool re-warms on the next lease and trim keeps bounding it.
-    arena.bytes(0, 1 << 20);
-    EXPECT_GE(arena.retainedBytes(), size_t{1} << 20);
-    EXPECT_TRUE(arena.trim(1 << 16));
-    EXPECT_EQ(arena.retainedBytes(), 0u);
-}
-
-TEST(Arena, ChurnWithBoundStaysBounded)
-{
-    // The many-stream churn shape: geometries vary lease to lease; with a
-    // bound applied after each frame, retention never exceeds
-    // bound + one frame's worth of growth.
-    FrameArena arena;
-    const size_t bound = 1 << 16;
-    for (int gen = 0; gen < 200; ++gen) {
-        const size_t size = 1u << (10 + gen % 9); // 1 KiB .. 256 KiB
-        arena.bytes(0, size);
-        arena.bytes(1, size / 2);
-        arena.trim(bound);
-        EXPECT_LE(arena.retainedBytes(), bound) << "gen " << gen;
-    }
-    EXPECT_GE(arena.highWaterBytes(), (1u << 18) + (1u << 17));
 }
 
 } // namespace

@@ -89,7 +89,10 @@ TEST(JsonParseLines, SkipsBlanksAndReportsLineNumbers)
 TEST(JsonEscape, RoundTripsThroughParse)
 {
     const std::string nasty = "q\"uote \\ back\nnew\ttab\x01了";
-    const Value v = parse("\"" + escape(nasty) + "\"");
+    std::string quoted = "\"";
+    quoted += escape(nasty);
+    quoted += '"';
+    const Value v = parse(quoted);
     EXPECT_EQ(v.str(), nasty);
 }
 

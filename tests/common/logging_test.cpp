@@ -1,7 +1,6 @@
 /** @file Unit tests for logging levels and the error helpers. */
 
 #include <iostream>
-#include <regex>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -27,16 +26,74 @@ class CerrCapture
     std::streambuf *old_;
 };
 
+bool
+isDigit(char c)
+{
+    return c >= '0' && c <= '9';
+}
+
+/**
+ * Match `shape` against the start of [s, end); returns the end of the
+ * match, or nullptr. In `shape`, '9' is exactly one digit, '#' one or
+ * more digits, '*' a run of non-newline characters (greedy, so only
+ * '\n' or the end of `shape` may follow it); every other character is
+ * literal.
+ */
+const char *
+matchShape(const char *s, const char *end, const char *shape)
+{
+    for (; *shape != '\0'; ++shape) {
+        switch (*shape) {
+        case '9':
+            if (s == end || !isDigit(*s))
+                return nullptr;
+            ++s;
+            break;
+        case '#':
+            if (s == end || !isDigit(*s))
+                return nullptr;
+            while (s != end && isDigit(*s))
+                ++s;
+            break;
+        case '*':
+            while (s != end && *s != '\n')
+                ++s;
+            break;
+        default:
+            if (s == end || *s != *shape)
+                return nullptr;
+            ++s;
+        }
+    }
+    return s;
+}
+
+/** True when all of `text` matches `shape`. */
+bool
+fullMatch(const std::string &text, const char *shape)
+{
+    const char *end = text.data() + text.size();
+    return matchShape(text.data(), end, shape) == end;
+}
+
 /** "[HH:MM:SS.mmm] " wall-clock prefix every emitted line carries. */
-const std::regex kStampedLine(
-    R"(\[\d{2}:\d{2}:\d{2}\.\d{3}\] [^\n]*\n)");
+constexpr const char *kStamp = "[99:99:99.999] ";
+/** One whole stamped line. */
+constexpr const char *kStampedLine = "[99:99:99.999] *\n";
 
 /** Strip the timestamp prefixes so tests can compare message content. */
 std::string
 withoutStamps(const std::string &text)
 {
-    return std::regex_replace(
-        text, std::regex(R"(\[\d{2}:\d{2}:\d{2}\.\d{3}\] )"), "");
+    std::string out;
+    const char *end = text.data() + text.size();
+    for (const char *s = text.data(); s != end;) {
+        if (const char *after = matchShape(s, end, kStamp))
+            s = after;
+        else
+            out += *s++;
+    }
+    return out;
 }
 
 class LoggingTest : public ::testing::Test
@@ -50,8 +107,7 @@ TEST_F(LoggingTest, WarnEmittedAtDefaultLevel)
     CerrCapture capture;
     warn("disk ", 42, " is wobbly");
     EXPECT_EQ(withoutStamps(capture.text()), "warn: disk 42 is wobbly\n");
-    EXPECT_TRUE(std::regex_match(capture.text(), kStampedLine))
-        << capture.text();
+    EXPECT_TRUE(fullMatch(capture.text(), kStampedLine)) << capture.text();
 }
 
 TEST_F(LoggingTest, InfoSuppressedAtDefaultLevel)
@@ -136,10 +192,10 @@ TEST_F(LoggingTest, ConcurrentWarnsDoNotInterleaveWithinLines)
     std::istringstream lines(capture.text());
     std::string line;
     int count = 0;
-    const std::regex line_re(
-        R"(\[\d{2}:\d{2}:\d{2}\.\d{3}\] warn: thread \d+ message \d+ end)");
     while (std::getline(lines, line)) {
-        EXPECT_TRUE(std::regex_match(line, line_re)) << line;
+        EXPECT_TRUE(fullMatch(line,
+                              "[99:99:99.999] warn: thread # message # end"))
+            << line;
         ++count;
     }
     EXPECT_EQ(count, kThreads * kPerThread);

@@ -4,8 +4,8 @@
  *
  * This TU replaces global operator new/delete with counting wrappers, so
  * it can assert that — after a warm-up decode populates the pooled
- * scratch (source carries, the RhythmicDecoder's prefix caches and frame
- * arena) — repeated decodes of same-geometry frames perform ZERO heap
+ * scratch (source carries, the RhythmicDecoder's scratchpad slots and
+ * frame arena) — repeated decodes of same-geometry frames perform ZERO heap
  * allocations: SoftwareDecoder::decodeInto, ParallelDecoder (threads=1,
  * and the band decodes of threads=2), and
  * RhythmicDecoder::requestPixelsInto alike.
@@ -99,6 +99,34 @@ operator delete(void *p, std::size_t) noexcept
 
 void
 operator delete[](void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+// The nothrow forms too: std::stable_sort's temporary buffer comes from
+// operator new(size_t, nothrow_t), and a sanitizer's own nothrow new
+// would otherwise be paired with the free() in the deletes above.
+void *
+operator new(std::size_t size, const std::nothrow_t &) noexcept
+{
+    countAllocation();
+    return std::malloc(size ? size : 1);
+}
+
+void *
+operator new[](std::size_t size, const std::nothrow_t &) noexcept
+{
+    return operator new(size, std::nothrow);
+}
+
+void
+operator delete(void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p, const std::nothrow_t &) noexcept
 {
     std::free(p);
 }

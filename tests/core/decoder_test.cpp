@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/rng.hpp"
 #include "core/decoder.hpp"
 #include "core/encoder.hpp"
 #include "core/sw_decoder.hpp"
 #include "memory/dram.hpp"
+#include "reference_decode.hpp"
 
 namespace rpx {
 namespace {
@@ -376,6 +380,108 @@ TEST(Decoder, MaskSurvivesDramRoundTrip)
     const EncMask reloaded(32, 16, bytes);
     EXPECT_EQ(reloaded, frame->mask);
     EXPECT_THROW(EncMask(32, 15, bytes), std::invalid_argument);
+}
+
+TEST(Decoder, OutOfOrderRequestsMatchReferenceWithQuarantinedHistory)
+{
+    // A mixed stride/skip scene over four history frames, the newest of
+    // which fails its metadata CRC. Requests land at random origins and
+    // lengths: mid-row starts, multi-row spans, backward rows and repeats
+    // of one row. Every pixel must match the per-pixel oracle, and the
+    // final stats are pinned.
+    const i32 w = 64, h = 64;
+    DramModel dram(1 << 26);
+    RhythmicEncoder encoder(w, h);
+    FrameStore store(dram, w, h, /*history=*/5);
+    store.enableMetadataCrc(true);
+    RhythmicDecoder::Config dc;
+    dc.max_upscan = 5;
+    RhythmicDecoder decoder(store, dc);
+
+    std::vector<RegionLabel> labels = {
+        {0, 0, w, 40, 4, 2, 0},     // periphery, sampled on even frames
+        {8, 6, 24, 20, 1, 1, 0},    // full-rate fovea
+        {20, 30, 16, 14, 2, 1, 0},
+        {8, 44, 48, 20, 8, 3, 1},   // stride past max_upscan
+        {0, 40, 8, 24, 1, 8, 0},    // last sampled before the history
+    };
+    sortRegionsByY(labels);
+    encoder.setRegionLabels(labels);
+    for (FrameIndex t = 0; t < 8; ++t) {
+        Image frame = rampFrame(w, h);
+        for (i32 y = 0; y < h; ++y)
+            for (i32 x = 0; x < w; ++x)
+                frame.set(x, y,
+                          static_cast<u8>(frame.at(x, y) + 29 * t));
+        store.store(encoder.encodeFrame(frame, t));
+    }
+
+    // Frame 6, the periphery's latest sample, goes bad in DRAM: the
+    // periphery must come from frame 4 instead.
+    const StoredFrameAddrs *bad = store.recentAddrs(1);
+    const u8 flipped = static_cast<u8>(dram.peek(bad->mask.base) ^ 0xff);
+    dram.write(bad->mask.base, &flipped, 1);
+
+    std::vector<const EncodedFrame *> history;
+    for (size_t k = 2; k < store.size(); ++k)
+        history.push_back(store.recent(k));
+    SoftwareDecoder::Config rc;
+    rc.max_upscan = dc.max_upscan;
+    const ReferenceDecode ref =
+        referenceDecode(*store.recent(0), history, rc);
+
+    Rng rng(16);
+    const auto draw = [&](i64 lo, i64 hi) {
+        return static_cast<i32>(rng.uniformInt(lo, hi));
+    };
+    i32 y = 0;
+    for (int i = 0; i < 400; ++i) {
+        switch (draw(0, 3)) {
+        case 0: // anywhere
+            y = draw(0, h - 1);
+            break;
+        case 1: // the same row again
+            break;
+        case 2: // back up a few rows
+            y = std::max(0, y - draw(1, 12));
+            break;
+        default: // on down the frame
+            y = std::min(h - 1, y + draw(1, 3));
+            break;
+        }
+        const i32 x = draw(0, w - 1);
+        const i64 first = static_cast<i64>(y) * w + x;
+        const i32 count = static_cast<i32>(
+            std::min<i64>(static_cast<i64>(w) * h - first, draw(1, 3 * w)));
+        const auto px = decoder.requestPixels(x, y, count);
+        for (i32 k = 0; k < count; ++k) {
+            const i32 px_x = static_cast<i32>((first + k) % w);
+            const i32 px_y = static_cast<i32>((first + k) / w);
+            ASSERT_EQ(px[static_cast<size_t>(k)], ref.image.at(px_x, px_y))
+                << "request " << i << " (" << x << "," << y << ")+"
+                << count << " at (" << px_x << "," << px_y << ")";
+        }
+    }
+
+    // Pinned to the stats the per-pixel search translator produced for
+    // this request sequence.
+    const DecoderStats &s = decoder.stats();
+    EXPECT_EQ(s.transactions, 400u);
+    EXPECT_EQ(s.pixels_requested, 37346u);
+    EXPECT_EQ(s.sub_requests_intra, 12977u);
+    EXPECT_EQ(s.sub_requests_inter, 17974u);
+    EXPECT_EQ(s.dram_reads, 860u);
+    EXPECT_EQ(s.dram_pixel_bytes, 8472u);
+    EXPECT_EQ(s.metadata_bytes, 6400u);
+    EXPECT_EQ(s.black_pixels, 6395u);
+    EXPECT_EQ(s.resampled_pixels, 7925u);
+    EXPECT_EQ(s.history_hits, 17974u);
+    EXPECT_EQ(s.history_misses, 3200u);
+    EXPECT_EQ(s.bypassed, 0u);
+    EXPECT_EQ(s.cycles, 4060u);
+    EXPECT_EQ(s.frames_quarantined, 1u);
+    EXPECT_EQ(s.crc_failures, 1u);
+    EXPECT_EQ(s.validation_failures, 0u);
 }
 
 } // namespace

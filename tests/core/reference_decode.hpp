@@ -4,12 +4,14 @@
  * over the current frame, then over history, with the same fill and
  * black tallies SoftwareDecoder reports. It spells out the §4.2.2
  * reconstruction semantics one pixel at a time and is the differential
- * oracle the shipped row-carried decoder is tested against.
+ * oracle both shipped decoders, which resolve through the row-carried
+ * SourceCarry sweep, are tested against.
  */
 
 #ifndef RPX_TESTS_CORE_REFERENCE_DECODE_HPP
 #define RPX_TESTS_CORE_REFERENCE_DECODE_HPP
 
+#include <optional>
 #include <vector>
 
 #include "core/encoded_frame.hpp"
@@ -17,6 +19,55 @@
 #include "frame/image.hpp"
 
 namespace rpx {
+
+/** Location of the R pixel that sources a reconstructed pixel value. */
+struct PixelSource {
+    i32 x = 0;          //!< column of the source R pixel
+    i32 y = 0;          //!< row of the source R pixel
+    u32 offset = 0;     //!< index into the encoded pixel payload
+};
+
+/**
+ * Per-frame mask prefix queries: "number of R codes before column x in
+ * row y" and "nearest R at or before column x", from a per-row
+ * prefix-count array built on first touch.
+ */
+class MaskPrefixCache
+{
+  public:
+    explicit MaskPrefixCache(const EncodedFrame &frame)
+        : frame_(&frame), rows_(static_cast<size_t>(frame.height))
+    {
+    }
+
+    const EncodedFrame &frame() const { return *frame_; }
+
+    /** Number of R codes in row y strictly before column x. */
+    u32 encodedBefore(i32 x, i32 y);
+
+    /** Column of the nearest R at or before x in row y; -1 when none. */
+    i32 lastEncodedAtOrBefore(i32 x, i32 y);
+
+  private:
+    const std::vector<u32> &rowPrefix(i32 y);
+
+    const EncodedFrame *frame_;
+    /** Per-row R prefix; an empty inner vector marks a row not yet built. */
+    std::vector<std::vector<u32>> rows_;
+};
+
+/**
+ * Resolve the source R pixel for a regional pixel (x, y) of `frame`.
+ *
+ * Implements the reconstruction semantics of §4.2.2 with a resampling
+ * buffer: an R pixel sources itself; an St pixel sources the nearest R at
+ * or to the left in the nearest row at or above it (searched up to
+ * `max_upscan` rows). For stride-s regions this yields exact s x s
+ * nearest-neighbour block replication. Returns nullopt when no source
+ * exists within the scan bound (the caller falls back to history or black).
+ */
+std::optional<PixelSource> findPixelSource(MaskPrefixCache &cache, i32 x,
+                                           i32 y, int max_upscan = 64);
 
 /** What the reference walk produced for one frame. */
 struct ReferenceDecode {
