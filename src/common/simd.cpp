@@ -1,6 +1,7 @@
 #include "common/simd.hpp"
 
 #include <atomic>
+#include <bit>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -37,12 +38,14 @@ struct KernelTable {
     void (*unpack)(const u8 *, size_t, size_t, u8 *);
     u32 (*count_r)(const u8 *, size_t, size_t);
     void (*lut)(u8 *, size_t, const u8 *);
+    void (*hamming)(const u8 *, const u8 *, size_t, u16 *);
 };
 
 constexpr KernelTable kScalarKernels = {
     detail::unpackMask2bppScalar,
     detail::countR2bppScalar,
     detail::applyLut256Scalar,
+    detail::hammingRow256Scalar,
 };
 
 #if defined(__x86_64__)
@@ -50,11 +53,13 @@ constexpr KernelTable kSse4Kernels = {
     detail::unpackMask2bppSse4,
     detail::countR2bppSse4,
     detail::applyLut256Sse4,
+    detail::hammingRow256Sse4,
 };
 constexpr KernelTable kAvx2Kernels = {
     detail::unpackMask2bppAvx2,
     detail::countR2bppAvx2,
     detail::applyLut256Avx2,
+    detail::hammingRow256Sse4,
 };
 #endif
 
@@ -63,6 +68,7 @@ constexpr KernelTable kNeonKernels = {
     detail::unpackMask2bppNeon,
     detail::countR2bppNeon,
     detail::applyLut256Neon,
+    detail::hammingRow256Scalar,
 };
 #endif
 
@@ -163,7 +169,8 @@ levelSupported(Level level)
         return true;
 #if defined(__x86_64__)
       case Level::Sse4:
-        return __builtin_cpu_supports("sse4.2") != 0;
+        return __builtin_cpu_supports("sse4.2") != 0 &&
+               __builtin_cpu_supports("popcnt") != 0;
       case Level::Avx2:
         return __builtin_cpu_supports("avx2") != 0;
 #endif
@@ -246,6 +253,14 @@ applyLut256(u8 *data, size_t count, const u8 *lut)
     kernels()->lut(data, count, lut);
 }
 
+void
+hammingRow256(const u8 *query, const u8 *pool, size_t n, u16 *out)
+{
+    if (n == 0)
+        return;
+    kernels()->hamming(query, pool, n, out);
+}
+
 namespace detail {
 
 void
@@ -310,6 +325,20 @@ applyLut256Scalar(u8 *data, size_t count, const u8 *lut)
 {
     for (size_t i = 0; i < count; ++i)
         data[i] = lut[data[i]];
+}
+
+void
+hammingRow256Scalar(const u8 *query, const u8 *pool, size_t n, u16 *out)
+{
+    u64 q[4];
+    std::memcpy(q, query, sizeof(q));
+    for (size_t i = 0; i < n; ++i) {
+        u64 p[4];
+        std::memcpy(p, pool + 32 * i, sizeof(p));
+        out[i] = static_cast<u16>(
+            std::popcount(q[0] ^ p[0]) + std::popcount(q[1] ^ p[1]) +
+            std::popcount(q[2] ^ p[2]) + std::popcount(q[3] ^ p[3]));
+    }
 }
 
 } // namespace detail

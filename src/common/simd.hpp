@@ -2,9 +2,10 @@
  * @file
  * Portable SIMD dispatch shim for the decode-path hot loops.
  *
- * Kernels here are the integer-exact inner loops the decoders and the ISP
- * lean on: 2-bit mask-code expansion, packed R-code population counts, and
- * 256-entry LUT application (gamma). Every kernel has a pure-scalar
+ * Kernels here are the integer-exact inner loops the decoders, the ISP and
+ * the descriptor matcher lean on: 2-bit mask-code expansion, packed R-code
+ * population counts, 256-entry LUT application (gamma) and 256-bit Hamming
+ * distance rows. Every kernel has a pure-scalar
  * reference implementation plus SSE4.1/AVX2 (x86) and NEON (aarch64)
  * variants that produce **bit-identical output** — they only reorganise
  * integer loads/shuffles, never change arithmetic — so switching levels can
@@ -89,6 +90,14 @@ u32 countR2bpp(const u8 *packed, size_t first, size_t count);
  */
 void applyLut256(u8 *data, size_t count, const u8 *lut);
 
+/**
+ * Hamming distances from one 32-byte (256-bit) descriptor to `n`
+ * contiguous 32-byte descriptors: out[i] = popcount(query ^ pool[i]),
+ * 0..256. Neither pointer needs any alignment. The ORB matcher takes one
+ * such row per query descriptor.
+ */
+void hammingRow256(const u8 *query, const u8 *pool, size_t n, u16 *out);
+
 namespace detail {
 
 // Per-level kernel implementations, exposed so the dispatcher (and the
@@ -99,12 +108,16 @@ void unpackMask2bppScalar(const u8 *packed, size_t first, size_t count,
                           u8 *out);
 u32 countR2bppScalar(const u8 *packed, size_t first, size_t count);
 void applyLut256Scalar(u8 *data, size_t count, const u8 *lut);
+void hammingRow256Scalar(const u8 *query, const u8 *pool, size_t n,
+                         u16 *out);
 
 #if defined(__x86_64__)
 void unpackMask2bppSse4(const u8 *packed, size_t first, size_t count,
                         u8 *out);
 u32 countR2bppSse4(const u8 *packed, size_t first, size_t count);
 void applyLut256Sse4(u8 *data, size_t count, const u8 *lut);
+// The Avx2 level reuses this body.
+void hammingRow256Sse4(const u8 *query, const u8 *pool, size_t n, u16 *out);
 
 void unpackMask2bppAvx2(const u8 *packed, size_t first, size_t count,
                         u8 *out);
@@ -117,6 +130,8 @@ void unpackMask2bppNeon(const u8 *packed, size_t first, size_t count,
                         u8 *out);
 u32 countR2bppNeon(const u8 *packed, size_t first, size_t count);
 void applyLut256Neon(u8 *data, size_t count, const u8 *lut);
+// The Neon level reuses hammingRow256Scalar: std::popcount on aarch64
+// already compiles to cnt.
 #endif
 
 } // namespace detail

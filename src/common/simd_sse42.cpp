@@ -11,6 +11,7 @@
 
 #include <nmmintrin.h>
 
+#include <bit>
 #include <cstring>
 
 namespace rpx::simd::detail {
@@ -148,6 +149,22 @@ applyLut256Sse4(u8 *data, size_t count, const u8 *lut)
     }
     for (; i < count; ++i)
         data[i] = lut[data[i]];
+}
+
+void
+hammingRow256Sse4(const u8 *query, const u8 *pool, size_t n, u16 *out)
+{
+    // hammingRow256Scalar's body: under -msse4.2 each std::popcount is
+    // one hardware popcnt instead of a libgcc call.
+    u64 q[4];
+    std::memcpy(q, query, sizeof(q));
+    for (size_t i = 0; i < n; ++i) {
+        u64 p[4];
+        std::memcpy(p, pool + 32 * i, sizeof(p));
+        out[i] = static_cast<u16>(
+            std::popcount(q[0] ^ p[0]) + std::popcount(q[1] ^ p[1]) +
+            std::popcount(q[2] ^ p[2]) + std::popcount(q[3] ^ p[3]));
+    }
 }
 
 } // namespace rpx::simd::detail

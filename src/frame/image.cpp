@@ -96,20 +96,64 @@ Image::resized(i32 w, i32 h, bool bilinear_filter) const
         return out;
     const double sx = static_cast<double>(width_) / w;
     const double sy = static_cast<double>(height_) / h;
+    const size_t ch = static_cast<size_t>(channels_);
+
+    // Each output pixel samples the source at the pixel center
+    // ((x + 0.5) * sx - 0.5, (y + 0.5) * sy - 0.5). The two source columns
+    // (rows) and the weight of the second depend on x (y) alone, so they
+    // are found once per column (row), with the border clamp applied.
+    struct Tap {
+        size_t i0; //!< first source column (row), clamped
+        size_t i1; //!< second source column (row), clamped
+        double a;  //!< weight of the second
+    };
+    const auto taps = [&](i32 n, double scale, i32 limit) {
+        std::vector<Tap> out_taps(static_cast<size_t>(n));
+        for (i32 i = 0; i < n; ++i) {
+            const double src = (i + 0.5) * scale - 0.5;
+            i32 i0, i1;
+            double a = 0.0;
+            if (bilinear_filter) {
+                const double f = std::floor(src);
+                i0 = static_cast<i32>(f);
+                i1 = i0 + 1;
+                a = src - f;
+            } else {
+                i0 = i1 = static_cast<i32>(std::lround(src));
+            }
+            out_taps[static_cast<size_t>(i)] = {
+                static_cast<size_t>(std::clamp(i0, 0, limit - 1)),
+                static_cast<size_t>(std::clamp(i1, 0, limit - 1)), a};
+        }
+        return out_taps;
+    };
+    const std::vector<Tap> cols = taps(w, sx, width_);
+    const std::vector<Tap> rows = taps(h, sy, height_);
+
     for (i32 y = 0; y < h; ++y) {
-        for (i32 x = 0; x < w; ++x) {
-            // Sample at the source-pixel center corresponding to (x, y).
-            const double src_x = (x + 0.5) * sx - 0.5;
-            const double src_y = (y + 0.5) * sy - 0.5;
-            for (int c = 0; c < channels_; ++c) {
+        const Tap &ty = rows[static_cast<size_t>(y)];
+        const u8 *r0 = row(static_cast<i32>(ty.i0));
+        const u8 *r1 = row(static_cast<i32>(ty.i1));
+        const double ay = ty.a;
+        u8 *dst = out.row(y);
+        for (const Tap &tx : cols) {
+            const size_t c0 = tx.i0 * ch;
+            const size_t c1 = tx.i1 * ch;
+            const double ax = tx.a;
+            for (size_t c = 0; c < ch; ++c) {
                 double v;
                 if (bilinear_filter) {
-                    v = bilinear(src_x, src_y, c);
+                    // Image::bilinear's expression, term for term.
+                    const double v00 = r0[c0 + c];
+                    const double v10 = r0[c1 + c];
+                    const double v01 = r1[c0 + c];
+                    const double v11 = r1[c1 + c];
+                    v = v00 * (1 - ax) * (1 - ay) + v10 * ax * (1 - ay) +
+                        v01 * (1 - ax) * ay + v11 * ax * ay;
                 } else {
-                    v = atClamped(static_cast<i32>(std::lround(src_x)),
-                                  static_cast<i32>(std::lround(src_y)), c);
+                    v = r0[c0 + c];
                 }
-                out.set(x, y, c, clampToU8(v));
+                *dst++ = clampToU8(v);
             }
         }
     }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -21,19 +22,21 @@ void
 FeaturePolicy::observe(const std::vector<OrbFeature> &features)
 {
     displacement_.assign(features.size(), -1.0); // unknown
-    if (!prev_features_.empty() && !features.empty()) {
-        const auto matches = matchDescriptors(descriptorsOf(features),
-                                              descriptorsOf(prev_features_));
+    std::vector<Descriptor> descriptors = descriptorsOf(features);
+    if (!current_.empty() && !features.empty()) {
+        // current_ still holds the previous observation here.
+        const auto matches =
+            matchDescriptors(descriptors, current_descriptors_);
         for (const auto &m : matches) {
             const auto &cur = features[m.query_index];
-            const auto &prev = prev_features_[m.train_index];
+            const auto &prev = current_[m.train_index];
             const double dx = cur.x - prev.x;
             const double dy = cur.y - prev.y;
             displacement_[m.query_index] = std::sqrt(dx * dx + dy * dy);
         }
     }
     current_ = features;
-    prev_features_ = features; // previous observation for the next round
+    current_descriptors_ = std::move(descriptors);
 }
 
 int

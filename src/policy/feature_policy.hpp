@@ -68,9 +68,9 @@ class FeaturePolicy
     i32 frame_w_;
     i32 frame_h_;
     FeaturePolicyConfig config_;
-    std::vector<OrbFeature> prev_features_;
+    std::vector<OrbFeature> current_; //!< the last observed features
+    std::vector<Descriptor> current_descriptors_; //!< their descriptors
     std::vector<double> displacement_; //!< per current feature, px/frame
-    std::vector<OrbFeature> current_;
 };
 
 } // namespace rpx

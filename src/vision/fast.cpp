@@ -1,6 +1,7 @@
 #include "vision/fast.hpp"
 
-#include <algorithm>
+#include <cstddef>
+#include <cstdlib>
 
 #include "common/error.hpp"
 
@@ -15,53 +16,18 @@ constexpr i32 kRing[16][2] = {
 };
 
 /**
- * Segment test: true when `arc` contiguous ring pixels are all brighter
- * than center + t or all darker than center - t. Also returns the score.
+ * True when the 16-bit ring mask holds `arc` circularly contiguous bits.
+ * AND-ing the doubled mask with its shifts leaves bit i set iff ring
+ * positions i .. i + arc - 1 (mod 16) are all set.
  */
 bool
-segmentTest(const Image &img, i32 x, i32 y, int t, int arc, float &score)
+hasArc(u32 mask, int arc)
 {
-    const int center = img.at(x, y);
-    int ring[16];
-    for (int i = 0; i < 16; ++i)
-        ring[i] = img.at(x + kRing[i][0], y + kRing[i][1]);
-
-    // Quick reject using the 4 compass points (standard FAST speedup).
-    // A contiguous arc of length `arc` must include at least
-    // floor(arc / 4) compass points (3 for FAST-12, 2 for FAST-9).
-    const int need = arc >= 12 ? 3 : 2;
-    int brighter4 = 0, darker4 = 0;
-    for (int i : {0, 4, 8, 12}) {
-        if (ring[i] >= center + t)
-            ++brighter4;
-        else if (ring[i] <= center - t)
-            ++darker4;
-    }
-    if (brighter4 < need && darker4 < need)
-        return false;
-
-    auto runs = [&](bool bright) {
-        int best = 0, run = 0;
-        for (int i = 0; i < 32; ++i) { // wrap twice for circular runs
-            const int v = ring[i & 15];
-            const bool hit =
-                bright ? (v >= center + t) : (v <= center - t);
-            run = hit ? run + 1 : 0;
-            best = std::max(best, run);
-            if (best >= 16)
-                break;
-        }
-        return std::min(best, 16);
-    };
-
-    if (runs(true) >= arc || runs(false) >= arc) {
-        float s = 0.0f;
-        for (int i = 0; i < 16; ++i)
-            s += static_cast<float>(std::abs(ring[i] - center));
-        score = s;
-        return true;
-    }
-    return false;
+    const u32 doubled = mask | (mask << 16);
+    u32 run = doubled;
+    for (int k = 1; k < arc && run != 0; ++k)
+        run &= doubled >> k;
+    return run != 0;
 }
 
 } // namespace
@@ -78,13 +44,46 @@ detectFast(const Image &gray, const FastOptions &options)
 
     const i32 w = gray.width();
     const i32 h = gray.height();
+    const int t = options.threshold;
+    const int arc = options.arc_length;
+    // A contiguous arc of `arc` ring pixels covers at least arc / 4 of the
+    // four compass points (0, 4, 8, 12), so fewer compass hits on both
+    // sides rule the pixel out before the other 12 ring pixels are read.
+    const int need = arc / 4;
+    std::ptrdiff_t ring[16];
+    for (int i = 0; i < 16; ++i)
+        ring[i] = static_cast<std::ptrdiff_t>(kRing[i][1]) * w + kRing[i][0];
+
     std::vector<Corner> raw;
     for (i32 y = 3; y < h - 3; ++y) {
+        const u8 *row = gray.row(y);
         for (i32 x = 3; x < w - 3; ++x) {
+            const u8 *p = row + x;
+            const int center = *p;
+            const int hi = center + t;
+            const int lo = center - t;
+            int brighter4 = 0, darker4 = 0;
+            for (int i = 0; i < 16; i += 4) {
+                const int v = p[ring[i]];
+                brighter4 += v >= hi;
+                darker4 += v <= lo;
+            }
+            if (brighter4 < need && darker4 < need)
+                continue;
+
+            u32 bright = 0, dark = 0;
+            for (int i = 0; i < 16; ++i) {
+                const int v = p[ring[i]];
+                bright |= static_cast<u32>(v >= hi) << i;
+                dark |= static_cast<u32>(v <= lo) << i;
+            }
+            if (!hasArc(bright, arc) && !hasArc(dark, arc))
+                continue;
+            // Score: sum of absolute ring differences, in ring order.
             float score = 0.0f;
-            if (segmentTest(gray, x, y, options.threshold,
-                            options.arc_length, score))
-                raw.push_back({x, y, score});
+            for (int i = 0; i < 16; ++i)
+                score += static_cast<float>(std::abs(p[ring[i]] - center));
+            raw.push_back({x, y, score});
         }
     }
     if (!options.nonmax || raw.empty())

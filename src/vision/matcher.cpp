@@ -2,34 +2,9 @@
 
 #include <limits>
 
+#include "common/simd.hpp"
+
 namespace rpx {
-
-namespace {
-
-struct Best {
-    int best = std::numeric_limits<int>::max();
-    int second = std::numeric_limits<int>::max();
-    size_t best_index = 0;
-};
-
-Best
-nearest(const Descriptor &d, const std::vector<Descriptor> &pool)
-{
-    Best out;
-    for (size_t i = 0; i < pool.size(); ++i) {
-        const int dist = hammingDistance(d, pool[i]);
-        if (dist < out.best) {
-            out.second = out.best;
-            out.best = dist;
-            out.best_index = i;
-        } else if (dist < out.second) {
-            out.second = dist;
-        }
-    }
-    return out;
-}
-
-} // namespace
 
 std::vector<Match>
 matchDescriptors(const std::vector<Descriptor> &query,
@@ -40,22 +15,53 @@ matchDescriptors(const std::vector<Descriptor> &query,
     if (query.empty() || train.empty())
         return matches;
 
+    // One distance row per query feeds both directions. Forward: the best
+    // and second-best train distance of the query. Backward: per train
+    // column, the nearest query so far; strict < keeps the lowest query
+    // index on ties, so after the last row it is the train descriptor's
+    // own nearest neighbour among the queries.
+    struct Forward {
+        int best = std::numeric_limits<int>::max();
+        int second = std::numeric_limits<int>::max();
+        size_t best_index = 0;
+    };
+    std::vector<Forward> fwd(query.size());
+    std::vector<u16> row(train.size());
+    std::vector<u16> col_best(train.size(), std::numeric_limits<u16>::max());
+    std::vector<size_t> col_query(train.size(), 0);
+    const u8 *pool = train.front().data();
     for (size_t qi = 0; qi < query.size(); ++qi) {
-        const Best fwd = nearest(query[qi], train);
-        if (fwd.best > options.max_distance)
+        simd::hammingRow256(query[qi].data(), pool, train.size(), row.data());
+        Forward &f = fwd[qi];
+        for (size_t ti = 0; ti < train.size(); ++ti) {
+            const int dist = row[ti];
+            if (dist < f.best) {
+                f.second = f.best;
+                f.best = dist;
+                f.best_index = ti;
+            } else if (dist < f.second) {
+                f.second = dist;
+            }
+            if (row[ti] < col_best[ti]) {
+                col_best[ti] = row[ti];
+                col_query[ti] = qi;
+            }
+        }
+    }
+
+    for (size_t qi = 0; qi < query.size(); ++qi) {
+        const Forward &f = fwd[qi];
+        if (f.best > options.max_distance)
             continue;
         if (options.ratio > 0.0 &&
-            fwd.second != std::numeric_limits<int>::max() &&
-            static_cast<double>(fwd.best) >=
-                options.ratio * static_cast<double>(fwd.second)) {
+            f.second != std::numeric_limits<int>::max() &&
+            static_cast<double>(f.best) >=
+                options.ratio * static_cast<double>(f.second)) {
             continue;
         }
-        if (options.cross_check) {
-            const Best back = nearest(train[fwd.best_index], query);
-            if (back.best_index != qi)
-                continue;
-        }
-        matches.push_back({qi, fwd.best_index, fwd.best});
+        if (options.cross_check && col_query[f.best_index] != qi)
+            continue;
+        matches.push_back({qi, f.best_index, f.best});
     }
     return matches;
 }

@@ -1,11 +1,11 @@
 #include "vision/orb.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/simd.hpp"
 #include "vision/fast.hpp"
 
 namespace rpx {
@@ -142,9 +142,8 @@ detectOrb(const Image &gray)
 int
 hammingDistance(const Descriptor &a, const Descriptor &b)
 {
-    int dist = 0;
-    for (size_t i = 0; i < a.size(); ++i)
-        dist += std::popcount(static_cast<unsigned>(a[i] ^ b[i]));
+    u16 dist = 0;
+    simd::hammingRow256(a.data(), b.data(), 1, &dist);
     return dist;
 }
 

@@ -22,6 +22,10 @@ namespace rpx {
 /** 256-bit binary descriptor. */
 using Descriptor = std::array<u8, 32>;
 
+// A vector<Descriptor>'s data() is then a packed pool of 32-byte rows, the
+// layout simd::hammingRow256 scans.
+static_assert(sizeof(Descriptor) == 32);
+
 /** An oriented multi-scale feature. */
 struct OrbFeature {
     double x = 0.0;      //!< base-image column

@@ -47,23 +47,29 @@ boxBlur3(const Image &gray)
     RPX_ASSERT(gray.channels() == 1, "boxBlur3 expects grayscale");
     if (gray.empty())
         return gray;
-    Image tmp(gray.width(), gray.height(), PixelFormat::Gray8);
-    Image out(gray.width(), gray.height(), PixelFormat::Gray8);
-    // Horizontal pass.
-    for (i32 y = 0; y < gray.height(); ++y) {
-        for (i32 x = 0; x < gray.width(); ++x) {
-            const int s = gray.atClamped(x - 1, y) + gray.atClamped(x, y) +
-                          gray.atClamped(x + 1, y);
-            tmp.set(x, y, static_cast<u8>(s / 3));
+    const i32 w = gray.width();
+    const i32 h = gray.height();
+    Image tmp(w, h, PixelFormat::Gray8);
+    Image out(w, h, PixelFormat::Gray8);
+    // Horizontal pass; the border pixel stands in for its missing
+    // neighbour (clamp-to-edge).
+    for (i32 y = 0; y < h; ++y) {
+        const u8 *src = gray.row(y);
+        u8 *dst = tmp.row(y);
+        for (i32 x = 0; x < w; ++x) {
+            const i32 xl = x > 0 ? x - 1 : 0;
+            const i32 xr = x + 1 < w ? x + 1 : w - 1;
+            dst[x] = static_cast<u8>((src[xl] + src[x] + src[xr]) / 3);
         }
     }
     // Vertical pass.
-    for (i32 y = 0; y < gray.height(); ++y) {
-        for (i32 x = 0; x < gray.width(); ++x) {
-            const int s = tmp.atClamped(x, y - 1) + tmp.atClamped(x, y) +
-                          tmp.atClamped(x, y + 1);
-            out.set(x, y, static_cast<u8>(s / 3));
-        }
+    for (i32 y = 0; y < h; ++y) {
+        const u8 *up = tmp.row(y > 0 ? y - 1 : 0);
+        const u8 *mid = tmp.row(y);
+        const u8 *down = tmp.row(y + 1 < h ? y + 1 : h - 1);
+        u8 *dst = out.row(y);
+        for (i32 x = 0; x < w; ++x)
+            dst[x] = static_cast<u8>((up[x] + mid[x] + down[x]) / 3);
     }
     return out;
 }

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -164,6 +165,56 @@ TEST(Simd, AllInputByteValuesThroughLut)
             ASSERT_EQ(got[static_cast<size_t>(i)],
                       static_cast<u8>(255 - i))
                 << levelName(level);
+    }
+}
+
+/** Byte-wise reference: popcount of each XOR-ed byte, bit by bit. */
+u16
+referenceHamming(const u8 *a, const u8 *b)
+{
+    u16 dist = 0;
+    for (size_t i = 0; i < 32; ++i)
+        for (u8 x = static_cast<u8>(a[i] ^ b[i]); x != 0; x &= x - 1)
+            ++dist;
+    return dist;
+}
+
+TEST(Simd, HammingRowMatchesReferenceAtEveryLevel)
+{
+    // The pool starts one byte into its buffer, so every descriptor sits
+    // at an odd address; the query is likewise offset.
+    const size_t kMax = 500;
+    std::vector<u8> pool_buf = randomPacked(32 * kMax + 1, 33);
+    std::vector<u8> query_buf = randomPacked(33, 34);
+    u8 *pool = pool_buf.data() + 1;
+    const u8 *query = query_buf.data() + 1;
+    // All-zero and all-one descriptors at both ends of the pool.
+    std::fill(pool, pool + 32, u8{0});
+    std::fill(pool + 32, pool + 64, u8{0xff});
+    std::copy(query, query + 32, pool + 64);
+    for (const Level level : supportedLevels()) {
+        ScopedLevel guard(level);
+        ASSERT_TRUE(guard.ok()) << levelName(level);
+        for (const size_t n : {size_t{0}, size_t{1}, size_t{7}, kMax}) {
+            std::vector<u16> got(n + 1, 0xbeef);
+            hammingRow256(query, pool, n, got.data());
+            for (size_t i = 0; i < n; ++i)
+                ASSERT_EQ(got[i], referenceHamming(query, pool + 32 * i))
+                    << levelName(level) << " n=" << n << " i=" << i;
+            EXPECT_EQ(got[n], 0xbeef) << "wrote past n=" << n;
+        }
+        // The extremes: 0 to itself, 256 between complements.
+        const u8 *zeros = pool;
+        const u8 *ones = pool + 32;
+        u16 d[3];
+        hammingRow256(zeros, pool, 3, d);
+        EXPECT_EQ(d[0], 0) << levelName(level);
+        EXPECT_EQ(d[1], 256) << levelName(level);
+        hammingRow256(ones, pool, 3, d);
+        EXPECT_EQ(d[0], 256) << levelName(level);
+        EXPECT_EQ(d[1], 0) << levelName(level);
+        hammingRow256(query, pool + 64, 1, d);
+        EXPECT_EQ(d[0], 0) << levelName(level);
     }
 }
 

@@ -113,6 +113,40 @@ TEST(Decoder, HistoryMissFallsBackToBlack)
     EXPECT_GT(rig.decoder.stats().history_misses, 0u);
 }
 
+TEST(Decoder, HistoryOffsetsPastPayloadTotalAreMisses)
+{
+    // An unsealed store lets a history frame whose mask and row offsets
+    // disagree through validation. Frame 0 samples rows 0..6 and frame 1
+    // skips them. In DRAM, frame 0's offset for row 7 is rewritten to
+    // equal row 6's: row 6 now counts 0 entries, the payload total drops
+    // to 48, and the mask's R codes in row 6 resolve to offsets 48..55,
+    // past the total. Those pixels must miss, not read the slot's stale
+    // bytes.
+    DecoderRig rig(8, 8);
+    const Image f0 = rampFrame(8, 8);
+    const std::vector<RegionLabel> labels = {{0, 0, 8, 7, 1, 2, 0}};
+    rig.push(f0, 0, labels);
+    rig.push(f0, 1, labels);
+    ASSERT_FALSE(rig.store.metadataCrcEnabled());
+
+    const StoredFrameAddrs *past = rig.store.recentAddrs(1);
+    u8 row6[sizeof(u32)];
+    rig.dram.read(past->offsets.base + 6 * sizeof(u32), row6, sizeof(row6));
+    ASSERT_EQ(row6[0], 48); // 6 full rows of 8 before it
+    rig.dram.write(past->offsets.base + 7 * sizeof(u32), row6, sizeof(row6));
+
+    const auto px = rig.decoder.requestPixels(0, 5, 16);
+    for (i32 x = 0; x < 8; ++x) {
+        EXPECT_EQ(px[static_cast<size_t>(x)], f0.at(x, 5)) << x;
+        EXPECT_EQ(px[static_cast<size_t>(8 + x)], 0) << x;
+    }
+    const DecoderStats &s = rig.decoder.stats();
+    EXPECT_EQ(s.history_hits, 8u);
+    EXPECT_EQ(s.history_misses, 8u);
+    EXPECT_EQ(s.frames_quarantined, 0u);
+    EXPECT_EQ(s.validation_failures, 0u);
+}
+
 TEST(Decoder, MatchesSoftwareDecoderOnMixedScene)
 {
     const i32 w = 48, h = 40;

@@ -1,7 +1,11 @@
 /** @file Unit tests for the Image container. */
 
+#include <cmath>
+#include <string>
+
 #include <gtest/gtest.h>
 
+#include "common/rng.hpp"
 #include "frame/image.hpp"
 
 namespace rpx {
@@ -90,6 +94,63 @@ TEST(Image, ResizeDownUniform)
     for (i32 y = 0; y < 4; ++y)
         for (i32 x = 0; x < 4; ++x)
             EXPECT_EQ(half.at(x, y), 77);
+}
+
+/**
+ * Resize oracle: the per-pixel, per-channel loop that samples through the
+ * bounds-clamped Image::bilinear / Image::atClamped accessors.
+ */
+Image
+oracleResized(const Image &src, i32 w, i32 h, bool bilinear_filter)
+{
+    Image out(w, h, src.format());
+    const double sx = static_cast<double>(src.width()) / w;
+    const double sy = static_cast<double>(src.height()) / h;
+    for (i32 y = 0; y < h; ++y) {
+        for (i32 x = 0; x < w; ++x) {
+            const double src_x = (x + 0.5) * sx - 0.5;
+            const double src_y = (y + 0.5) * sy - 0.5;
+            for (int c = 0; c < src.channels(); ++c) {
+                const double v =
+                    bilinear_filter
+                        ? src.bilinear(src_x, src_y, c)
+                        : src.atClamped(
+                              static_cast<i32>(std::lround(src_x)),
+                              static_cast<i32>(std::lround(src_y)), c);
+                out.set(x, y, c, clampToU8(v));
+            }
+        }
+    }
+    return out;
+}
+
+TEST(Image, ResizedMatchesPerPixelOracle)
+{
+    Rng rng(4242);
+    const std::pair<i32, i32> sources[] = {
+        {37, 23}, {1, 9}, {9, 1}, {1, 1}, {64, 48}};
+    const std::pair<i32, i32> targets[] = {
+        {11, 7}, {80, 51}, {1, 6}, {6, 1}, {1, 1}, {37, 23}, {21, 40}};
+    for (const PixelFormat fmt : {PixelFormat::Gray8, PixelFormat::Rgb8}) {
+        for (const auto &[sw, sh] : sources) {
+            Image src(sw, sh, fmt);
+            for (u8 &v : src.data())
+                v = static_cast<u8>(rng.uniformInt(0, 255));
+            for (const auto &[tw, th] : targets) {
+                for (const bool bilinear : {true, false}) {
+                    const std::string what =
+                        std::to_string(sw) + "x" + std::to_string(sh) +
+                        " -> " + std::to_string(tw) + "x" +
+                        std::to_string(th) + " ch " +
+                        std::to_string(src.channels()) +
+                        (bilinear ? " bilinear" : " nearest");
+                    EXPECT_EQ(src.resized(tw, th, bilinear),
+                              oracleResized(src, tw, th, bilinear))
+                        << what;
+                }
+            }
+        }
+    }
 }
 
 TEST(Image, ResizeRejectsNonPositive)

@@ -86,6 +86,43 @@ TEST(BoxBlur, SmoothsStep)
     EXPECT_LT(blurred.at(5, 1), 90);
 }
 
+/** Box-blur oracle: both passes through the clamped accessor. */
+Image
+oracleBoxBlur3(const Image &gray)
+{
+    Image tmp(gray.width(), gray.height(), PixelFormat::Gray8);
+    Image out(gray.width(), gray.height(), PixelFormat::Gray8);
+    for (i32 y = 0; y < gray.height(); ++y)
+        for (i32 x = 0; x < gray.width(); ++x)
+            tmp.set(x, y,
+                    static_cast<u8>((gray.atClamped(x - 1, y) +
+                                     gray.atClamped(x, y) +
+                                     gray.atClamped(x + 1, y)) /
+                                    3));
+    for (i32 y = 0; y < gray.height(); ++y)
+        for (i32 x = 0; x < gray.width(); ++x)
+            out.set(x, y,
+                    static_cast<u8>((tmp.atClamped(x, y - 1) +
+                                     tmp.atClamped(x, y) +
+                                     tmp.atClamped(x, y + 1)) /
+                                    3));
+    return out;
+}
+
+TEST(BoxBlur, MatchesClampedOracle)
+{
+    Rng rng(31);
+    for (const i32 w : {1, 2, 3, 17}) {
+        for (const i32 h : {1, 2, 3, 11}) {
+            Image img(w, h);
+            for (u8 &v : img.data())
+                v = static_cast<u8>(rng.uniformInt(0, 255));
+            EXPECT_EQ(boxBlur3(img), oracleBoxBlur3(img))
+                << w << "x" << h;
+        }
+    }
+}
+
 TEST(Orb, DetectsFeaturesOnTexture)
 {
     const auto features = detectOrb(texturedScene(3));
