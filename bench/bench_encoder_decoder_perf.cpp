@@ -34,6 +34,7 @@
 #include "core/parallel_decoder.hpp"
 #include "core/sw_decoder.hpp"
 #include "frame/draw.hpp"
+#include "isp/isp_pipeline.hpp"
 #include "memory/dram.hpp"
 #include "obs/bench_report.hpp"
 #include "obs/perf_registry.hpp"
@@ -113,6 +114,78 @@ BM_EncoderFullFrame(benchmark::State &state)
                             static_cast<i64>(w) * h);
 }
 BENCHMARK(BM_EncoderFullFrame)->Arg(640)->Arg(1280)->Arg(1920);
+
+/**
+ * SLAM-like encode: 450 overlapping feature regions (sides 24–128, the
+ * feature policy's octave strides 1–4 and skips 1–3) on a 640x480
+ * frame, with per-region attribution on as under telemetry. Plan and
+ * write both run per frame (the rhythm changes the plan every frame).
+ */
+void
+BM_EncoderStridedOverlap640x480(benchmark::State &state)
+{
+    const i32 w = 640, h = 480;
+    const Image frame = noiseFrame(w, h);
+    Rng rng(11);
+    std::vector<RegionLabel> regions;
+    for (i64 i = 0; i < state.range(0); ++i) {
+        const i32 side = static_cast<i32>(rng.uniformInt(24, 128));
+        RegionLabel r{static_cast<i32>(rng.uniformInt(0, w - 24)),
+                      static_cast<i32>(rng.uniformInt(0, h - 24)),
+                      side, side,
+                      static_cast<i32>(rng.uniformInt(1, 4)),
+                      static_cast<i32>(rng.uniformInt(1, 3)), 0};
+        r.w = std::min(r.w, w - r.x);
+        r.h = std::min(r.h, h - r.y);
+        regions.push_back(r);
+    }
+    sortRegionsByY(regions);
+    RhythmicEncoder enc(w, h);
+    enc.setRegionLabels(regions);
+    enc.enableRegionAttribution(true);
+    FrameIndex t = 0;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(enc.encodeFrame(frame, t++));
+    state.counters["ns/px"] = benchmark::Counter(
+        static_cast<double>(enc.stats().pixels_in),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+    state.counters["kept_frac"] =
+        static_cast<double>(enc.stats().pixels_encoded) /
+        static_cast<double>(enc.stats().pixels_in);
+}
+BENCHMARK(BM_EncoderStridedOverlap640x480)->Arg(450)
+    ->Unit(benchmark::kMillisecond);
+
+/**
+ * The capture-side ISP of the foveated 1080p layout (stride-1 480x272
+ * fovea over a stride-4, skip-2 periphery): gray output at the frame
+ * plan's kept pixels only, on a frame that samples the periphery.
+ */
+void
+BM_IspGrayFoveated1080p(benchmark::State &state)
+{
+    const i32 w = 1920, h = 1080;
+    Image raw(w, h, PixelFormat::BayerRggb);
+    Rng rng(3);
+    for (u8 &v : raw.data())
+        v = static_cast<u8>(rng.uniformInt(0, 255));
+    std::vector<RegionLabel> labels = {{0, 0, w, h, 4, 2, 0},
+                                       {720, 404, 480, 272, 1, 1, 0}};
+    sortRegionsByY(labels);
+    RhythmicEncoder enc(w, h);
+    enc.setRegionLabels(labels);
+    const KeptRunPlan &plan = enc.planFrame(0);
+    IspPipeline isp;
+    Image gray;
+    for (auto _ : state) {
+        isp.processKept(raw, plan, gray);
+        benchmark::DoNotOptimize(gray.data().data());
+        benchmark::ClobberMemory();
+    }
+    state.counters["kept_frac"] = static_cast<double>(plan.kept()) /
+                                  (static_cast<double>(w) * h);
+}
+BENCHMARK(BM_IspGrayFoveated1080p)->Unit(benchmark::kMillisecond);
 
 /** Hardware decoder: row-transaction service over a region workload. */
 void

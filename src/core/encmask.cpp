@@ -72,26 +72,6 @@ EncMask::encodedInRow(i32 y) const
     return encodedBefore(width_, y);
 }
 
-void
-EncMask::blitRows(const EncMask &src, i32 y0)
-{
-    if (src.width_ != width_)
-        throwInvalid("blitRows width mismatch: ", src.width_, " vs ",
-                     width_);
-    if (y0 < 0 || y0 + src.height_ > height_)
-        throwInvalid("blitRows rows [", y0, ", ", y0 + src.height_,
-                     ") outside mask of height ", height_);
-    const size_t start_bit =
-        static_cast<size_t>(y0) * static_cast<size_t>(width_) * 2;
-    RPX_ASSERT(start_bit % 8 == 0,
-               "blitRows start row must be byte-aligned (y0 % 4 == 0)");
-    // src's trailing byte may be partial; the unused high bits are zero and
-    // the copy either ends the destination (last band) or is followed by a
-    // band whose start is byte-aligned, so no destination bits straddle.
-    std::copy(src.bits_.begin(), src.bits_.end(),
-              bits_.begin() + static_cast<std::ptrdiff_t>(start_bit / 8));
-}
-
 std::array<u64, 4>
 EncMask::histogram() const
 {

@@ -18,6 +18,7 @@
 #define RPX_CORE_ENCMASK_HPP
 
 #include <array>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -79,11 +80,7 @@ class EncMask
     void
     set(i32 x, i32 y, PixelCode code)
     {
-        const size_t bit = bitIndex(x, y);
-        u8 &byte = bits_[bit >> 3];
-        byte = static_cast<u8>(
-            (byte & ~(0b11u << (bit & 7))) |
-            (static_cast<u8>(code) << (bit & 7)));
+        setBits(bitIndex(x, y), static_cast<unsigned>(code));
     }
 
     /** Number of R codes in row y strictly before column x. */
@@ -102,17 +99,62 @@ class EncMask
     const std::vector<u8> &bytes() const { return bits_; }
 
     /**
-     * Copy every row of `src` (same width) into this mask starting at row
-     * `y0` — the ParallelEncoder's shard-stitching primitive. Requires the
-     * destination bit offset of row y0 to be byte-aligned (true whenever
-     * y0 is a multiple of 4, since 4 rows occupy exactly w bytes) so the
-     * copy is a straight byte move instead of a bit shuffle.
+     * Set columns [x0, x0 + n) of row y to `code`: whole bytes of the run
+     * are stored as replicated code bytes, and only a partial byte at
+     * either end is read back.
      */
-    void blitRows(const EncMask &src, i32 y0);
+    void
+    fillRun(i32 y, i32 x0, i32 n, PixelCode code)
+    {
+        if (n <= 0)
+            return;
+        RPX_ASSERT(x0 >= 0 && x0 + n <= width_,
+                   "EncMask::fillRun out of row");
+        size_t bit = bitIndex(x0, y);
+        const size_t end = bit + 2 * static_cast<size_t>(n);
+        const unsigned c = static_cast<unsigned>(code);
+        for (; bit < end && (bit & 7) != 0; bit += 2)
+            setBits(bit, c);
+        if (end - bit >= 8) {
+            const size_t whole = (end - bit) / 8;
+            std::memset(bits_.data() + bit / 8, static_cast<int>(c * 0x55),
+                        whole);
+            bit += whole * 8;
+        }
+        for (; bit < end; bit += 2)
+            setBits(bit, c);
+    }
+
+    /**
+     * Set `count` columns x, x + step, ... of row y to R. R is the
+     * all-ones code, so each column is one OR.
+     */
+    void
+    markR(i32 y, i32 x, u32 count, i32 step)
+    {
+        if (count == 0)
+            return;
+        const i64 last = x + static_cast<i64>(step) * (count - 1);
+        RPX_ASSERT(x >= 0 && step > 0 && last < width_ && y >= 0 &&
+                       y < height_,
+                   "EncMask::markR out of bounds");
+        size_t bit = bitIndex(x, y);
+        const size_t bit_step = 2 * static_cast<size_t>(step);
+        for (u32 i = 0; i < count; ++i, bit += bit_step)
+            bits_[bit >> 3] |= static_cast<u8>(0b11u << (bit & 7));
+    }
 
     bool operator==(const EncMask &) const = default;
 
   private:
+    void
+    setBits(size_t bit, unsigned code)
+    {
+        u8 &byte = bits_[bit >> 3];
+        byte = static_cast<u8>((byte & ~(0b11u << (bit & 7))) |
+                               (code << (bit & 7)));
+    }
+
     size_t
     bitIndex(i32 x, i32 y) const
     {

@@ -1,6 +1,9 @@
 #include "core/encoder.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
+#include <numeric>
 
 #include "common/error.hpp"
 
@@ -33,6 +36,7 @@ RhythmicEncoder::setRegionLabels(std::vector<RegionLabel> regions)
         sortRegionsByY(regions);
     }
     regions_ = std::move(regions);
+    plan_.invalidate();
 }
 
 PixelCode
@@ -80,125 +84,287 @@ RegionAttribution::reset(size_t regions)
     comparisons.assign(regions, 0);
 }
 
+namespace {
+
+/**
+ * Visit the set bits of (a & b) in words [w0, w1] in ascending order;
+ * f(bit) returns true to stop.
+ */
+template <class F>
 void
-RegionAttribution::accumulate(const RegionAttribution &other)
+forEachBit(const std::vector<u64> &a, const std::vector<u64> &b, size_t w0,
+           size_t w1, F &&f)
 {
-    if (other.empty())
-        return;
-    if (empty())
-        reset(other.kept.size());
-    RPX_ASSERT(kept.size() == other.kept.size(),
-               "attribution region-count mismatch");
-    for (size_t i = 0; i < kept.size(); ++i) {
-        kept[i] += other.kept[i];
-        comparisons[i] += other.comparisons[i];
+    for (size_t i = w0; i <= w1; ++i) {
+        for (u64 bits = a[i] & b[i]; bits; bits &= bits - 1) {
+            if (f(static_cast<u32>(i * 64) + std::countr_zero(bits)))
+                return;
+        }
     }
 }
 
+} // namespace
+
 void
-RhythmicEncoder::buildShortlist(i32 row, FrameIndex t,
-                                std::vector<ShortlistEntry> &out,
-                                EncoderStats *stats) const
+RhythmicEncoder::buildPlan(FrameIndex t, KeptRunPlan &plan,
+                           EncoderStats &work, RegionAttribution *attr) const
 {
-    out.clear();
-    // The list is y-sorted, so the selector stops at the first region that
-    // starts below this row; everything examined before that is counted as
-    // selector work (once per row, §4.1.1).
-    for (const auto &r : regions_) {
-        if (r.y > row)
-            break;
-        if (stats)
-            ++stats->selector_examined;
-        if (r.rect().containsRow(row))
-            out.push_back({&r, r.activeAt(t), r.rowOnStride(row)});
+    const i32 w = frame_w_;
+    const u64 uw = static_cast<u64>(w);
+    const bool hybrid = config_.mode == ComparisonMode::Hybrid;
+    plan.begin(w, frame_h_, t);
+    work.reset();
+    if (attr)
+        attr->reset(regions_.size());
+
+    // Bit sets over label indices (list order): the frame's active
+    // labels, and per row the grids on the row and their stride-1 subset.
+    // A row only reads the words of its live labels' index window.
+    const size_t label_words = (regions_.size() + 63) / 64;
+    plan.active_.assign(label_words, 0);
+    plan.grid_.assign(label_words, 0);
+    plan.stride1_.assign(label_words, 0);
+    plan.cover_.assign(label_words, 0);
+    for (size_t i = 0; i < regions_.size(); ++i)
+        if (regions_[i].activeAt(t))
+            plan.active_[i / 64] |= u64{1} << (i % 64);
+
+    // The boundary sweep's events stay sorted by column from row to row:
+    // a live label enters at its first column and leaves at its end,
+    // both clamped to the row.
+    auto &events = plan.events_;
+    events.clear();
+    const auto byColumn = [](const KeptRunPlan::Event &e, i32 x) {
+        return e.x < x;
+    };
+    const auto editEvents = [&](u32 label, bool add) {
+        const RegionLabel &r = regions_[label];
+        const i32 lo = std::clamp(r.x, 0, w);
+        const i32 hi = std::clamp(r.x + r.w, 0, w);
+        if (lo >= hi)
+            return;
+        for (const i32 x : {lo, hi}) {
+            auto it = std::lower_bound(events.begin(), events.end(), x,
+                                       byColumn);
+            if (add) {
+                events.insert(it, {x, label});
+                continue;
+            }
+            while (it->label != label)
+                ++it;
+            events.erase(it);
+        }
+    };
+
+    auto &live = plan.live_;
+    live.clear();
+    size_t next = 0; // first label that starts below the row
+
+    for (i32 y = 0; y < frame_h_; ++y) {
+        // RoI selector. The list is y-sorted, so the hardware stops at the
+        // first region that starts below this row, having examined every
+        // region before it (selector work, once per row, §4.1.1). The
+        // regions whose rows cover y are that prefix minus the ones that
+        // already ended; `live` carries them from row to row in list order.
+        for (; next < regions_.size() && regions_[next].y <= y; ++next) {
+            live.push_back(static_cast<u32>(next));
+            editEvents(static_cast<u32>(next), true);
+        }
+        work.selector_examined += next;
+        std::erase_if(live, [&](u32 i) {
+            if (y < regions_[i].y + regions_[i].h)
+                return false;
+            editEvents(i, false);
+            return true;
+        });
+
+        // Work accounting by mode: the naive engine checks every label
+        // for every pixel of every row (attributed for the whole frame
+        // below); the row-sublist engine checks the shortlist for every
+        // pixel; the hybrid engine scans the shortlist once per span,
+        // reuses the result across the span, and per pixel checks the
+        // span's stride grids in list order until one matches.
+        const u64 k = live.size();
+        u64 row_comparisons =
+            config_.mode == ComparisonMode::Naive
+                ? static_cast<u64>(regions_.size()) * uw
+                : 0;
+        if (k == 0) {
+            ++work.rows_skipped;
+            work.region_comparisons += row_comparisons;
+            chargeRowCycles(row_comparisons, work);
+            plan.endRow(0); // mask rows default to N
+            continue;
+        }
+        ++work.rows_with_regions;
+
+        const size_t w0 = live.front() / 64;
+        const size_t w1 = live.back() / 64;
+        for (size_t i = w0; i <= w1; ++i)
+            plan.grid_[i] = plan.stride1_[i] = plan.cover_[i] = 0;
+        for (const u32 i : live) {
+            const RegionLabel &r = regions_[i];
+            const u64 bit = u64{1} << (i % 64);
+            if ((plan.active_[i / 64] & bit) && r.rowOnStride(y)) {
+                plan.grid_[i / 64] |= bit;
+                if (r.stride == 1)
+                    plan.stride1_[i / 64] |= bit;
+            }
+        }
+
+        u64 spans = 0;
+        u32 row_kept = 0;
+        size_t ev = 0;
+        for (i32 a = 0; a < w; ++spans) {
+            // Labels that start or end at column a toggle in or out; the
+            // span runs to the next boundary with that covering set.
+            for (; ev < events.size() && events[ev].x == a; ++ev)
+                plan.cover_[events[ev].label / 64] ^=
+                    u64{1} << (events[ev].label % 64);
+            const i32 b = ev < events.size() ? events[ev].x : w;
+            const i32 n = b - a;
+            const i32 x0 = a;
+            a = b;
+
+            u64 any_cover = 0;
+            u64 any_active = 0;
+            i64 stride1 = -1; // first stride-1 grid covering the span
+            for (size_t i = w0; i <= w1; ++i) {
+                const u64 c = plan.cover_[i];
+                any_cover |= c;
+                any_active |= c & plan.active_[i];
+                if (stride1 < 0 && (c & plan.stride1_[i]))
+                    stride1 = static_cast<i64>(i * 64) +
+                              std::countr_zero(c & plan.stride1_[i]);
+            }
+            if (!any_cover)
+                continue; // span stays N
+
+            KeptSpan span;
+            span.x0 = x0;
+            span.x1 = b;
+            span.base = any_active ? PixelCode::St : PixelCode::Sk;
+            span.off_begin = static_cast<u32>(plan.offsets_.size());
+            if (stride1 >= 0) {
+                // The whole span is R, claimed by the first stride-1 grid
+                // with no per-pixel check.
+                plan.offsets_.push_back(0);
+                span.kept = static_cast<u32>(n);
+                if (attr)
+                    attr->kept[static_cast<size_t>(stride1)] +=
+                        static_cast<u64>(n);
+            } else {
+                planSpanByWalk(x0, b, w0, w1, plan, attr, row_comparisons,
+                               span);
+            }
+            row_kept += span.kept;
+            span.off_count =
+                static_cast<u32>(plan.offsets_.size()) - span.off_begin;
+            plan.spans_.push_back(span);
+        }
+
+        if (config_.mode == ComparisonMode::RowSublist) {
+            row_comparisons = k * uw;
+            if (attr)
+                for (const u32 i : live)
+                    attr->comparisons[i] += uw;
+        } else if (hybrid) {
+            row_comparisons += k * spans;
+            if (attr)
+                for (const u32 i : live)
+                    attr->comparisons[i] += spans;
+            work.run_reuses += uw - spans; // span - 1 per span
+        }
+        work.region_comparisons += row_comparisons;
+        chargeRowCycles(row_comparisons, work);
+        plan.endRow(row_kept);
     }
+    if (attr && config_.mode == ComparisonMode::Naive) {
+        for (u64 &c : attr->comparisons)
+            c += uw * static_cast<u64>(frame_h_);
+    }
+    plan.valid_ = true;
+}
+
+void
+RhythmicEncoder::planSpanByWalk(i32 a, i32 b, size_t w0, size_t w1,
+                                KeptRunPlan &plan, RegionAttribution *attr,
+                                u64 &row_comparisons, KeptSpan &span) const
+{
+    // Whether column a + j is on a grid, and which grid matches first,
+    // repeats with the lcm of the covering strides; one period (or the
+    // whole span, if shorter) gives every count, each column weighted by
+    // how often it recurs in the span.
+    const i32 n = b - a;
+    i64 period = 1;
+    forEachBit(plan.cover_, plan.grid_, w0, w1, [&](u32 label) {
+        period = std::min<i64>(
+            std::lcm(period, i64{regions_[label].stride}), n);
+        return false;
+    });
+    span.period = static_cast<i32>(period);
+    const auto reps = [&](i32 j) {
+        return static_cast<u64>((n - 1 - j) / span.period) + 1;
+    };
+    // Grids in list order: each is checked at every pixel no earlier grid
+    // matched, and keeps the ones of its columns no earlier grid claimed.
+    auto &claimed = plan.claimed_;
+    claimed.assign(static_cast<size_t>(span.period), 0);
+    u64 unmatched = static_cast<u64>(n);
+    forEachBit(plan.cover_, plan.grid_, w0, w1, [&](u32 label) {
+        const RegionLabel &r = regions_[label];
+        if (config_.mode == ComparisonMode::Hybrid) {
+            row_comparisons += unmatched;
+            if (attr)
+                attr->comparisons[label] += unmatched;
+        }
+        u64 kept = 0;
+        const i32 first = (r.stride - (a - r.x) % r.stride) % r.stride;
+        for (i32 j = first; j < span.period; j += r.stride) {
+            if (!claimed[static_cast<size_t>(j)]) {
+                claimed[static_cast<size_t>(j)] = 1;
+                kept += reps(j);
+            }
+        }
+        if (attr)
+            attr->kept[label] += kept;
+        unmatched -= kept;
+        return unmatched == 0;
+    });
+    span.kept = static_cast<u32>(static_cast<u64>(n) - unmatched);
+    for (i32 j = 0; j < span.period; ++j)
+        if (claimed[static_cast<size_t>(j)])
+            plan.offsets_.push_back(j);
+}
+
+const KeptRunPlan &
+RhythmicEncoder::planFrame(FrameIndex t)
+{
+    if (!plan_.valid() || plan_.frame() != t)
+        buildPlan(t, plan_, plan_work_,
+                  attribute_regions_ ? &plan_attr_ : nullptr);
+    return plan_;
 }
 
 RhythmicEncoder::FrameSummary
 RhythmicEncoder::summarizeFrame(FrameIndex t) const
 {
+    KeptRunPlan plan;
+    EncoderStats work;
+    buildPlan(t, plan, work, nullptr);
+
     FrameSummary sum;
-    const i32 w = frame_w_;
-    std::vector<ShortlistEntry> shortlist;
-    std::vector<i32> edges;
-
+    u64 covered = 0;
     for (i32 y = 0; y < frame_h_; ++y) {
-        buildShortlist(y, t, shortlist, nullptr);
-        if (shortlist.empty()) {
-            sum.n += static_cast<u64>(w);
-            continue;
-        }
-        edges.clear();
-        edges.push_back(0);
-        edges.push_back(w);
-        for (const auto &e : shortlist) {
-            const i32 lo = std::clamp(e.region->x, 0, w);
-            const i32 hi = std::clamp(e.region->x + e.region->w, 0, w);
-            if (lo < hi) {
-                edges.push_back(lo);
-                edges.push_back(hi);
-            }
-        }
-        std::sort(edges.begin(), edges.end());
-        edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-
-        for (size_t s = 0; s + 1 < edges.size(); ++s) {
-            const i32 a = edges[s];
-            const i32 b = edges[s + 1];
-            const u64 span = static_cast<u64>(b - a);
-
-            bool any_cover = false;
-            bool any_active = false;
-            bool stride1 = false;
-            std::vector<const RegionLabel *> grid;
-            for (const auto &e : shortlist) {
-                const i32 lo = e.region->x;
-                const i32 hi = e.region->x + e.region->w;
-                if (a < lo || a >= hi)
-                    continue;
-                any_cover = true;
-                if (e.active) {
-                    any_active = true;
-                    if (e.row_on_stride) {
-                        grid.push_back(e.region);
-                        if (e.region->stride == 1)
-                            stride1 = true;
-                    }
-                }
-            }
-            if (!any_cover) {
-                sum.n += span;
-                continue;
-            }
-            u64 r_count = 0;
-            if (stride1) {
-                r_count = span;
-            } else if (grid.size() == 1) {
-                // Count multiples of the stride inside [a, b).
-                const i32 s0 = grid[0]->stride;
-                const i32 rx = grid[0]->x;
-                const i32 rem = ((a - rx) % s0 + s0) % s0;
-                const i32 first = rem == 0 ? a : a + (s0 - rem);
-                if (first < b)
-                    r_count = static_cast<u64>((b - 1 - first) / s0) + 1;
-            } else if (!grid.empty()) {
-                // Rare overlap of several strided grids: exact per-pixel.
-                for (i32 x = a; x < b; ++x) {
-                    for (const RegionLabel *g : grid) {
-                        if ((x - g->x) % g->stride == 0) {
-                            ++r_count;
-                            break;
-                        }
-                    }
-                }
-            }
-            sum.r += r_count;
-            if (any_active)
-                sum.st += span - r_count;
-            else
-                sum.sk += span - r_count;
+        for (const KeptSpan &s : plan.spans(y)) {
+            const u64 width = static_cast<u64>(s.width());
+            covered += width;
+            sum.r += s.kept;
+            (s.base == PixelCode::St ? sum.st : sum.sk) += width - s.kept;
         }
     }
+    sum.n = static_cast<u64>(frame_w_) * static_cast<u64>(frame_h_) -
+            covered;
     sum.metadata_bytes =
         (static_cast<Bytes>(frame_w_) * frame_h_ * 2 + 7) / 8 +
         static_cast<Bytes>(frame_h_) * sizeof(u32);
@@ -222,212 +388,65 @@ RhythmicEncoder::chargeRowCycles(u64 row_comparisons,
     stats.compare_cycles += std::max(stream_cycles, engine_cycles);
 }
 
-void
-RhythmicEncoder::encodeRow(const Image &gray, i32 y,
-                           const std::vector<ShortlistEntry> &shortlist,
-                           EncMask &mask, i32 mask_y, std::vector<u8> &pixels,
-                           u32 &row_count, EncoderStats &stats,
-                           RegionAttribution *attr) const
+EncodedFrame
+RhythmicEncoder::openFrame() const
 {
-    row_count = 0;
-    const i32 w = frame_w_;
-    const u8 *row = gray.row(y);
-
-    // Attribution slot for a shortlist/grid pointer (they point into
-    // regions_, so pointer arithmetic recovers the label index).
-    const auto slot = [this](const RegionLabel *r) {
-        return static_cast<size_t>(r - regions_.data());
-    };
-
-    if (shortlist.empty()) {
-        ++stats.rows_skipped;
-        u64 row_comparisons = 0;
-        if (config_.mode == ComparisonMode::Naive) {
-            // The naive engine still checks every region for every pixel
-            // of a region-free row; that work occupies engine cycles too.
-            row_comparisons =
-                static_cast<u64>(regions_.size()) * static_cast<u64>(w);
-            if (attr) {
-                for (size_t i = 0; i < regions_.size(); ++i)
-                    attr->comparisons[i] += static_cast<u64>(w);
-            }
-        }
-        stats.region_comparisons += row_comparisons;
-        chargeRowCycles(row_comparisons, stats);
-        // Mask rows default to N; nothing to emit.
-        return;
-    }
-    ++stats.rows_with_regions;
-
-    // Boundary sweep: split the row into spans with a constant covering set
-    // of shortlisted regions. Within a span only x-stride checks vary, which
-    // is exactly the locality the hardware sampler exploits.
-    std::vector<i32> edges;
-    edges.reserve(shortlist.size() * 2 + 2);
-    edges.push_back(0);
-    edges.push_back(w);
-    for (const auto &e : shortlist) {
-        const i32 lo = std::clamp(e.region->x, 0, w);
-        const i32 hi = std::clamp(e.region->x + e.region->w, 0, w);
-        if (lo < hi) {
-            edges.push_back(lo);
-            edges.push_back(hi);
-        }
-    }
-    std::sort(edges.begin(), edges.end());
-    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-
-    u64 row_comparisons = 0;
-    for (size_t s = 0; s + 1 < edges.size(); ++s) {
-        const i32 a = edges[s];
-        const i32 b = edges[s + 1];
-        const i32 span = b - a;
-
-        // Covering set for this span.
-        bool any_cover = false;
-        bool any_active = false;
-        const RegionLabel *stride1_region = nullptr;
-        std::vector<const RegionLabel *> grid_regions;
-        for (const auto &e : shortlist) {
-            const i32 lo = e.region->x;
-            const i32 hi = e.region->x + e.region->w;
-            if (a < lo || a >= hi)
-                continue;
-            any_cover = true;
-            if (e.active) {
-                any_active = true;
-                if (e.row_on_stride) {
-                    grid_regions.push_back(e.region);
-                    if (e.region->stride == 1 && !stride1_region)
-                        stride1_region = e.region;
-                }
-            }
-        }
-
-        // Work accounting by mode. One sublist scan happens per span
-        // (hybrid), per pixel (row-sublist), or against the full region
-        // list per pixel (naive). Attribution mirrors each charge exactly
-        // so per-region comparisons sum back to region_comparisons.
-        switch (config_.mode) {
-          case ComparisonMode::Naive:
-            row_comparisons +=
-                static_cast<u64>(regions_.size()) * static_cast<u64>(span);
-            if (attr) {
-                for (size_t i = 0; i < regions_.size(); ++i)
-                    attr->comparisons[i] += static_cast<u64>(span);
-            }
-            break;
-          case ComparisonMode::RowSublist:
-            row_comparisons +=
-                static_cast<u64>(shortlist.size()) * static_cast<u64>(span);
-            if (attr) {
-                for (const auto &e : shortlist)
-                    attr->comparisons[slot(e.region)] +=
-                        static_cast<u64>(span);
-            }
-            break;
-          case ComparisonMode::Hybrid:
-            row_comparisons += shortlist.size();
-            if (attr) {
-                for (const auto &e : shortlist)
-                    attr->comparisons[slot(e.region)] += 1;
-            }
-            if (span > 1)
-                stats.run_reuses += static_cast<u64>(span - 1);
-            break;
-        }
-
-        if (!any_cover)
-            continue; // span stays N
-
-        const PixelCode base =
-            any_active ? PixelCode::St : PixelCode::Sk;
-
-        if (stride1_region) {
-            // Fast path: the entire span is R; attribution claims it for
-            // the first stride-1 region covering the span (deterministic,
-            // and independent of which overlapping grid happens to match
-            // a given x first).
-            for (i32 x = a; x < b; ++x) {
-                mask.set(x, mask_y, PixelCode::R);
-                pixels.push_back(row[x]);
-                ++row_count;
-            }
-            if (attr)
-                attr->kept[slot(stride1_region)] += static_cast<u64>(span);
-            continue;
-        }
-
-        for (i32 x = a; x < b; ++x) {
-            PixelCode code = base;
-            for (const RegionLabel *r : grid_regions) {
-                if (config_.mode == ComparisonMode::Hybrid) {
-                    ++row_comparisons;
-                    if (attr)
-                        attr->comparisons[slot(r)] += 1;
-                }
-                if ((x - r->x) % r->stride == 0) {
-                    code = PixelCode::R;
-                    if (attr)
-                        attr->kept[slot(r)] += 1;
-                    break;
-                }
-            }
-            if (code != PixelCode::N)
-                mask.set(x, mask_y, code);
-            if (code == PixelCode::R) {
-                pixels.push_back(row[x]);
-                ++row_count;
-            }
-        }
-    }
-
-    stats.region_comparisons += row_comparisons;
-    chargeRowCycles(row_comparisons, stats);
+    RPX_ASSERT(plan_.valid(), "openFrame needs a planned frame");
+    EncodedFrame out;
+    out.index = plan_.frame();
+    out.width = frame_w_;
+    out.height = frame_h_;
+    out.mask = EncMask(frame_w_, frame_h_);
+    out.pixels.resize(static_cast<size_t>(plan_.kept()));
+    out.offsets = RowOffsets(frame_h_);
+    for (i32 y = 0; y < frame_h_; ++y)
+        out.offsets.setRowCount(y, plan_.rowKept(y));
+    return out;
 }
 
 void
-RhythmicEncoder::encodeBand(const Image &gray, FrameIndex t, i32 y0, i32 y1,
-                            BandShard &out) const
+RhythmicEncoder::encodeRows(const Image &gray, i32 y0, i32 y1,
+                            EncodedFrame &out) const
 {
-    RPX_ASSERT(y0 >= 0 && y0 < y1 && y1 <= frame_h_,
-               "encodeBand row range out of frame");
-    out.y0 = y0;
-    out.y1 = y1;
-    out.mask = EncMask(frame_w_, y1 - y0);
-    out.pixels.clear();
-    out.row_counts.assign(static_cast<size_t>(y1 - y0), 0);
-    out.work.reset();
-    out.attr.reset(attribute_regions_ ? regions_.size() : 0);
-    RegionAttribution *attr = attribute_regions_ ? &out.attr : nullptr;
-
-    std::vector<ShortlistEntry> shortlist;
+    RPX_ASSERT(y0 >= 0 && y0 <= y1 && y1 <= frame_h_,
+               "encodeRows row range out of frame");
     for (i32 y = y0; y < y1; ++y) {
-        buildShortlist(y, t, shortlist, &out.work);
-        u32 row_count = 0;
-        encodeRow(gray, y, shortlist, out.mask, y - y0, out.pixels,
-                  row_count, out.work, attr);
-        out.row_counts[static_cast<size_t>(y - y0)] = row_count;
+        const u8 *src = gray.row(y);
+        u8 *dst = out.pixels.data() + out.offsets.offsetOf(y);
+        for (const KeptSpan &s : plan_.spans(y)) {
+            if (s.allKept()) {
+                out.mask.fillRun(y, s.x0, s.width(), PixelCode::R);
+                std::memcpy(dst, src + s.x0, s.kept);
+                dst += s.kept;
+                continue;
+            }
+            out.mask.fillRun(y, s.x0, s.width(), s.base);
+            plan_.forEachRun(s, [&](i32 x, u32 count, i32 step) {
+                out.mask.markR(y, x, count, step);
+                for (u32 i = 0; i < count; ++i, x += step)
+                    *dst++ = src[x];
+            });
+        }
     }
 }
 
 void
-RhythmicEncoder::commitFrameStats(const EncodedFrame &out, u64 pixels_in,
-                                  const EncoderStats &work,
-                                  const RegionAttribution *attr)
+RhythmicEncoder::commitFrame(const EncodedFrame &out)
 {
-    stats_.accumulate(work);
+    const u64 pixels_in =
+        static_cast<u64>(frame_w_) * static_cast<u64>(frame_h_);
+    stats_.accumulate(plan_work_);
     ++stats_.frames;
     stats_.pixels_in += pixels_in;
     stats_.pixels_encoded += out.pixels.size();
     if (attribute_regions_)
-        last_attr_ = attr ? *attr : RegionAttribution{};
+        last_attr_ = plan_attr_;
     if (obs_frames_) {
         obs_frames_->inc();
         obs_pixels_in_->add(pixels_in);
         obs_pixels_kept_->add(out.pixels.size());
-        obs_comparisons_->add(work.region_comparisons);
-        obs_compare_cycles_->add(work.compare_cycles);
+        obs_comparisons_->add(plan_work_.region_comparisons);
+        obs_compare_cycles_->add(plan_work_.compare_cycles);
     }
 }
 
@@ -441,25 +460,12 @@ RhythmicEncoder::encodeFrame(const Image &gray, FrameIndex t)
                      gray.height(), ", configured ", frame_w_, "x",
                      frame_h_);
 
-    // The serial path is a single whole-frame band: the exact code the
-    // ParallelEncoder fans out per band, which is what makes serial and
-    // parallel output byte-identical by construction.
-    BandShard shard;
-    shard.pixels.reserve(static_cast<size_t>(frame_w_) * 4);
-    encodeBand(gray, t, 0, frame_h_, shard);
-
-    EncodedFrame out;
-    out.index = t;
-    out.width = frame_w_;
-    out.height = frame_h_;
-    out.mask = std::move(shard.mask);
-    out.pixels = std::move(shard.pixels);
-    out.offsets = RowOffsets(frame_h_);
-    for (i32 y = 0; y < frame_h_; ++y)
-        out.offsets.setRowCount(y, shard.row_counts[static_cast<size_t>(y)]);
-
-    commitFrameStats(out, static_cast<u64>(gray.pixelCount()), shard.work,
-                     &shard.attr);
+    // The serial path is one whole-frame band: the exact code the
+    // ParallelEncoder fans out per band, over the same plan.
+    planFrame(t);
+    EncodedFrame out = openFrame();
+    encodeRows(gray, 0, frame_h_, out);
+    commitFrame(out);
     return out;
 }
 

@@ -19,6 +19,13 @@
  * Functional output is identical across comparison modes; the modes differ
  * in the *work accounting* (comparison counts, cycles), which is what the
  * paper's scalability evaluation (Table 5 and §6.2/§6.3) is about.
+ *
+ * The software encoder does not walk pixels to model this. Once per frame
+ * it plans the rows (KeptRunPlan): the kept columns of a span repeat with
+ * the period of its stride grids, so one period gives the span's kept
+ * offsets, its per-pixel comparison count and its per-region attribution
+ * in closed form. Writing the frame is then a mask fill per span plus a
+ * gather of the kept pixels.
  */
 
 #ifndef RPX_CORE_ENCODER_HPP
@@ -27,6 +34,7 @@
 #include <vector>
 
 #include "core/encoded_frame.hpp"
+#include "core/kept_plan.hpp"
 #include "core/region.hpp"
 #include "frame/image.hpp"
 #include "obs/obs.hpp"
@@ -73,7 +81,7 @@ struct EncoderStats {
 
     /**
      * Fold another stats block into this one (all counters are additive).
-     * Used to merge per-band shard stats into frame totals.
+     * Used to fold a planned frame's work into the running totals.
      */
     void accumulate(const EncoderStats &other);
 };
@@ -88,8 +96,8 @@ struct EncoderStats {
  *   sum(comparisons) == EncoderStats::region_comparisons
  * An R pixel claimed by several overlapping grids is attributed to the
  * region the comparison engine matched first (the sweep's break target);
- * the stride-1 fast path attributes its whole span to the first stride-1
- * region covering it — the same region the per-pixel loop would match.
+ * a span covered by a stride-1 grid is attributed whole to the first
+ * stride-1 region covering it.
  */
 struct RegionAttribution {
     std::vector<u64> kept;        //!< R pixels attributed to each region
@@ -145,6 +153,17 @@ class RhythmicEncoder
      */
     EncodedFrame encodeFrame(const Image &gray, FrameIndex t);
 
+    /**
+     * Plan frame `t` under the current labels: the kept runs of every
+     * row, plus the frame's work counters and (when enabled) per-region
+     * attribution, all in closed form. A plan for the same `t` is reused
+     * until setRegionLabels() or enableRegionAttribution() changes what
+     * it depends on, so the capture stage can plan the frame for the
+     * kept-pixel ISP and encodeFrame() then reuses it. Storage is reused
+     * from frame to frame: a warm plan allocates nothing.
+     */
+    const KeptRunPlan &planFrame(FrameIndex t);
+
     /** Per-code pixel counts of one frame (analytic, no pixel payload). */
     struct FrameSummary {
         u64 r = 0;   //!< encoded pixels
@@ -158,47 +177,38 @@ class RhythmicEncoder
 
     /**
      * Compute the per-code pixel counts the current label list would
-     * produce at frame `t`, without touching pixel data. Exactly matches
-     * what encodeFrame() would emit; used by the throughput simulator to
-     * evaluate 4K-scale traces quickly (§5.3.1).
+     * produce at frame `t`, without touching pixel data: the span totals
+     * of the same plan encodeFrame() writes from. Used by the throughput
+     * simulator to evaluate 4K-scale traces quickly (§5.3.1).
      */
     FrameSummary summarizeFrame(FrameIndex t) const;
 
     /**
-     * One horizontally-stitchable slice of an encoded frame: the rows
-     * [y0, y1) encoded exactly as encodeFrame() would, with the mask and
-     * row counts rebased to the band (mask row 0 == frame row y0) and all
-     * work counters accumulated into a band-local stats block.
+     * The output frame of the current plan before any pixel is written:
+     * an all-N mask, a payload sized to the plan's kept count and the
+     * row offsets the plan fixes. encodeRows() fills it in.
      */
-    struct BandShard {
-        i32 y0 = 0;                  //!< first frame row of the band
-        i32 y1 = 0;                  //!< one past the last frame row
-        EncMask mask;                //!< (frame_w, y1 - y0) band mask
-        std::vector<u8> pixels;      //!< packed band payload, raster order
-        std::vector<u32> row_counts; //!< encoded pixels per band row
-        EncoderStats work;           //!< band-local work counters
-        /** Band-local per-region work; empty unless attribution enabled. */
-        RegionAttribution attr;
-    };
+    EncodedFrame openFrame() const;
 
     /**
-     * Encode rows [y0, y1) of `gray` into `out`. Thread-safe: const, and
-     * all mutable state lives in the shard, so disjoint bands of the same
-     * frame can be encoded concurrently (the ParallelEncoder's fan-out).
-     * encodeFrame() is itself one whole-frame band plus commitFrameStats().
+     * Write rows [y0, y1) of the planned frame into `out` (from
+     * openFrame()): each span's mask run as replicated code bytes, then
+     * the kept columns' R codes and pixels, gathered from `gray` with one
+     * copy per all-kept span or a strided copy. Thread-safe for disjoint
+     * bands that start on multiples of 4 rows: it is const, reads the
+     * plan only, and each band's mask bytes and payload slice are its
+     * own (the ParallelEncoder's fan-out).
      */
-    void encodeBand(const Image &gray, FrameIndex t, i32 y0, i32 y1,
-                    BandShard &out) const;
+    void encodeRows(const Image &gray, i32 y0, i32 y1,
+                    EncodedFrame &out) const;
 
     /**
-     * Fold one frame's worth of band work counters plus the assembled
-     * output into stats_ and the attached obs counters. ParallelEncoder
-     * calls this once per frame after stitching its shards, which keeps
-     * serial and parallel stats bit-identical.
+     * Fold the planned frame's work counters and the assembled output
+     * into stats_, the attribution snapshot and the attached obs
+     * counters. encodeFrame() and ParallelEncoder both end with it, so
+     * their stats are the plan's by construction.
      */
-    void commitFrameStats(const EncodedFrame &out, u64 pixels_in,
-                          const EncoderStats &work,
-                          const RegionAttribution *attr = nullptr);
+    void commitFrame(const EncodedFrame &out);
 
     /**
      * Toggle per-region work attribution (off by default: the hot loops
@@ -206,7 +216,13 @@ class RhythmicEncoder
      * non-telemetry path cost-free). When on, each encoded frame also
      * fills lastFrameAttribution().
      */
-    void enableRegionAttribution(bool on) { attribute_regions_ = on; }
+    void
+    enableRegionAttribution(bool on)
+    {
+        if (on != attribute_regions_)
+            plan_.invalidate();
+        attribute_regions_ = on;
+    }
     bool regionAttributionEnabled() const { return attribute_regions_; }
 
     /**
@@ -248,30 +264,23 @@ class RhythmicEncoder
     bool withinCycleBudget() const;
 
   private:
-    /** Row-shortlist entry with per-frame/per-row precomputation. */
-    struct ShortlistEntry {
-        const RegionLabel *region;
-        bool active;        //!< temporal rhythm samples this frame
-        bool row_on_stride; //!< row matches the vertical stride
-    };
-
     /**
-     * RoI-selector pass for one row. When `stats` is non-null, regions the
-     * selector examined are counted there (the analytic summarizeFrame()
-     * passes null: it models output, not work).
+     * Plan frame `t` into `plan`: per row, the RoI selector's shortlist,
+     * the spans of constant covering set and their kept offsets over one
+     * period of the covering grids, with comparisons, reuses and cycles
+     * charged in closed form into `work` (and `attr` when non-null).
      */
-    void buildShortlist(i32 row, FrameIndex t,
-                        std::vector<ShortlistEntry> &out,
-                        EncoderStats *stats) const;
-    /**
-     * Encode one row into a band-local mask/payload. `mask_y` is the row's
-     * position inside `mask` (bands rebase their rows to 0).
-     */
-    void encodeRow(const Image &gray, i32 y,
-                   const std::vector<ShortlistEntry> &shortlist,
-                   EncMask &mask, i32 mask_y, std::vector<u8> &pixels,
-                   u32 &row_count, EncoderStats &stats,
+    void buildPlan(FrameIndex t, KeptRunPlan &plan, EncoderStats &work,
                    RegionAttribution *attr) const;
+    /**
+     * Kept offsets, kept count, hybrid grid checks and attribution of
+     * span [a, b) (covering set in the plan's sweep state, label words
+     * [w0, w1]) from one period of the covering grids, each column
+     * weighted by how often it recurs in the span.
+     */
+    void planSpanByWalk(i32 a, i32 b, size_t w0, size_t w1,
+                        KeptRunPlan &plan, RegionAttribution *attr,
+                        u64 &row_comparisons, KeptSpan &span) const;
     /** Per-row cycle model: stream time vs comparison-engine time. */
     void chargeRowCycles(u64 row_comparisons, EncoderStats &stats) const;
 
@@ -282,6 +291,9 @@ class RhythmicEncoder
     EncoderStats stats_;
     bool attribute_regions_ = false;
     RegionAttribution last_attr_;
+    KeptRunPlan plan_;            //!< the current frame's plan
+    EncoderStats plan_work_;      //!< its work counters
+    RegionAttribution plan_attr_; //!< its attribution (when enabled)
 
     // Cached counter handles; null when no observer is attached.
     obs::Counter *obs_frames_ = nullptr;

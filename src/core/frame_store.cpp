@@ -57,8 +57,7 @@ FrameStore::store(EncodedFrame frame)
         const u32 row_end = (y + 1 < frame.height)
                                 ? frame.offsets.offsetOf(y + 1)
                                 : frame.offsets.total();
-        for (u32 i = row_start; i < row_end; ++i)
-            dma.push(frame.pixels[i]);
+        dma.push(frame.pixels.data() + row_start, row_end - row_start);
         dma.flush();
         cursor += row_end - row_start;
     }

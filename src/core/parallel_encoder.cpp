@@ -62,52 +62,23 @@ ParallelEncoder::encodeFrame(const Image &gray, FrameIndex t)
                      gray.height(), ", configured ", frameWidth(), "x",
                      frameHeight());
 
+    // Plan and shape the frame once; the bands only read the plan and
+    // write their own rows, so stats, mask and payload are the serial
+    // encoder's by construction.
+    serial_.planFrame(t);
+    EncodedFrame out = serial_.openFrame();
     const auto ranges =
         partition(frameHeight(), threads_, min_band_rows_);
-    shards_.resize(ranges.size());
-
-    // Fan out: one encodeBand job per band. encodeBand is const over the
-    // shared encoder state (regions, config) and writes only its shard.
     std::vector<std::future<void>> pending;
     pending.reserve(ranges.size());
-    for (size_t b = 0; b < ranges.size(); ++b) {
-        pending.push_back(pool_->submit([this, &gray, t, b, &ranges] {
-            serial_.encodeBand(gray, t, ranges[b].first, ranges[b].second,
-                               shards_[b]);
+    for (const auto &[y0, y1] : ranges) {
+        pending.push_back(pool_->submit([this, &gray, &out, y0, y1] {
+            serial_.encodeRows(gray, y0, y1, out);
         }));
     }
     for (auto &f : pending)
         f.get(); // propagates worker exceptions
-
-    // Stitch: bands are already in raster order, so concatenating the
-    // shard payloads and masks reproduces the serial byte stream.
-    EncodedFrame out;
-    out.index = t;
-    out.width = frameWidth();
-    out.height = frameHeight();
-    out.mask = EncMask(frameWidth(), frameHeight());
-    out.offsets = RowOffsets(frameHeight());
-
-    size_t total_pixels = 0;
-    for (const auto &shard : shards_)
-        total_pixels += shard.pixels.size();
-    out.pixels.reserve(total_pixels);
-
-    EncoderStats work;
-    RegionAttribution attr;
-    for (const auto &shard : shards_) {
-        out.mask.blitRows(shard.mask, shard.y0);
-        out.pixels.insert(out.pixels.end(), shard.pixels.begin(),
-                          shard.pixels.end());
-        for (i32 y = shard.y0; y < shard.y1; ++y)
-            out.offsets.setRowCount(
-                y, shard.row_counts[static_cast<size_t>(y - shard.y0)]);
-        work.accumulate(shard.work);
-        attr.accumulate(shard.attr);
-    }
-
-    serial_.commitFrameStats(out, static_cast<u64>(gray.pixelCount()),
-                             work, &attr);
+    serial_.commitFrame(out);
     return out;
 }
 

@@ -5,19 +5,17 @@
  * The paper's Table 5 contrasts a *parallel* comparison engine (one lane
  * per region bank) with the hybrid shortlist design; this class is the
  * software analogue of that parallelism at the row level: the frame is
- * partitioned into horizontal bands, each band is encoded independently on
- * a persistent thread pool via RhythmicEncoder::encodeBand, and the band
- * shards are stitched back into one EncodedFrame.
+ * planned once (RhythmicEncoder::planFrame), partitioned into horizontal
+ * bands, and each band's rows are written on a persistent thread pool via
+ * RhythmicEncoder::encodeRows straight into the one output frame.
  *
  * Output is byte-identical to the serial RhythmicEncoder for every
  * comparison mode, because
- *  - each band runs the exact serial per-row code over its own rows,
- *  - rows never share output state (pixels are per-row runs, mask rows are
- *    disjoint, row offsets are per-row counts), and
+ *  - the plan fixes every row's payload offset, mask codes and work
+ *    counters before any band runs, and the bands only read it;
+ *  - each band runs the exact serial per-row code over its own rows; and
  *  - bands start at multiples of 4 rows, so each band's mask bits occupy a
- *    disjoint whole-byte range and stitching is a straight byte copy.
- * Work counters are additive per row, so summing the band-local stats
- * reproduces the serial stats (and obs counters) exactly.
+ *    disjoint whole-byte range and no two bands write the same byte.
  */
 
 #ifndef RPX_CORE_PARALLEL_ENCODER_HPP
@@ -92,10 +90,9 @@ class ParallelEncoder
     void attachObs(obs::ObsContext *ctx) { serial_.attachObs(ctx); }
 
     /**
-     * Per-region attribution passthrough. Band shards attribute rows
-     * independently and the merge is an elementwise sum, so parallel
-     * attribution is bit-identical to serial (same invariants: kept sums
-     * to pixels_encoded, comparisons to region_comparisons).
+     * Per-region attribution passthrough. Attribution comes from the
+     * frame's plan, which the bands share, so it is the serial encoder's
+     * whatever the band split.
      */
     void enableRegionAttribution(bool on)
     {
@@ -108,6 +105,12 @@ class ParallelEncoder
     const RegionAttribution &lastFrameAttribution() const
     {
         return serial_.lastFrameAttribution();
+    }
+
+    /** Plan frame `t` (see RhythmicEncoder::planFrame). */
+    const KeptRunPlan &planFrame(FrameIndex t)
+    {
+        return serial_.planFrame(t);
     }
 
     RhythmicEncoder::FrameSummary summarizeFrame(FrameIndex t) const
@@ -125,8 +128,6 @@ class ParallelEncoder
     i32 min_band_rows_;
     /** Null when threads_ == 1. */
     std::unique_ptr<ThreadPool> pool_;
-    /** Reused per frame to avoid reallocating shard storage. */
-    std::vector<RhythmicEncoder::BandShard> shards_;
 };
 
 } // namespace rpx

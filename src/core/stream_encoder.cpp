@@ -4,22 +4,33 @@
 
 namespace rpx {
 
+namespace {
+
+/** The streaming front-end sorts an unsorted label list itself. */
+RhythmicEncoder::Config
+sortingConfig(RhythmicEncoder::Config config)
+{
+    config.require_sorted = false;
+    return config;
+}
+
+} // namespace
+
 StreamingEncoder::StreamingEncoder(i32 frame_w, i32 frame_h,
                                    const RhythmicEncoder::Config &config)
-    : frame_w_(frame_w), frame_h_(frame_h), config_(config),
+    : frame_w_(frame_w), frame_h_(frame_h),
+      planner_(frame_w, frame_h, sortingConfig(config)),
       fifo_(config.fifo_depth)
 {
-    if (frame_w <= 0 || frame_h <= 0)
-        throwInvalid("streaming encoder geometry must be positive");
 }
 
 void
 StreamingEncoder::setRegionLabels(std::vector<RegionLabel> regions)
 {
-    validateRegions(regions, frame_w_, frame_h_);
-    if (!regionsSortedByY(regions))
-        sortRegionsByY(regions);
-    regions_ = std::move(regions);
+    // The frame in flight reads its plan row by row; labels bind per frame.
+    if (in_frame_)
+        throwRuntime("setRegionLabels while a frame is in flight");
+    planner_.setRegionLabels(std::move(regions));
 }
 
 void
@@ -27,10 +38,10 @@ StreamingEncoder::beginFrame(FrameIndex t)
 {
     RPX_ASSERT(!in_frame_, "beginFrame while a frame is in flight");
     in_frame_ = true;
-    frame_index_ = t;
     beats_consumed_ = 0;
     current_row_ = -1;
     row_count_ = 0;
+    plan_ = &planner_.planFrame(t);
 
     EncodedFrame frame;
     frame.index = t;
@@ -70,16 +81,9 @@ StreamingEncoder::startRow(i32 row)
     }
     current_row_ = row;
     row_count_ = 0;
-
-    // RoI selector: shortlist regions covering this row (y-sorted list).
-    shortlist_.clear();
-    for (const auto &r : regions_) {
-        if (r.y > row)
-            break;
-        if (r.rect().containsRow(row))
-            shortlist_.push_back(
-                {&r, r.activeAt(frame_index_), r.rowOnStride(row)});
-    }
+    row_spans_ = plan_->spans(row);
+    span_cursor_ = 0;
+    last_x_ = -1;
 }
 
 void
@@ -91,23 +95,19 @@ StreamingEncoder::processBeat(const PixelBeat &beat)
     if (beat.y != current_row_)
         startRow(beat.y);
 
-    // Comparison engine + sampler on the shortlist.
+    // Sampler: the beat's code from the row's planned spans. Beats come
+    // in raster order, so the cursor only moves right; a beat behind the
+    // last one rewinds it.
+    if (beat.x < last_x_)
+        span_cursor_ = 0;
+    last_x_ = beat.x;
+    while (span_cursor_ < row_spans_.size() &&
+           beat.x >= row_spans_[span_cursor_].x1)
+        ++span_cursor_;
     PixelCode code = PixelCode::N;
-    for (const auto &e : shortlist_) {
-        if (beat.x < e.region->x ||
-            beat.x >= e.region->x + e.region->w)
-            continue;
-        if (e.active) {
-            if (e.row_on_stride &&
-                (beat.x - e.region->x) % e.region->stride == 0) {
-                code = PixelCode::R;
-                break;
-            }
-            code = PixelCode::St;
-        } else if (code == PixelCode::N) {
-            code = PixelCode::Sk;
-        }
-    }
+    if (span_cursor_ < row_spans_.size() &&
+        beat.x >= row_spans_[span_cursor_].x0)
+        code = plan_->codeAt(row_spans_[span_cursor_], beat.x);
 
     if (code != PixelCode::N)
         current_->mask.set(beat.x, beat.y, code);

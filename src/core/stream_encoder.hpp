@@ -42,7 +42,10 @@ class StreamingEncoder
     {
     }
 
-    /** Program the region label list (y-sorted, like the hardware). */
+    /**
+     * Program the region label list (sorted by y here when it is not).
+     * Labels bind per frame: throws while a frame is in flight.
+     */
     void setRegionLabels(std::vector<RegionLabel> regions);
 
     /** Arm the encoder for frame index `t`. */
@@ -76,7 +79,7 @@ class StreamingEncoder
 
     const std::vector<RegionLabel> &regionLabels() const
     {
-        return regions_;
+        return planner_.regionLabels();
     }
 
     /**
@@ -91,25 +94,23 @@ class StreamingEncoder
 
     i32 frame_w_;
     i32 frame_h_;
-    RhythmicEncoder::Config config_;
-    std::vector<RegionLabel> regions_;
+    /** Owns the labels and plans each frame; its stats stay unused. */
+    RhythmicEncoder planner_;
     Fifo<PixelBeat> fifo_;
 
     // Per-frame state.
     bool in_frame_ = false;
-    FrameIndex frame_index_ = 0;
     std::optional<EncodedFrame> current_;
     u64 beats_consumed_ = 0;
 
-    // Sequencer + RoI-selector state for the active row.
+    // Sequencer state for the active row: its planned spans and the
+    // cursor at the first span not yet left behind.
+    const KeptRunPlan *plan_ = nullptr;
     i32 current_row_ = -1;
     u32 row_count_ = 0;
-    struct RowEntry {
-        const RegionLabel *region;
-        bool active;
-        bool row_on_stride;
-    };
-    std::vector<RowEntry> shortlist_;
+    std::span<const KeptSpan> row_spans_;
+    size_t span_cursor_ = 0;
+    i32 last_x_ = -1;
 
     // Cached counter handles; null when no observer is attached.
     obs::Counter *obs_frames_ = nullptr;

@@ -97,7 +97,11 @@ CaptureStage::run(FrameTask &task) const
                                        "isp", "pipeline",
                                        obs::TraceLane::Isp, task.index,
                                        tele ? &task.lat_isp : nullptr);
-            task.gray = s.isp().process(raw);
+            // The labels are bound, so the frame is planned here and the
+            // ISP computes only the pixels the encoder will keep; the
+            // encode stage reuses the same plan.
+            s.isp().processKept(raw, s.encoder().planFrame(task.index),
+                                task.gray);
         }
     } else {
         {

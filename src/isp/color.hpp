@@ -27,14 +27,6 @@ Image yuvToRgb(const YuvImage &yuv);
 /** RGB -> luma-only (same weights as Image::toGray, provided for symmetry). */
 Image rgbToGray(const Image &rgb);
 
-/**
- * rgbToGray into a caller-owned image (re-shaped, allocation reused).
- * Bit-identical to Image::toGray — the BT.601 double-precision weighting
- * is pinned by tests, which is why this stays scalar (see
- * src/common/simd.hpp).
- */
-void rgbToGrayInto(const Image &rgb, Image &gray);
-
 } // namespace rpx
 
 #endif // RPX_ISP_COLOR_HPP

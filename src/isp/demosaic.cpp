@@ -38,20 +38,24 @@ neighborAverage(const Image &bayer, i32 x, i32 y, int want)
 
 } // namespace
 
+void
+demosaicSite(const Image &bayer, i32 x, i32 y, u8 *rgb)
+{
+    const int own = siteColor(x, y);
+    for (int c = 0; c < 3; ++c)
+        rgb[c] = (c == own) ? bayer.at(x, y)
+                            : neighborAverage(bayer, x, y, c);
+}
+
 namespace {
 
 /** The generic bounds-checked path, used for borders and tiny frames. */
 void
 demosaicGeneric(const Image &bayer, Image &rgb, i32 x0, i32 x1, i32 y)
 {
-    for (i32 x = x0; x < x1; ++x) {
-        const int own = siteColor(x, y);
-        for (int c = 0; c < 3; ++c) {
-            const u8 v = (c == own) ? bayer.at(x, y)
-                                    : neighborAverage(bayer, x, y, c);
-            rgb.set(x, y, c, v);
-        }
-    }
+    u8 *out = rgb.row(y);
+    for (i32 x = x0; x < x1; ++x)
+        demosaicSite(bayer, x, y, out + 3 * static_cast<size_t>(x));
 }
 
 } // namespace
@@ -72,53 +76,13 @@ demosaicBilinearInto(const Image &bayer, Image &rgb)
     demosaicGeneric(bayer, rgb, 0, w, 0);
     for (i32 y = 1; y + 1 < h; ++y) {
         demosaicGeneric(bayer, rgb, 0, 1, y);
-        // Interior fast path: away from the border every RGGB site has a
-        // fixed same-colour neighbour set in its 3x3 window, so the
-        // interpolation specialises per site phase. Division stays the
-        // truncating sum/count form of neighborAverage.
         const u8 *rm = bayer.row(y - 1);
         const u8 *r0 = bayer.row(y);
         const u8 *rp = bayer.row(y + 1);
         u8 *out = rgb.row(y);
-        if ((y & 1) == 0) {
-            // Even row: R at even x, G at odd x.
-            for (i32 x = 1; x + 1 < w; ++x) {
-                u8 *px = out + 3 * static_cast<size_t>(x);
-                if ((x & 1) == 0) {
-                    // R site: G on the 4-cross, B on the 4 diagonals.
-                    px[0] = r0[x];
-                    px[1] = static_cast<u8>(
-                        (r0[x - 1] + r0[x + 1] + rm[x] + rp[x]) / 4);
-                    px[2] = static_cast<u8>((rm[x - 1] + rm[x + 1] +
-                                             rp[x - 1] + rp[x + 1]) /
-                                            4);
-                } else {
-                    // G site (even row): R left/right, B above/below.
-                    px[0] = static_cast<u8>((r0[x - 1] + r0[x + 1]) / 2);
-                    px[1] = r0[x];
-                    px[2] = static_cast<u8>((rm[x] + rp[x]) / 2);
-                }
-            }
-        } else {
-            // Odd row: G at even x, B at odd x.
-            for (i32 x = 1; x + 1 < w; ++x) {
-                u8 *px = out + 3 * static_cast<size_t>(x);
-                if ((x & 1) == 0) {
-                    // G site (odd row): R above/below, B left/right.
-                    px[0] = static_cast<u8>((rm[x] + rp[x]) / 2);
-                    px[1] = r0[x];
-                    px[2] = static_cast<u8>((r0[x - 1] + r0[x + 1]) / 2);
-                } else {
-                    // B site: G on the 4-cross, R on the 4 diagonals.
-                    px[0] = static_cast<u8>((rm[x - 1] + rm[x + 1] +
-                                             rp[x - 1] + rp[x + 1]) /
-                                            4);
-                    px[1] = static_cast<u8>(
-                        (r0[x - 1] + r0[x + 1] + rm[x] + rp[x]) / 4);
-                    px[2] = r0[x];
-                }
-            }
-        }
+        for (i32 x = 1; x + 1 < w; ++x)
+            demosaicInterior(rm, r0, rp, x, (y & 1) != 0,
+                             out + 3 * static_cast<size_t>(x));
         demosaicGeneric(bayer, rgb, w - 1, w, y);
     }
     demosaicGeneric(bayer, rgb, 0, w, h - 1);

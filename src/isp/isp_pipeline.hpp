@@ -3,11 +3,19 @@
  * The end-to-end ISP stage chain: demosaic -> gamma -> colour conversion,
  * with a 2-pixels-per-clock timing model (Table 2). The rhythmic encoder
  * attaches at this pipeline's output (§4.1.2).
+ *
+ * Gray output runs the three stages fused, one site at a time: the 3x3
+ * Bayer window's bilinear RGB, the gamma LUT per channel, then BT.601
+ * luma. Since the encoder reads only its kept pixels, processKept() runs
+ * that kernel only at the frame plan's R positions — the software form of
+ * doing only the imaging work vision consumes. The modelled timing is the
+ * full-frame 2 px/clk either way.
  */
 
 #ifndef RPX_ISP_ISP_PIPELINE_HPP
 #define RPX_ISP_ISP_PIPELINE_HPP
 
+#include "core/kept_plan.hpp"
 #include "frame/image.hpp"
 #include "isp/gamma.hpp"
 #include "stream/pixel_stream.hpp"
@@ -44,20 +52,30 @@ class IspPipeline
     Image process(const Image &raw);
 
     /**
-     * process() into a caller-owned image, reusing its allocation (and an
-     * internal RGB scratch frame) across frames. Output and cycle
-     * accounting are identical to process().
+     * process() into a caller-owned image, reusing its allocation across
+     * frames. Output and cycle accounting are identical to process().
      */
     void processInto(const Image &raw, Image &out);
+
+    /**
+     * Gray output at the plan's kept pixels only: `out` is re-shaped to
+     * the frame and every R position of `plan` holds exactly what
+     * process() would put there; the other pixels are left at 0. Cycle
+     * accounting is process()'s. Falls back to processInto() when the
+     * input is not Bayer or the output is not gray.
+     */
+    void processKept(const Image &raw, const KeptRunPlan &plan, Image &out);
 
     /** Cycle accounting for the frames processed so far. */
     const CycleBudget &budget() const { return budget_; }
 
   private:
+    /** Model one frame's 2 px/clk timing. */
+    void chargeFrame(const Image &raw);
+
     IspConfig config_;
     GammaLut gamma_;
     CycleBudget budget_;
-    Image rgb_scratch_;  //!< demosaic staging buffer, reused every frame
 };
 
 } // namespace rpx

@@ -1,5 +1,7 @@
 #include "memory/dma.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 
 namespace rpx {
@@ -25,8 +27,16 @@ DmaWriter::push(u8 value)
 void
 DmaWriter::push(const u8 *data, size_t len)
 {
-    for (size_t i = 0; i < len; ++i)
-        push(data[i]);
+    // Fill the line buffer a chunk at a time, flushing wherever the
+    // per-byte push would: the same bursts in the same order.
+    while (len > 0) {
+        const size_t n = std::min(len, line_capacity_ - line_.size());
+        line_.insert(line_.end(), data, data + n);
+        data += n;
+        len -= n;
+        if (line_.size() >= line_capacity_)
+            flush();
+    }
 }
 
 bool

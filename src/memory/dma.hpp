@@ -46,7 +46,11 @@ class DmaWriter
     /** Queue one byte for the current line. */
     void push(u8 value);
 
-    /** Queue a block of bytes. */
+    /**
+     * Queue a block of bytes, appended in line-capacity chunks. Bursts,
+     * their order and every injector draw are those of pushing the bytes
+     * one at a time.
+     */
     void push(const u8 *data, size_t len);
 
     /**

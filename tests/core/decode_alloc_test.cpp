@@ -2,8 +2,8 @@
  * @file
  * Zero-steady-state-allocation guarantees for the decode path (ISSUE 8).
  *
- * This TU replaces global operator new/delete with counting wrappers, so
- * it can assert that — after a warm-up decode populates the pooled
+ * The binary links the counting global allocator
+ * (tests/common/counting_allocator.cpp), so it can assert that — after a warm-up decode populates the pooled
  * scratch (source carries, the RhythmicDecoder's scratchpad slots and
  * frame arena) — repeated decodes of same-geometry frames perform ZERO heap
  * allocations: SoftwareDecoder::decodeInto, ParallelDecoder (threads=1,
@@ -18,11 +18,9 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
+#include "../common/counting_allocator.hpp"
 #include "common/rng.hpp"
 #include "core/decoder.hpp"
 #include "core/encoder.hpp"
@@ -31,108 +29,12 @@
 #include "core/sw_decoder.hpp"
 #include "memory/dram.hpp"
 
-namespace {
-
-std::atomic<unsigned long long> g_allocations{0};
-/** Allocations made on threads that did not set t_counts_as_main. */
-std::atomic<unsigned long long> g_worker_allocations{0};
-thread_local bool t_counts_as_main = false;
-
-unsigned long long
-allocationCount()
-{
-    return g_allocations.load(std::memory_order_relaxed);
-}
-
-unsigned long long
-workerAllocationCount()
-{
-    return g_worker_allocations.load(std::memory_order_relaxed);
-}
-
-// Out of line so operator new stays small enough to inline: GCC's
-// -Wmismatched-new-delete fires when it sees a call to the replaced
-// operator new paired with the inlined free() in operator delete.
-[[gnu::noinline]] void
-countAllocation()
-{
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-    if (!t_counts_as_main)
-        g_worker_allocations.fetch_add(1, std::memory_order_relaxed);
-}
-
-} // namespace
-
-// Counting global allocator. Deliberately minimal: count + malloc/free.
-void *
-operator new(std::size_t size)
-{
-    countAllocation();
-    if (void *p = std::malloc(size ? size : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t size)
-{
-    return operator new(size);
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-// The nothrow forms too: std::stable_sort's temporary buffer comes from
-// operator new(size_t, nothrow_t), and a sanitizer's own nothrow new
-// would otherwise be paired with the free() in the deletes above.
-void *
-operator new(std::size_t size, const std::nothrow_t &) noexcept
-{
-    countAllocation();
-    return std::malloc(size ? size : 1);
-}
-
-void *
-operator new[](std::size_t size, const std::nothrow_t &) noexcept
-{
-    return operator new(size, std::nothrow);
-}
-
-void
-operator delete(void *p, const std::nothrow_t &) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, const std::nothrow_t &) noexcept
-{
-    std::free(p);
-}
-
 namespace rpx {
 namespace {
+
+using test::allocationCount;
+using test::t_counts_as_main;
+using test::workerAllocationCount;
 
 Image
 noiseFrame(i32 w, i32 h, u64 seed)

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/encmask.hpp"
 
 namespace rpx {
@@ -128,34 +130,39 @@ TEST(EncMask, AsciiRendering)
     EXPECT_THROW(maskToAscii(mask, 0), std::invalid_argument);
 }
 
-TEST(EncMask, BlitRowsStitchesAlignedBands)
+TEST(EncMask, FillRunAndMarkRMatchPerPixelSet)
 {
-    // Odd width: individual rows are not byte-aligned, but any 4-row
-    // boundary is (4 rows x 2 bits = exactly w bytes) — the invariant the
-    // parallel encoder's band stitching rests on.
-    const i32 w = 5, h = 12;
-    EncMask whole(w, h);
-    EncMask stitched(w, h);
+    // Odd widths put run ends at every bit offset inside a byte; the
+    // runs are written over a non-zero mask so a stray bit would show.
     const PixelCode codes[] = {PixelCode::N, PixelCode::St, PixelCode::Sk,
                                PixelCode::R};
-    for (i32 y0 = 0; y0 < h; y0 += 4) {
-        EncMask band(w, 4);
-        for (i32 y = 0; y < 4; ++y) {
+    for (const i32 w : {1, 5, 7, 33, 64}) {
+        const i32 h = 5;
+        EncMask got(w, h);
+        EncMask want(w, h);
+        for (i32 y = 0; y < h; ++y)
             for (i32 x = 0; x < w; ++x) {
-                const PixelCode c = codes[(x + 2 * (y0 + y)) % 4];
-                band.set(x, y, c);
-                whole.set(x, y0 + y, c);
+                got.set(x, y, codes[(x + y) % 4]);
+                want.set(x, y, codes[(x + y) % 4]);
             }
+        for (i32 y = 0; y < h; ++y) {
+            const i32 x0 = (y * 3) % w;
+            const i32 n = std::max(1, (w - x0) - y);
+            const PixelCode c = codes[(y + 1) % 4];
+            got.fillRun(y, x0, n, c);
+            for (i32 x = x0; x < x0 + n; ++x)
+                want.set(x, y, c);
+            const i32 step = 1 + y % 3;
+            const u32 count = static_cast<u32>((n - 1) / step + 1);
+            got.markR(y, x0, count, step);
+            for (i32 x = x0; x < x0 + n; x += step)
+                want.set(x, y, PixelCode::R);
         }
-        stitched.blitRows(band, y0);
+        EXPECT_EQ(got.bytes(), want.bytes()) << "w=" << w;
     }
-    EXPECT_EQ(stitched, whole);
-    EXPECT_EQ(stitched.bytes(), whole.bytes());
-
-    EncMask misaligned(w, 4);
-    EXPECT_THROW(stitched.blitRows(misaligned, 2), std::runtime_error);
-    EncMask wrong_width(w + 1, 4);
-    EXPECT_THROW(stitched.blitRows(wrong_width, 4), std::invalid_argument);
+    EncMask mask(5, 2);
+    EXPECT_THROW(mask.fillRun(0, 3, 3, PixelCode::R), std::runtime_error);
+    EXPECT_THROW(mask.markR(1, 1, 3, 2), std::runtime_error);
 }
 
 TEST(RowOffsets, PackedBytesFourPerRow)

@@ -4,7 +4,9 @@
 
 #include "common/rng.hpp"
 #include "core/encoder.hpp"
+#include "core/parallel_encoder.hpp"
 #include "frame/draw.hpp"
+#include "reference_encode.hpp"
 
 namespace rpx {
 namespace {
@@ -330,6 +332,121 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, EncoderStrideSkip,
     ::testing::Combine(::testing::Values(1, 2, 3, 4),
                        ::testing::Values(1, 2, 3)));
+
+/**
+ * `count` y-sorted labels with overlapping strides 1..max_stride, skips
+ * 1–3 and phases, some clipped by every frame edge.
+ */
+std::vector<RegionLabel>
+randomLabels(Rng &rng, i32 w, i32 h, int count, i32 max_stride)
+{
+    std::vector<RegionLabel> out;
+    const i32 max_w = std::max<i32>(2, w / 3);
+    const i32 max_h = std::max<i32>(2, h / 3);
+    for (int i = 0; i < count; ++i) {
+        RegionLabel r;
+        r.w = static_cast<i32>(rng.uniformInt(1, max_w));
+        r.h = static_cast<i32>(rng.uniformInt(1, max_h));
+        r.x = static_cast<i32>(rng.uniformInt(-r.w / 2, w - 1 - r.w / 2));
+        r.y = static_cast<i32>(rng.uniformInt(-r.h / 2, h - 1 - r.h / 2));
+        r.stride = static_cast<i32>(rng.uniformInt(1, max_stride));
+        r.skip = static_cast<i32>(rng.uniformInt(1, 3));
+        r.phase = static_cast<i32>(rng.uniformInt(0, r.skip - 1));
+        out.push_back(r);
+    }
+    sortRegionsByY(out);
+    return out;
+}
+
+void
+expectStatsEqual(const EncoderStats &got, const EncoderStats &want)
+{
+    EXPECT_EQ(got.frames, want.frames);
+    EXPECT_EQ(got.pixels_in, want.pixels_in);
+    EXPECT_EQ(got.pixels_encoded, want.pixels_encoded);
+    EXPECT_EQ(got.region_comparisons, want.region_comparisons);
+    EXPECT_EQ(got.selector_examined, want.selector_examined);
+    EXPECT_EQ(got.rows_with_regions, want.rows_with_regions);
+    EXPECT_EQ(got.rows_skipped, want.rows_skipped);
+    EXPECT_EQ(got.run_reuses, want.run_reuses);
+    EXPECT_EQ(got.compare_cycles, want.compare_cycles);
+    EXPECT_EQ(got.stream_cycles, want.stream_cycles);
+}
+
+/**
+ * The planned encoder against the per-pixel reference loop: for every
+ * comparison mode, attribution setting and band split, over label lists
+ * from empty to ~450 overlapping strided grids on odd geometries, the
+ * mask bytes, payload, offsets, work counters and per-region attribution
+ * are identical, and the summary counts are the mask's. Strides up to 9
+ * give span periods longer than the span itself.
+ */
+TEST(Encoder, PlanMatchesReferenceEncoder)
+{
+    const ComparisonMode modes[] = {ComparisonMode::Naive,
+                                    ComparisonMode::RowSublist,
+                                    ComparisonMode::Hybrid};
+    const std::pair<i32, i32> geometries[] = {{97, 63}, {64, 37}, {13, 9}};
+    Rng rng(2024);
+    for (const auto &[w, h] : geometries) {
+        for (const auto &[count, max_stride] :
+             {std::pair{0, 4}, {1, 4}, {2, 4}, {450, 4}, {60, 9}}) {
+            const auto labels =
+                randomLabels(rng, w, h, count, max_stride);
+            const Image gray = [&, w = w, h = h] {
+                Image img(w, h);
+                for (u8 &v : img.data())
+                    v = static_cast<u8>(rng.uniformInt(0, 255));
+                return img;
+            }();
+            for (const ComparisonMode mode : modes) {
+                for (const bool attribute : {false, true}) {
+                    for (const int threads : {1, 2, 7}) {
+                        ParallelEncoder::Config cfg;
+                        cfg.encoder.mode = mode;
+                        cfg.threads = threads;
+                        cfg.min_band_rows = 4;
+                        ParallelEncoder enc(w, h, cfg);
+                        enc.setRegionLabels(labels);
+                        enc.enableRegionAttribution(attribute);
+                        for (FrameIndex t = 0; t < 3; ++t) {
+                            SCOPED_TRACE(testing::Message()
+                                         << w << "x" << h << " labels="
+                                         << count << "/" << max_stride
+                                         << " mode="
+                                         << static_cast<int>(mode)
+                                         << " attr=" << attribute
+                                         << " threads=" << threads
+                                         << " t=" << t);
+                            const ReferenceEncode ref = referenceEncode(
+                                labels, cfg.encoder, gray, t, attribute);
+                            enc.resetStats();
+                            const EncodedFrame got = enc.encodeFrame(gray, t);
+                            got.checkConsistency();
+                            EXPECT_EQ(got.index, t);
+                            EXPECT_EQ(got.mask.bytes(),
+                                      ref.frame.mask.bytes());
+                            EXPECT_EQ(got.pixels, ref.frame.pixels);
+                            EXPECT_EQ(got.offsets, ref.frame.offsets);
+                            expectStatsEqual(enc.stats(), ref.stats);
+                            EXPECT_EQ(enc.lastFrameAttribution().kept,
+                                      ref.attr.kept);
+                            EXPECT_EQ(enc.lastFrameAttribution().comparisons,
+                                      ref.attr.comparisons);
+
+                            const auto sum = enc.summarizeFrame(t);
+                            const auto hist = ref.frame.mask.histogram();
+                            EXPECT_EQ(sum.r, hist[3]);
+                            EXPECT_EQ(sum.sk, hist[2]);
+                            EXPECT_EQ(sum.st, hist[1]);
+                            EXPECT_EQ(sum.n, hist[0]);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
 
 } // namespace
 } // namespace rpx

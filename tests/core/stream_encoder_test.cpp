@@ -103,6 +103,7 @@ TEST(StreamingEncoder, ApiMisuseThrows)
     enc.setRegionLabels({});
     EXPECT_THROW(enc.pushBeat(PixelBeat{}), std::runtime_error);
     enc.beginFrame(0);
+    EXPECT_THROW(enc.setRegionLabels({}), std::runtime_error); // mid-frame
     EXPECT_THROW(enc.finishFrame(), std::runtime_error); // 0 of 64 beats
 }
 

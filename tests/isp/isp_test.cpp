@@ -7,7 +7,9 @@
 #include "isp/color.hpp"
 #include "isp/demosaic.hpp"
 #include "isp/gamma.hpp"
+#include "core/encoder.hpp"
 #include "isp/isp_pipeline.hpp"
+#include "reference_isp.hpp"
 #include "sensor/sensor.hpp"
 
 namespace rpx {
@@ -223,6 +225,82 @@ TEST(IspPipeline, ProcessIntoMatchesProcess)
         EXPECT_EQ(out.data(), want.data());
         EXPECT_EQ(a.budget().pixels(), b.budget().pixels());
         EXPECT_EQ(a.budget().cycles(), b.budget().cycles());
+    }
+}
+
+TEST(IspPipeline, ProcessMatchesStagedDenseChain)
+{
+    for (const auto &[w, h] : std::initializer_list<std::pair<i32, i32>>{
+             {2, 2}, {3, 3}, {21, 17}, {97, 63}}) {
+        const Image raw = noiseBayer(w, h, 3u * static_cast<u64>(w + h));
+        IspPipeline isp;
+        ASSERT_EQ(isp.process(raw).data(),
+                  denseIspGray(raw, isp.config().gamma).data())
+            << w << "x" << h;
+    }
+}
+
+/**
+ * The kept-pixel ISP against the staged dense chain: at every R position
+ * of the frame plan the byte is the dense ISP's, every other pixel is 0,
+ * and the modelled timing is the full frame's. The label sets put runs
+ * on rows and columns 0 and w-1 / h-1 (the bounds-checked border path),
+ * strided and overlapping, on odd geometries.
+ */
+TEST(IspPipeline, KeptRunsMatchDenseIsp)
+{
+    Rng rng(41);
+    for (const auto &[w, h] : std::initializer_list<std::pair<i32, i32>>{
+             {97, 63}, {64, 48}, {5, 3}}) {
+        const Image raw = noiseBayer(w, h, static_cast<u64>(w * h));
+        std::vector<std::vector<RegionLabel>> label_sets = {
+            {{0, 0, w, h, 3, 1, 0},
+             {w - 1, 0, 1, h, 1, 1, 0},
+             {0, h - 1, w, 1, 2, 1, 0}},
+            {{0, 0, w, h, 4, 2, 0}, {w / 4, h / 4, w / 2, h / 2, 1, 1, 0}},
+        };
+        std::vector<RegionLabel> scattered;
+        for (int i = 0; i < 40; ++i) {
+            RegionLabel r;
+            r.w = static_cast<i32>(rng.uniformInt(1, w));
+            r.h = static_cast<i32>(rng.uniformInt(1, h));
+            r.x = static_cast<i32>(rng.uniformInt(-r.w / 2, w - 1));
+            r.y = static_cast<i32>(rng.uniformInt(-r.h / 2, h - 1));
+            r.stride = static_cast<i32>(rng.uniformInt(1, 4));
+            scattered.push_back(r);
+        }
+        label_sets.push_back(scattered);
+
+        for (std::vector<RegionLabel> &labels : label_sets) {
+            sortRegionsByY(labels);
+            RhythmicEncoder enc(w, h);
+            enc.setRegionLabels(labels);
+            IspPipeline isp;
+            IspPipeline dense_isp;
+            const Image dense = denseIspGray(raw, isp.config().gamma);
+            for (FrameIndex t = 0; t < 2; ++t) {
+                const KeptRunPlan &plan = enc.planFrame(t);
+                Image got;
+                isp.processKept(raw, plan, got);
+                dense_isp.process(raw);
+
+                Image want(w, h, PixelFormat::Gray8);
+                u64 kept = 0;
+                for (i32 y = 0; y < h; ++y)
+                    for (const KeptSpan &s : plan.spans(y))
+                        plan.forEachRun(s, [&](i32 x, u32 n, i32 step) {
+                            for (u32 i = 0; i < n; ++i, x += step) {
+                                want.set(x, y, dense.at(x, y));
+                                ++kept;
+                            }
+                        });
+                EXPECT_EQ(kept, plan.kept());
+                ASSERT_EQ(got.data(), want.data())
+                    << w << "x" << h << " t=" << t;
+            }
+            EXPECT_EQ(isp.budget().pixels(), dense_isp.budget().pixels());
+            EXPECT_EQ(isp.budget().cycles(), dense_isp.budget().cycles());
+        }
     }
 }
 

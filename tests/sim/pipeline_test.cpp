@@ -2,9 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+
+#include "../core/reference_encode.hpp"
+#include "../isp/reference_isp.hpp"
 #include "common/rng.hpp"
+#include "core/sw_decoder.hpp"
+#include "fault/fault.hpp"
 #include "frame/draw.hpp"
 #include "frame/metrics.hpp"
+#include "sensor/csi2.hpp"
+#include "sensor/sensor.hpp"
 #include "sim/pipeline.hpp"
 #include "sim/report.hpp"
 
@@ -98,6 +106,75 @@ TEST(Pipeline, SensorPathProducesSimilarFrame)
     EXPECT_GT(ssimGlobal(result.decoded, scene_gray), 0.35);
     EXPECT_THROW(pipeline.processFrame(scene_gray),
                  std::invalid_argument);
+}
+
+/**
+ * The sensor path computes the ISP only at the pixels the encoder keeps.
+ * Over a CSI-2 link that corrupts bytes and drops lines, every stored
+ * frame and every decoded frame is byte-identical to the dense chain:
+ * the same sensor readout and link faults, the dense ISP, the reference
+ * per-pixel encoder (under the labels the pipeline bound that frame) and
+ * a software decode over the same history depth.
+ */
+TEST(Pipeline, SensorPathMatchesDenseReference)
+{
+    fault::FaultPlan plan;
+    plan.seed = 99;
+    plan.at(fault::Stage::Csi2).byte_error_rate = 2e-3;
+    plan.at(fault::Stage::Csi2).drop_rate = 0.05;
+    PipelineConfig pc = smallPipeline();
+    pc.use_sensor_path = true;
+    pc.fault.plan = &plan;
+    VisionPipeline pipeline(pc);
+    pipeline.runtime().setRegionLabels({{0, 0, 96, 64, 3, 2, 0},
+                                        {20, 10, 41, 29, 1, 1, 0},
+                                        {50, 30, 46, 34, 2, 3, 1}});
+
+    SensorConfig sc;
+    sc.name = "sim";
+    sc.width = pc.width;
+    sc.height = pc.height;
+    sc.fps = pc.fps;
+    SensorModel sensor(sc);
+    fault::FaultInjector injector(plan);
+    Csi2Link csi;
+    csi.setFaultInjector(&injector);
+    const IspPipeline isp; // default gamma, as the pipeline's
+    const SoftwareDecoder decoder;
+    std::deque<EncodedFrame> history; // newest first
+
+    u32 dropped = 0, corrupted = 0;
+    for (FrameIndex t = 0; t < 6; ++t) {
+        Image scene(96, 64, PixelFormat::Rgb8);
+        Rng rng(500 + static_cast<u64>(t));
+        fillValueNoise(scene, rng, 20.0, 30, 220);
+        const PipelineFrameResult result = pipeline.processFrame(scene);
+
+        Image raw = sensor.capture(scene);
+        const Csi2FrameStatus link = csi.transferFrame(raw, pc.fps);
+        dropped += link.dropped_lines;
+        corrupted += link.corrupted_bytes;
+        const Image gray = denseIspGray(raw, isp.config().gamma);
+        const fleet::StreamContext &ctx = pipeline.streamContext();
+        const ReferenceEncode ref =
+            referenceEncode(ctx.encoder().regionLabels(),
+                            ctx.encoder().serial().config(), gray, t, false);
+
+        const EncodedFrame &stored = *ctx.store().recent(0);
+        ASSERT_EQ(stored.mask.bytes(), ref.frame.mask.bytes()) << t;
+        ASSERT_EQ(stored.pixels, ref.frame.pixels) << t;
+        ASSERT_EQ(stored.offsets, ref.frame.offsets) << t;
+
+        std::vector<const EncodedFrame *> older;
+        for (const EncodedFrame &f : history)
+            older.push_back(&f);
+        ASSERT_EQ(result.decoded, decoder.decode(ref.frame, older)) << t;
+        history.push_front(ref.frame);
+        if (history.size() + 1 > static_cast<size_t>(pc.history))
+            history.pop_back();
+    }
+    EXPECT_GT(dropped, 0u);
+    EXPECT_GT(corrupted, 0u);
 }
 
 TEST(Pipeline, DecoderRequestsWorkAgainstPipelineState)
