@@ -116,19 +116,16 @@ BM_EncoderFullFrame(benchmark::State &state)
 BENCHMARK(BM_EncoderFullFrame)->Arg(640)->Arg(1280)->Arg(1920);
 
 /**
- * SLAM-like encode: 450 overlapping feature regions (sides 24–128, the
- * feature policy's octave strides 1–4 and skips 1–3) on a 640x480
- * frame, with per-region attribution on as under telemetry. Plan and
- * write both run per frame (the rhythm changes the plan every frame).
+ * SLAM-like labels: `count` overlapping feature regions (sides 24–128,
+ * the feature policy's octave strides 1–4 and skips 1–3) on a w x h
+ * frame, y-sorted.
  */
-void
-BM_EncoderStridedOverlap640x480(benchmark::State &state)
+std::vector<RegionLabel>
+slamRegions(i64 count, i32 w, i32 h)
 {
-    const i32 w = 640, h = 480;
-    const Image frame = noiseFrame(w, h);
     Rng rng(11);
     std::vector<RegionLabel> regions;
-    for (i64 i = 0; i < state.range(0); ++i) {
+    for (i64 i = 0; i < count; ++i) {
         const i32 side = static_cast<i32>(rng.uniformInt(24, 128));
         RegionLabel r{static_cast<i32>(rng.uniformInt(0, w - 24)),
                       static_cast<i32>(rng.uniformInt(0, h - 24)),
@@ -140,8 +137,35 @@ BM_EncoderStridedOverlap640x480(benchmark::State &state)
         regions.push_back(r);
     }
     sortRegionsByY(regions);
+    return regions;
+}
+
+/**
+ * The foveated 1080p layout: a 480x272 stride-1 fovea over a stride-4,
+ * skip-2 periphery, y-sorted.
+ */
+std::vector<RegionLabel>
+foveatedLabels(i32 w, i32 h)
+{
+    std::vector<RegionLabel> labels = {{0, 0, w, h, 4, 2, 0},
+                                       {720, 404, 480, 272, 1, 1, 0}};
+    sortRegionsByY(labels);
+    return labels;
+}
+
+/**
+ * SLAM-like encode: 450 overlapping feature regions (sides 24–128, the
+ * feature policy's octave strides 1–4 and skips 1–3) on a 640x480
+ * frame, with per-region attribution on as under telemetry. Plan and
+ * write both run per frame (the rhythm changes the plan every frame).
+ */
+void
+BM_EncoderStridedOverlap640x480(benchmark::State &state)
+{
+    const i32 w = 640, h = 480;
+    const Image frame = noiseFrame(w, h);
     RhythmicEncoder enc(w, h);
-    enc.setRegionLabels(regions);
+    enc.setRegionLabels(slamRegions(state.range(0), w, h));
     enc.enableRegionAttribution(true);
     FrameIndex t = 0;
     for (auto _ : state)
@@ -169,11 +193,8 @@ BM_IspGrayFoveated1080p(benchmark::State &state)
     Rng rng(3);
     for (u8 &v : raw.data())
         v = static_cast<u8>(rng.uniformInt(0, 255));
-    std::vector<RegionLabel> labels = {{0, 0, w, h, 4, 2, 0},
-                                       {720, 404, 480, 272, 1, 1, 0}};
-    sortRegionsByY(labels);
     RhythmicEncoder enc(w, h);
-    enc.setRegionLabels(labels);
+    enc.setRegionLabels(foveatedLabels(w, h));
     const KeptRunPlan &plan = enc.planFrame(0);
     IspPipeline isp;
     Image gray;
@@ -248,41 +269,91 @@ BENCHMARK(BM_SoftwareDecoder1080p)->Arg(10)->Arg(30)->Arg(60)->Arg(100)
     ->Unit(benchmark::kMillisecond);
 
 /**
- * Software decoder on the paper's foveated layout at 1080p: a 480x272
- * stride-1 fovea over a stride-4, skip-2 periphery, decoding a frame
- * whose periphery is skipped, with 4 frames of history. Most pixels come
- * from St upscans and history fills, the cases the 30%-regional case
- * above (stride-1 R pixels only) never reaches.
+ * Software decode of frames[cur] with the four frames before it as
+ * history, most recent first; reports the share of pixels history
+ * filled.
+ */
+void
+runSwDecodeWithHistory(benchmark::State &state,
+                       const std::vector<EncodedFrame> &frames, size_t cur)
+{
+    const std::vector<const EncodedFrame *> history = {
+        &frames[cur - 1], &frames[cur - 2], &frames[cur - 3],
+        &frames[cur - 4]};
+    const EncodedFrame &current = frames[cur];
+    const SoftwareDecoder sw;
+    Image out;
+    for (auto _ : state) {
+        sw.decodeInto(current, history, out);
+        benchmark::DoNotOptimize(out.data().data());
+        benchmark::ClobberMemory();
+    }
+    const i64 px = static_cast<i64>(current.width) * current.height;
+    state.SetBytesProcessed(state.iterations() * px);
+    state.counters["history%"] =
+        100.0 * static_cast<double>(sw.lastHistoryFills()) /
+        static_cast<double>(px);
+}
+
+/** Frames t = 0 .. count - 1 of `frame` encoded under `labels`. */
+std::vector<EncodedFrame>
+encodeFrames(const std::vector<RegionLabel> &labels, const Image &frame,
+             FrameIndex count)
+{
+    RhythmicEncoder enc(frame.width(), frame.height());
+    enc.setRegionLabels(labels);
+    std::vector<EncodedFrame> frames;
+    for (FrameIndex t = 0; t < count; ++t)
+        frames.push_back(enc.encodeFrame(frame, t));
+    return frames;
+}
+
+/**
+ * Software decoder on the paper's foveated layout at 1080p, decoding a
+ * frame whose periphery is skipped (t = 5) with 4 frames of history.
+ * Most pixels come from St upscans and history fills, the cases the
+ * 30%-regional case above (stride-1 R pixels only) never reaches.
  */
 void
 BM_SoftwareDecoderFoveated1080p(benchmark::State &state)
 {
     const i32 w = 1920, h = 1080;
-    RhythmicEncoder enc(w, h);
-    std::vector<RegionLabel> labels = {{0, 0, w, h, 4, 2, 0},
-                                       {720, 404, 480, 272, 1, 1, 0}};
-    sortRegionsByY(labels);
-    enc.setRegionLabels(labels);
-    const Image frame = noiseFrame(w, h);
-    std::vector<EncodedFrame> frames; // t = 0..5; t = 5 skips the periphery
-    for (FrameIndex t = 0; t < 6; ++t)
-        frames.push_back(enc.encodeFrame(frame, t));
-    const std::vector<const EncodedFrame *> history = {
-        &frames[4], &frames[3], &frames[2], &frames[1]};
-    const SoftwareDecoder sw;
-    Image out;
-    for (auto _ : state) {
-        sw.decodeInto(frames[5], history, out);
-        benchmark::DoNotOptimize(out.data().data());
-        benchmark::ClobberMemory();
-    }
-    state.SetBytesProcessed(state.iterations() *
-                            static_cast<i64>(w) * h);
-    state.counters["history%"] =
-        100.0 * static_cast<double>(sw.lastHistoryFills()) /
-        static_cast<double>(static_cast<i64>(w) * h);
+    runSwDecodeWithHistory(
+        state, encodeFrames(foveatedLabels(w, h), noiseFrame(w, h), 6), 5);
 }
 BENCHMARK(BM_SoftwareDecoderFoveated1080p)->Unit(benchmark::kMillisecond);
+
+/**
+ * The other foveated frame mode, which hd workloads alternate with the
+ * skipped one: t = 4 samples the periphery, so its R rows and St upscans
+ * resolve in the current frame, with history t = 3 .. 0.
+ */
+void
+BM_SoftwareDecoderFoveatedSampled1080p(benchmark::State &state)
+{
+    const i32 w = 1920, h = 1080;
+    runSwDecodeWithHistory(
+        state, encodeFrames(foveatedLabels(w, h), noiseFrame(w, h), 5), 4);
+}
+BENCHMARK(BM_SoftwareDecoderFoveatedSampled1080p)
+    ->Unit(benchmark::kMillisecond);
+
+/**
+ * SLAM-like decode: the 450 overlapping strided regions of
+ * BM_EncoderStridedOverlap640x480 at t = 5, with history t = 4 .. 1 —
+ * short R runs on nearly every row, the R-dense case.
+ */
+void
+BM_SoftwareDecoderStridedOverlap640x480(benchmark::State &state)
+{
+    const i32 w = 640, h = 480;
+    runSwDecodeWithHistory(
+        state, encodeFrames(slamRegions(state.range(0), w, h),
+                            noiseFrame(w, h), 6),
+        5);
+}
+BENCHMARK(BM_SoftwareDecoderStridedOverlap640x480)->Arg(450)
+    ->Unit(benchmark::kMillisecond);
 
 /**
  * Band-parallel software decode of the 30%-regional 1080p frame across
@@ -504,6 +575,16 @@ addMicrobenchTrendMetrics(obs::BenchReport &report,
                              ".real_time_ns", v))
         report.setMetric("sw_decode_ms_foveated", v / 1e6, "ms", "lower",
                          "wall");
+    if (benchutil::findGauge(samples,
+                             "BM_SoftwareDecoderFoveatedSampled1080p",
+                             ".real_time_ns", v))
+        report.setMetric("sw_decode_ms_foveated_sampled", v / 1e6, "ms",
+                         "lower", "wall");
+    if (benchutil::findGauge(samples,
+                             "BM_SoftwareDecoderStridedOverlap640x480/450",
+                             ".real_time_ns", v))
+        report.setMetric("sw_decode_ms_strided_450", v / 1e6, "ms",
+                         "lower", "wall");
 }
 
 } // namespace

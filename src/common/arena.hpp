@@ -12,8 +12,8 @@
  * Slots are addressed by a small integer key the caller chooses (an enum
  * per call site). Backing storage lives in deques so growing the slot
  * directory never moves or frees an existing buffer — references handed
- * out stay valid until clear(). Buffers only ever grow; a slot re-leased
- * with a smaller size keeps its capacity.
+ * out stay valid for the arena's lifetime. Buffers only ever grow; a slot
+ * re-leased with a smaller size keeps its capacity.
  *
  * Not thread-safe: one arena per owner (each band decoder owns its own).
  */
@@ -45,40 +45,17 @@ class FrameArena {
         return v;
     }
 
-    /** 32-bit word buffer for slot `key`, resized to `size`. */
-    std::vector<u32> &words(size_t key, size_t size)
-    {
-        while (word_slots_.size() <= key)
-            word_slots_.emplace_back();
-        std::vector<u32> &v = word_slots_[key];
-        v.resize(size);
-        noteLease();
-        return v;
-    }
-
     /** Total capacity currently held across all slots, in bytes. */
     size_t retainedBytes() const
     {
         size_t total = 0;
         for (const auto &v : byte_slots_)
             total += v.capacity();
-        for (const auto &v : word_slots_)
-            total += v.capacity() * sizeof(u32);
         return total;
     }
 
-    /**
-     * Largest retainedBytes() ever observed at a lease. Survives clear()
-     * so owners still report their true peak.
-     */
+    /** Largest retainedBytes() ever observed at a lease. */
     size_t highWaterBytes() const { return high_water_; }
-
-    /** Release all backing storage (references become dangling). */
-    void clear()
-    {
-        byte_slots_.clear();
-        word_slots_.clear();
-    }
 
   private:
     void noteLease()
@@ -89,7 +66,6 @@ class FrameArena {
     }
 
     std::deque<std::vector<u8>> byte_slots_;
-    std::deque<std::vector<u32>> word_slots_;
     size_t high_water_ = 0;
 };
 

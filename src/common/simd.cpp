@@ -39,6 +39,8 @@ struct KernelTable {
     u32 (*count_r)(const u8 *, size_t, size_t);
     void (*lut)(u8 *, size_t, const u8 *);
     void (*hamming)(const u8 *, const u8 *, size_t, u16 *);
+    u32 (*expand)(const u8 *, size_t, u32, const u8 *, size_t, u32 *,
+                  u8 *);
 };
 
 constexpr KernelTable kScalarKernels = {
@@ -46,6 +48,7 @@ constexpr KernelTable kScalarKernels = {
     detail::countR2bppScalar,
     detail::applyLut256Scalar,
     detail::hammingRow256Scalar,
+    detail::expandSourcesScalar,
 };
 
 #if defined(__x86_64__)
@@ -54,12 +57,14 @@ constexpr KernelTable kSse4Kernels = {
     detail::countR2bppSse4,
     detail::applyLut256Sse4,
     detail::hammingRow256Sse4,
+    detail::expandSourcesSse4,
 };
 constexpr KernelTable kAvx2Kernels = {
     detail::unpackMask2bppAvx2,
     detail::countR2bppAvx2,
     detail::applyLut256Avx2,
     detail::hammingRow256Sse4,
+    detail::expandSourcesSse4,
 };
 #endif
 
@@ -69,6 +74,7 @@ constexpr KernelTable kNeonKernels = {
     detail::countR2bppNeon,
     detail::applyLut256Neon,
     detail::hammingRow256Scalar,
+    detail::expandSourcesScalar,
 };
 #endif
 
@@ -261,6 +267,16 @@ hammingRow256(const u8 *query, const u8 *pool, size_t n, u16 *out)
     kernels()->hamming(query, pool, n, out);
 }
 
+u32
+expandSources(const u8 *codes, size_t count, u32 first, const u8 *payload,
+              size_t payload_size, u32 *offset, u8 *value)
+{
+    if (count == 0)
+        return 0;
+    return kernels()->expand(codes, count, first, payload, payload_size,
+                             offset, value);
+}
+
 namespace detail {
 
 void
@@ -339,6 +355,23 @@ hammingRow256Scalar(const u8 *query, const u8 *pool, size_t n, u16 *out)
             std::popcount(q[0] ^ p[0]) + std::popcount(q[1] ^ p[1]) +
             std::popcount(q[2] ^ p[2]) + std::popcount(q[3] ^ p[3]));
     }
+}
+
+u32
+expandSourcesScalar(const u8 *codes, size_t count, u32 first,
+                    const u8 *payload, size_t /*payload_size*/,
+                    u32 *offset, u8 *value)
+{
+    u32 seen = 0;
+    for (size_t i = 0; i < count; ++i) {
+        seen += codes[i] == 3 ? 1u : 0u;
+        offset[i] = first + seen - 1;
+    }
+    if (value) {
+        for (size_t i = 0; i < count; ++i)
+            value[i] = payload[offset[i]];
+    }
+    return seen;
 }
 
 } // namespace detail

@@ -4,8 +4,8 @@
  *
  * Kernels here are the integer-exact inner loops the decoders, the ISP and
  * the descriptor matcher lean on: 2-bit mask-code expansion, packed R-code
- * population counts, 256-entry LUT application (gamma) and 256-bit Hamming
- * distance rows. Every kernel has a pure-scalar
+ * population counts, the R-prefix source expansion, 256-entry LUT
+ * application (gamma) and 256-bit Hamming distance rows. Every kernel has a pure-scalar
  * reference implementation plus SSE4.1/AVX2 (x86) and NEON (aarch64)
  * variants that produce **bit-identical output** — they only reorganise
  * integer loads/shuffles, never change arithmetic — so switching levels can
@@ -98,6 +98,18 @@ void applyLut256(u8 *data, size_t count, const u8 *lut);
  */
 void hammingRow256(const u8 *query, const u8 *pool, size_t n, u16 *out);
 
+/**
+ * The R-prefix expansion of one source-carry sweep (DESIGN.md §10).
+ * `codes` holds `count` unpacked pixel codes, the first of which is R.
+ * For each i, offset[i] = first + (R codes in codes[0..i]) - 1, the
+ * payload index of the latest R at or left of i; when `value` is not
+ * null, value[i] = payload[offset[i]], and every such index must be
+ * below `payload_size`. Returns the number of R codes.
+ */
+u32 expandSources(const u8 *codes, size_t count, u32 first,
+                  const u8 *payload, size_t payload_size, u32 *offset,
+                  u8 *value);
+
 namespace detail {
 
 // Per-level kernel implementations, exposed so the dispatcher (and the
@@ -110,6 +122,9 @@ u32 countR2bppScalar(const u8 *packed, size_t first, size_t count);
 void applyLut256Scalar(u8 *data, size_t count, const u8 *lut);
 void hammingRow256Scalar(const u8 *query, const u8 *pool, size_t n,
                          u16 *out);
+u32 expandSourcesScalar(const u8 *codes, size_t count, u32 first,
+                        const u8 *payload, size_t payload_size,
+                        u32 *offset, u8 *value);
 
 #if defined(__x86_64__)
 void unpackMask2bppSse4(const u8 *packed, size_t first, size_t count,
@@ -118,6 +133,10 @@ u32 countR2bppSse4(const u8 *packed, size_t first, size_t count);
 void applyLut256Sse4(u8 *data, size_t count, const u8 *lut);
 // The Avx2 level reuses this body.
 void hammingRow256Sse4(const u8 *query, const u8 *pool, size_t n, u16 *out);
+// The Avx2 level reuses this body too.
+u32 expandSourcesSse4(const u8 *codes, size_t count, u32 first,
+                      const u8 *payload, size_t payload_size, u32 *offset,
+                      u8 *value);
 
 void unpackMask2bppAvx2(const u8 *packed, size_t first, size_t count,
                         u8 *out);
@@ -131,7 +150,7 @@ void unpackMask2bppNeon(const u8 *packed, size_t first, size_t count,
 u32 countR2bppNeon(const u8 *packed, size_t first, size_t count);
 void applyLut256Neon(u8 *data, size_t count, const u8 *lut);
 // The Neon level reuses hammingRow256Scalar: std::popcount on aarch64
-// already compiles to cnt.
+// already compiles to cnt. It reuses expandSourcesScalar as well.
 #endif
 
 } // namespace detail

@@ -167,6 +167,75 @@ hammingRow256Sse4(const u8 *query, const u8 *pool, size_t n, u16 *out)
     }
 }
 
+u32
+expandSourcesSse4(const u8 *codes, size_t count, u32 first,
+                  const u8 *payload, size_t payload_size, u32 *offset,
+                  u8 *value)
+{
+    const __m128i three = _mm_set1_epi8(3);
+    const __m128i one = _mm_set1_epi8(1);
+    const __m128i zero = _mm_setzero_si128();
+    u32 seen = 0;
+    size_t i = 0;
+    for (; i + 16 <= count; i += 16) {
+        // pre[j]: R codes among this block's columns 0..j (0..16), an
+        // in-register prefix sum of the 0/1 R flags.
+        const __m128i c =
+            _mm_loadu_si128(reinterpret_cast<const __m128i *>(codes + i));
+        __m128i pre = _mm_and_si128(_mm_cmpeq_epi8(c, three), one);
+        pre = _mm_add_epi8(pre, _mm_slli_si128(pre, 1));
+        pre = _mm_add_epi8(pre, _mm_slli_si128(pre, 2));
+        pre = _mm_add_epi8(pre, _mm_slli_si128(pre, 4));
+        pre = _mm_add_epi8(pre, _mm_slli_si128(pre, 8));
+        // seen >= 1 past block 0, and block 0 starts with an R, so the
+        // u32 wrap of first - 1 is always undone by pre >= 1.
+        const __m128i base =
+            _mm_set1_epi32(static_cast<int>(first + seen - 1));
+        __m128i *dst = reinterpret_cast<__m128i *>(offset + i);
+        _mm_storeu_si128(dst + 0,
+                         _mm_add_epi32(_mm_cvtepu8_epi32(pre), base));
+        _mm_storeu_si128(dst + 1,
+                         _mm_add_epi32(
+                             _mm_cvtepu8_epi32(_mm_srli_si128(pre, 4)),
+                             base));
+        _mm_storeu_si128(dst + 2,
+                         _mm_add_epi32(
+                             _mm_cvtepu8_epi32(_mm_srli_si128(pre, 8)),
+                             base));
+        _mm_storeu_si128(dst + 3,
+                         _mm_add_epi32(
+                             _mm_cvtepu8_epi32(_mm_srli_si128(pre, 12)),
+                             base));
+        if (value) {
+            // The block's R codes read payload[p ..]; column j takes
+            // entry pre[j] - 1 of it, or, before the block's first R
+            // (pre[j] == 0, whose shuffle index has its high bit set),
+            // the value left of the block.
+            const size_t p = static_cast<size_t>(first) + seen;
+            if (p + 16 <= payload_size) {
+                const __m128i src = _mm_loadu_si128(
+                    reinterpret_cast<const __m128i *>(payload + p));
+                __m128i v = _mm_shuffle_epi8(src, _mm_sub_epi8(pre, one));
+                if (i > 0)
+                    v = _mm_blendv_epi8(
+                        v, _mm_set1_epi8(static_cast<char>(value[i - 1])),
+                        _mm_cmpeq_epi8(pre, zero));
+                _mm_storeu_si128(reinterpret_cast<__m128i *>(value + i),
+                                 v);
+            } else {
+                for (size_t j = i; j < i + 16; ++j)
+                    value[j] = payload[offset[j]];
+            }
+        }
+        seen += static_cast<u32>(_mm_extract_epi8(pre, 15));
+    }
+    if (i < count)
+        seen += expandSourcesScalar(codes + i, count - i, first + seen,
+                                    payload, payload_size, offset + i,
+                                    value ? value + i : nullptr);
+    return seen;
+}
+
 } // namespace rpx::simd::detail
 
 #endif // x86

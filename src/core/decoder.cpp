@@ -126,7 +126,7 @@ RhythmicDecoder::refreshScratchpad()
             continue;
         }
 
-        e.carry.bind(meta);
+        e.carry.bind(meta, /*values=*/false);
         e.valid = true;
     }
 }
@@ -135,7 +135,7 @@ SourceCarry &
 RhythmicDecoder::carryAt(ScratchEntry &e, i32 y)
 {
     if (y + 1 < e.carry.next_row)
-        e.carry.bind(e.meta);
+        e.carry.bind(e.meta, /*values=*/false);
     e.carry.advanceTo(y, minSourceRow(y, config_.max_upscan));
     return e.carry;
 }
@@ -202,7 +202,7 @@ RhythmicDecoder::translateSegment(i32 y, i32 x0, i32 x1, size_t base,
                 // the rows above, within max_upscan, from the carry.
                 const SourceCarry &carry = carryAt(*cur, y);
                 const size_t col = static_cast<size_t>(x);
-                if (carry.row[col] >= min_row)
+                if (col >= carry.threshold(min_row))
                     offset = carry.offset[col];
             }
             if (offset < total) {
@@ -235,7 +235,7 @@ RhythmicDecoder::translateFallback(i32 x, i32 y, size_t result_pos,
         const SourceCarry &past = carryAt(e, y);
         const PixelCode pcode = static_cast<PixelCode>(past.codes[col]);
         if ((pcode == PixelCode::R || pcode == PixelCode::St) &&
-            past.row[col] >= min_row &&
+            col >= past.threshold(min_row) &&
             past.offset[col] < e.meta.offsets.total()) {
             subs.push_back({k, past.offset[col], result_pos});
             ++stats_.sub_requests_inter;

@@ -41,8 +41,8 @@ const char *pixelCodeName(PixelCode code);
 /**
  * Packed 2-bit-per-pixel mask for one frame.
  *
- * Occupies width*height/4 bytes — 8% of an 8-bit frame, the metadata
- * overhead quoted in §4.1.2.
+ * Occupies width*height/4 bytes: 25% of a 1 B/px gray frame, and ≈ 8%
+ * of a 3 B/px RGB frame, the metadata overhead quoted in §4.1.2.
  */
 class EncMask
 {

@@ -42,6 +42,10 @@ FrameStore::store(EncodedFrame frame)
         throwInvalid("stored frame geometry mismatch");
     frame.checkConsistency();
 
+    // Back the whole slot ring before its first write, so the DRAM
+    // backing store stops at the ring's end (a no-op once backed).
+    dram_.reserve(slot_addrs_.back().crc.end());
+
     FrameStoreReport report;
     const StoredFrameAddrs &addrs = slot_addrs_[next_slot_];
     next_slot_ = (next_slot_ + 1) % slot_addrs_.size();

@@ -1,7 +1,8 @@
 #include "core/sw_decoder.hpp"
 
+#include <cstring>
+
 #include "common/error.hpp"
-#include "common/simd.hpp"
 
 namespace rpx {
 
@@ -11,29 +12,111 @@ SoftwareDecoder::SoftwareDecoder(const Config &config) : config_(config)
         throwInvalid("max_upscan must be non-negative");
 }
 
+namespace {
+
+constexpr u64 kByteLsbs = 0x0101010101010101ULL;
+
+u64
+load8(const u8 *p)
+{
+    u64 v;
+    std::memcpy(&v, p, sizeof(v));
+    return v;
+}
+
+void
+store8(u8 *p, u64 v)
+{
+    std::memcpy(p, &v, sizeof(v));
+}
+
+/** Sum of the eight bytes of `v`, each 0 or 1. */
+u32
+byteSum(u64 v)
+{
+    return static_cast<u32>((v * kByteLsbs) >> 56);
+}
+
+/**
+ * todo[x] = 1 for every column whose code is not N (0 otherwise), eight
+ * columns per word; returns the number of such columns.
+ */
+u32
+markPending(const u8 *codes, size_t w, u8 *todo)
+{
+    u32 pending = 0;
+    size_t x = 0;
+    for (; x + 8 <= w; x += 8) {
+        const u64 c = load8(codes + x);
+        const u64 t = (c | (c >> 1)) & kByteLsbs;
+        store8(todo + x, t);
+        pending += byteSum(t);
+    }
+    for (; x < w; ++x) {
+        todo[x] = codes[x] != 0 ? 1 : 0;
+        pending += todo[x];
+    }
+    return pending;
+}
+
+/**
+ * The one resolver rule, applied to a carry swept through the output
+ * row: a pending column resolves when the frame sampled it (R or St,
+ * code & 1), its source row is at least `min_row` (x >= the carry's
+ * threshold) and, for a frame whose carry overran its payload, its
+ * source lies inside the payload. Resolved columns take the carried
+ * source byte and leave `todo`; returns how many resolved.
+ */
+u32
+resolveRow(const SourceCarry &carry, i32 min_row, u8 *todo, u8 *out)
+{
+    const size_t w = carry.codes.size();
+    const u8 *codes = carry.codes.data();
+    const u8 *value = carry.value.data();
+    u32 resolved = 0;
+    size_t x = carry.threshold(min_row);
+    if (!carry.overrun) {
+        // Eight columns per word: m holds 1 in each resolving byte, and
+        // m * 0xff widens it to a byte select mask.
+        for (; x + 8 <= w; x += 8) {
+            const u64 t = load8(todo + x);
+            const u64 m = t & load8(codes + x);
+            if (m == 0)
+                continue;
+            const u64 sel = m * 0xff;
+            store8(out + x,
+                   (load8(out + x) & ~sel) | (load8(value + x) & sel));
+            store8(todo + x, t & ~m);
+            resolved += byteSum(m);
+        }
+    }
+    const size_t limit = carry.frame->pixels.size();
+    for (; x < w; ++x) {
+        if ((todo[x] & codes[x] & 1) != 0 && carry.offset[x] < limit) {
+            out[x] = value[x];
+            todo[x] = 0;
+            ++resolved;
+        }
+    }
+    return resolved;
+}
+
+} // namespace
+
 void
 SoftwareDecoder::decodeCoreInto(
     const EncodedFrame &current,
     const std::vector<const EncodedFrame *> &history, i32 y0, i32 y1,
     Image &out) const
 {
-    cur_carry_.bind(current);
+    cur_carry_.bind(current, /*values=*/true);
     while (hist_carries_.size() < history.size())
         hist_carries_.emplace_back();
     for (size_t k = 0; k < history.size(); ++k)
-        hist_carries_[k].bind(*history[k]);
+        hist_carries_[k].bind(*history[k], /*values=*/true);
 
-    // Payload bounds: validate() guarantees the row-offset table stays
-    // inside [0, pixels.size()], but a corrupt mask can still disagree
-    // with the offsets, so every derived payload index is range-checked
-    // before the read — an out-of-range source demotes the pixel to the
-    // history/black fallback instead of reading out of bounds.
     const size_t w = static_cast<size_t>(current.width);
-    const size_t cur_limit = current.pixels.size();
-    const u32 *cur_offset = cur_carry_.offset.data();
-    const i32 *cur_row = cur_carry_.row.data();
-    row_codes_.resize(w);
-    pending_.resize(w);
+    todo_.resize(w);
     u64 fills = 0;
     u64 black = 0;
 
@@ -42,70 +125,21 @@ SoftwareDecoder::decodeCoreInto(
         // catch up from there, which also primes the first row of a band.
         const i32 min_row = minSourceRow(y, config_.max_upscan);
         u8 *row = out.row(y);
-        simd::unpackMask2bpp(current.mask.bytes().data(),
-                             static_cast<size_t>(y) * w, w,
-                             row_codes_.data());
+        cur_carry_.advanceTo(y, min_row);
+        u32 pending = markPending(cur_carry_.codes.data(), w, todo_.data());
+        black += w - pending; // N pixels stay black
 
-        // Current frame. An R is payload entry row_off + (R codes before
-        // it); an St with an R at or left of it in its own row takes the
-        // latest such R; any other St looks up the current-frame carry,
-        // which advances only for rows that need it. Unresolved pixels
-        // queue for history.
-        const u32 row_off = current.offsets.offsetOf(y);
-        u32 r_seen = 0;
-        u32 last = 0;
-        size_t pending = 0;
-        for (size_t x = 0; x < w; ++x) {
-            const PixelCode code = static_cast<PixelCode>(row_codes_[x]);
-            if (code == PixelCode::N) {
-                ++black;
-                continue; // already black
-            }
-            size_t offset = cur_limit; // no source
-            if (code == PixelCode::R) {
-                last = row_off + r_seen++;
-                offset = last;
-            } else if (code == PixelCode::St) {
-                if (r_seen > 0) {
-                    offset = last;
-                } else {
-                    if (cur_carry_.next_row <= y)
-                        cur_carry_.advanceTo(y, min_row);
-                    if (cur_row[x] >= min_row)
-                        offset = cur_offset[x];
-                }
-            }
-            if (offset < cur_limit)
-                row[x] = current.pixels[offset];
-            else
-                pending_[pending++] = static_cast<u32>(x);
-        }
-
-        // History, most recent first: a pending pixel fills from the
-        // first frame that sampled it (R or St) and has its source in
-        // reach. Each history carry advances only for rows with pending
+        // The current frame, then history most recent first, each under
+        // the same rule. A history carry advances only for rows with
         // pixels left when its turn comes.
+        if (pending > 0)
+            pending -= resolveRow(cur_carry_, min_row, todo_.data(), row);
         for (size_t k = 0; k < history.size() && pending > 0; ++k) {
             SourceCarry &past = hist_carries_[k];
             past.advanceTo(y, min_row);
-            const u8 *codes = past.codes.data();
-            const u32 *offset = past.offset.data();
-            const i32 *src_row = past.row.data();
-            const u8 *pixels = past.frame->pixels.data();
-            const size_t limit = past.frame->pixels.size();
-            size_t still = 0;
-            for (size_t i = 0; i < pending; ++i) {
-                const u32 x = pending_[i];
-                const PixelCode pcode = static_cast<PixelCode>(codes[x]);
-                if ((pcode == PixelCode::R || pcode == PixelCode::St) &&
-                    src_row[x] >= min_row && offset[x] < limit) {
-                    row[x] = pixels[offset[x]];
-                    ++fills;
-                } else {
-                    pending_[still++] = x;
-                }
-            }
-            pending = still;
+            const u32 got = resolveRow(past, min_row, todo_.data(), row);
+            fills += got;
+            pending -= got;
         }
         black += pending;
     }

@@ -17,10 +17,13 @@
  *
  * The core resolves pixel sources with one row-carried SourceCarry sweep
  * per frame, current and history alike (core/source_carry.hpp, DESIGN.md
- * §10). R pixels, and St pixels with an R at or left in their own row,
- * resolve from a running in-row R count; carries advance lazily, only for
- * rows that need them, and catch up from max_upscan rows above — which
- * also primes the first row of a band.
+ * §10); each carry also holds its columns' source bytes. One rule
+ * resolves every frame, the current one first and then history, most
+ * recent first: a pending pixel takes the frame's carried byte when the
+ * frame sampled it (R or St) and its source row is within max_upscan,
+ * applied as a byte-wide blend over the row. History carries advance
+ * lazily, only for rows with pixels left, and every carry catches up from
+ * max_upscan rows above — which also primes the first row of a band.
  *
  * Decode scratch state (source carries, history filters)
  * is pooled in the instance, so steady-state decoding performs zero heap
@@ -139,8 +142,7 @@ class SoftwareDecoder
     // single-threaded.
     mutable SourceCarry cur_carry_;
     mutable std::vector<SourceCarry> hist_carries_;
-    mutable std::vector<u8> row_codes_;
-    mutable std::vector<u32> pending_; //!< columns awaiting history
+    mutable std::vector<u8> todo_; //!< 1 per row column still unresolved
     mutable std::vector<const EncodedFrame *> usable_;
 };
 

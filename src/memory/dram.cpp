@@ -36,11 +36,20 @@ DramModel::checkRange(u64 addr, size_t len) const
     }
     if (store_.size() < addr + len) {
         // Grow geometrically: per-burst linear resizes would copy the
-        // whole backing store once per DMA line.
+        // whole backing store once per DMA line. Inside the reserved
+        // range, growth stops at its end, so no page past it is touched.
         u64 target = std::max<u64>(addr + len, store_.size() * 2);
+        if (addr + len <= store_.capacity())
+            target = std::min<u64>(target, store_.capacity());
         target = std::min(target, capacity_);
         store_.resize(target, 0);
     }
+}
+
+void
+DramModel::reserve(u64 end)
+{
+    store_.reserve(std::min(end, capacity_));
 }
 
 void

@@ -59,6 +59,13 @@ class DramModel
 
     u64 capacity() const { return capacity_; }
 
+    /**
+     * Back addresses below `end` (clamped to the capacity) without
+     * writing them: the backing store then grows no further than `end`
+     * while accesses stay below it. A FrameStore reserves its slot ring.
+     */
+    void reserve(u64 end);
+
     /** Write `data` at `addr`; counts one transaction + ceil burst count. */
     void write(u64 addr, const u8 *data, size_t len);
     void write(u64 addr, const std::vector<u8> &data);

@@ -33,9 +33,9 @@ struct ThroughputConfig {
     int multi_roi_windows = 16;
     /**
      * Stored pixel format width in bytes (2 = the YUYV-class format a
-     * mobile capture pipeline writes; the paper's frames are multi-byte,
-     * which is why the 2-bit EncMask is only ~8% overhead). Metadata
-     * sizes do not scale with it.
+     * mobile capture pipeline writes). The 2-bit EncMask is 12.5% of a
+     * frame at 2 B/px and ≈ 8% at 3 B/px RGB, the overhead the paper
+     * quotes. Metadata sizes do not scale with it.
      */
     double bytes_per_pixel = 2.0;
 };

@@ -24,17 +24,13 @@ TEST(Arena, RetainsCapacityAcrossLeases)
     EXPECT_GE(arena.retainedBytes(), 4096u);
 }
 
-TEST(Arena, HighWaterTracksPeakAcrossShrinkAndClear)
+TEST(Arena, HighWaterTracksPeakAcrossShrink)
 {
     FrameArena arena;
     arena.bytes(0, 1 << 16);
-    arena.words(0, 1 << 10);
+    arena.bytes(1, 1 << 12);
     const size_t peak = arena.retainedBytes();
-    EXPECT_GE(peak, (1u << 16) + (1u << 10) * sizeof(u32));
-    EXPECT_EQ(arena.highWaterBytes(), peak);
-
-    arena.clear();
-    EXPECT_EQ(arena.retainedBytes(), 0u);
+    EXPECT_GE(peak, (1u << 16) + (1u << 12));
     EXPECT_EQ(arena.highWaterBytes(), peak);
 
     // Smaller re-leases never move the high-water mark down.

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -215,6 +216,89 @@ TEST(Simd, HammingRowMatchesReferenceAtEveryLevel)
         EXPECT_EQ(d[1], 0) << levelName(level);
         hammingRow256(query, pool + 64, 1, d);
         EXPECT_EQ(d[0], 0) << levelName(level);
+    }
+}
+
+/**
+ * expandSources at every level against its scalar body and a plain
+ * prefix walk: every R density from sparse to all-R, block-straddling
+ * lengths, and a payload that ends exactly at the row's last R, so a
+ * 16-byte payload load past its end would read out of bounds.
+ */
+TEST(Simd, ExpandSourcesMatchesScalarAtEveryLevel)
+{
+    Rng rng(55);
+    for (const size_t count :
+         {size_t{1}, size_t{2}, size_t{15}, size_t{16}, size_t{17},
+          size_t{31}, size_t{32}, size_t{33}, size_t{100}, size_t{1921}}) {
+        for (const int density : {0, 1, 4, 50, 100}) {
+            // density % of codes R (0 leaves only the leading R).
+            std::vector<u8> codes(count);
+            for (u8 &c : codes)
+                c = rng.uniformInt(0, 99) < density
+                        ? u8{3}
+                        : static_cast<u8>(rng.uniformInt(0, 2));
+            codes[0] = 3;
+            const u32 first = static_cast<u32>(rng.uniformInt(0, 40));
+            u32 r_count = 0;
+            for (const u8 c : codes)
+                r_count += c == 3 ? 1u : 0u;
+            std::vector<u8> payload(first + r_count);
+            for (u8 &b : payload)
+                b = static_cast<u8>(rng.uniformInt(0, 255));
+
+            std::vector<u32> want_offset(count);
+            std::vector<u8> want_value(count);
+            u32 seen = 0;
+            for (size_t i = 0; i < count; ++i) {
+                seen += codes[i] == 3 ? 1u : 0u;
+                want_offset[i] = first + seen - 1;
+                want_value[i] = payload[want_offset[i]];
+            }
+            std::vector<u32> scalar_offset(count);
+            std::vector<u8> scalar_value(count);
+            ASSERT_EQ(detail::expandSourcesScalar(
+                          codes.data(), count, first, payload.data(),
+                          payload.size(), scalar_offset.data(),
+                          scalar_value.data()),
+                      r_count);
+            ASSERT_EQ(scalar_offset, want_offset);
+            ASSERT_EQ(scalar_value, want_value);
+
+            for (const Level level : supportedLevels()) {
+                ScopedLevel guard(level);
+                ASSERT_TRUE(guard.ok()) << levelName(level);
+                const std::string where = std::string(levelName(level)) +
+                                          " count=" +
+                                          std::to_string(count) +
+                                          " density=" +
+                                          std::to_string(density);
+                std::vector<u32> offset(count + 1, 0xdeadbeef);
+                std::vector<u8> value(count + 1, 0xab);
+                EXPECT_EQ(expandSources(codes.data(), count, first,
+                                        payload.data(), payload.size(),
+                                        offset.data(), value.data()),
+                          r_count)
+                    << where;
+                EXPECT_TRUE(std::equal(want_offset.begin(),
+                                       want_offset.end(), offset.begin()))
+                    << where;
+                EXPECT_TRUE(std::equal(want_value.begin(), want_value.end(),
+                                       value.begin()))
+                    << where;
+                EXPECT_EQ(offset[count], 0xdeadbeefu) << where;
+                EXPECT_EQ(value[count], 0xab) << where;
+
+                // Without a value row only the offsets are written.
+                std::vector<u32> bare(count, 0);
+                EXPECT_EQ(expandSources(codes.data(), count, first,
+                                        payload.data(), payload.size(),
+                                        bare.data(), nullptr),
+                          r_count)
+                    << where;
+                EXPECT_EQ(bare, want_offset) << where;
+            }
+        }
     }
 }
 

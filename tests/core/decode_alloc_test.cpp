@@ -234,8 +234,8 @@ TEST(DecodeAlloc, ScratchpadRefreshAfterStoreIsAllocationFreeWarm)
 
     // Fill the store's ring so later stores evict (steady state), and
     // run the measured request pattern after each store so the scratchpad
-    // pool, the arena buffers, and every lazily-built prefix-cache row
-    // the pattern touches reach their final capacity in every slot.
+    // pool, the arena buffers, and every slot's source carry reach their
+    // final capacity.
     for (FrameIndex t = 0; t < 8; ++t) {
         store.store(enc.encodeFrame(noiseFrame(w, h, 41 + t), t));
         for (i32 y = 0; y < h; y += 7)

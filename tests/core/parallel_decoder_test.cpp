@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <string>
 #include <utility>
 #include <vector>
@@ -385,6 +386,96 @@ TEST(DecoderCarry, MaskOffsetDisagreementDemotesToHistory)
         expectMatchesReference(bad, older, cfg, "bad current" + bound);
         expectMatchesReference(frames[0], with_bad, cfg,
                                "bad history" + bound);
+    }
+}
+
+/**
+ * The carry's source row never decreases along x, so one threshold per
+ * (frame, row) stands in for a per-column upscan check. Random masks
+ * (empty, sparse and dense rows), upscan bounds and sweep starts: the
+ * first sweep primes from max_upscan rows above a random band start, and
+ * later ones jump rows the way lazy history carries do. After every
+ * sweep the steps strictly increase, x >= threshold(min_row) holds
+ * exactly where the brute-force source row reaches min_row, and every
+ * column with a source carries its brute-force offset and byte.
+ */
+TEST(DecoderCarry, ThresholdMatchesBruteForceSourceRows)
+{
+    Rng rng(0x7e57);
+    for (int trial = 0; trial < 60; ++trial) {
+        const i32 w = static_cast<i32>(rng.uniformInt(1, 90));
+        const i32 h = static_cast<i32>(rng.uniformInt(1, 40));
+        EncodedFrame f;
+        f.width = w;
+        f.height = h;
+        f.mask = EncMask(w, h);
+        for (i32 y = 0; y < h; ++y) {
+            const i64 density = std::array<i64, 4>{0, 5, 30, 100}
+                [static_cast<size_t>(rng.uniformInt(0, 3))];
+            for (i32 x = 0; x < w; ++x)
+                f.mask.set(x, y,
+                           rng.uniformInt(0, 99) < density
+                               ? PixelCode::R
+                               : static_cast<PixelCode>(
+                                     rng.uniformInt(0, 2)));
+        }
+        f.offsets = RowOffsets(f.mask);
+        f.pixels.resize(f.offsets.total());
+        for (u8 &b : f.pixels)
+            b = static_cast<u8>(rng.uniformInt(0, 255));
+
+        const int max_upscan = static_cast<int>(rng.uniformInt(0, h + 1));
+        SourceCarry carry;
+        carry.bind(f, /*values=*/true);
+        std::vector<bool> swept(static_cast<size_t>(h), false);
+        for (i32 y = static_cast<i32>(rng.uniformInt(0, h - 1)); y < h;
+             y += static_cast<i32>(rng.uniformInt(1, 4))) {
+            const i32 from = minSourceRow(y, max_upscan);
+            for (i32 r = std::max(carry.next_row, from); r <= y; ++r)
+                swept[static_cast<size_t>(r)] = true;
+            carry.advanceTo(y, from);
+            const std::string where = "trial=" + std::to_string(trial) +
+                                      " y=" + std::to_string(y);
+
+            for (size_t i = 1; i < carry.steps.size(); ++i) {
+                ASSERT_LT(carry.steps[i - 1].x, carry.steps[i].x) << where;
+                ASSERT_LT(carry.steps[i - 1].row, carry.steps[i].row)
+                    << where;
+            }
+            // Brute force: the last swept row with an R at or left of x.
+            std::vector<i32> src_row(static_cast<size_t>(w), -1);
+            std::vector<u32> src_off(static_cast<size_t>(w), 0);
+            for (i32 r = 0; r <= y; ++r) {
+                if (!swept[static_cast<size_t>(r)])
+                    continue;
+                u32 seen = 0;
+                for (i32 x = 0; x < w; ++x) {
+                    seen += f.mask.at(x, r) == PixelCode::R ? 1u : 0u;
+                    if (seen > 0) {
+                        src_row[static_cast<size_t>(x)] = r;
+                        src_off[static_cast<size_t>(x)] =
+                            f.offsets.offsetOf(r) + seen - 1;
+                    }
+                }
+            }
+            for (i32 min_row = 0; min_row <= y + 1; ++min_row) {
+                const size_t thr = carry.threshold(min_row);
+                for (size_t x = 0; x < static_cast<size_t>(w); ++x)
+                    ASSERT_EQ(x >= thr, src_row[x] >= min_row)
+                        << where << " min_row=" << min_row << " x=" << x;
+            }
+            for (size_t x = 0; x < static_cast<size_t>(w); ++x) {
+                if (src_row[x] < 0)
+                    continue;
+                ASSERT_EQ(carry.offset[x], src_off[x]) << where;
+                ASSERT_EQ(carry.value[x], f.pixels[src_off[x]]) << where;
+            }
+            for (i32 x = 0; x < w; ++x)
+                ASSERT_EQ(carry.codes[static_cast<size_t>(x)],
+                          static_cast<u8>(f.mask.at(x, y)))
+                    << where;
+            EXPECT_FALSE(carry.overrun) << where;
+        }
     }
 }
 

@@ -53,6 +53,27 @@ TEST(Dram, ZeroLengthIsFree)
     EXPECT_EQ(dram.stats().write_transactions, 0u);
 }
 
+TEST(Dram, ReservedRangeKeepsContentsAcrossGrowth)
+{
+    // Writes inside a reserved range, then past its end and past the
+    // capacity-clamped reserve: every byte reads back and unwritten
+    // bytes read as zero.
+    DramModel dram(1 << 12);
+    dram.reserve(1 << 20); // clamped to the capacity
+    dram.reserve(100);     // never shrinks
+    const std::vector<u8> head{1, 2, 3};
+    const std::vector<u8> mid{4, 5, 6, 7};
+    const std::vector<u8> tail{8, 9};
+    dram.write(10, head);
+    dram.write(97, mid);
+    dram.write(4094, tail);
+    EXPECT_EQ(dram.read(10, 3), head);
+    EXPECT_EQ(dram.read(97, 4), mid);
+    EXPECT_EQ(dram.read(4094, 2), tail);
+    EXPECT_EQ(dram.read(200, 2), std::vector<u8>(2, 0));
+    EXPECT_THROW(dram.write(4095, tail), std::invalid_argument);
+}
+
 TEST(Dram, ResetStats)
 {
     DramModel dram(1 << 16);
