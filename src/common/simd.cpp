@@ -37,7 +37,6 @@ constexpr ExpandTable kExpand = buildExpandTable();
 struct KernelTable {
     void (*unpack)(const u8 *, size_t, size_t, u8 *);
     u32 (*count_r)(const u8 *, size_t, size_t);
-    void (*lut)(u8 *, size_t, const u8 *);
     void (*hamming)(const u8 *, const u8 *, size_t, u16 *);
     u32 (*expand)(const u8 *, size_t, u32, const u8 *, size_t, u32 *,
                   u8 *);
@@ -46,7 +45,6 @@ struct KernelTable {
 constexpr KernelTable kScalarKernels = {
     detail::unpackMask2bppScalar,
     detail::countR2bppScalar,
-    detail::applyLut256Scalar,
     detail::hammingRow256Scalar,
     detail::expandSourcesScalar,
 };
@@ -55,14 +53,6 @@ constexpr KernelTable kScalarKernels = {
 constexpr KernelTable kSse4Kernels = {
     detail::unpackMask2bppSse4,
     detail::countR2bppSse4,
-    detail::applyLut256Sse4,
-    detail::hammingRow256Sse4,
-    detail::expandSourcesSse4,
-};
-constexpr KernelTable kAvx2Kernels = {
-    detail::unpackMask2bppAvx2,
-    detail::countR2bppAvx2,
-    detail::applyLut256Avx2,
     detail::hammingRow256Sse4,
     detail::expandSourcesSse4,
 };
@@ -72,7 +62,6 @@ constexpr KernelTable kAvx2Kernels = {
 constexpr KernelTable kNeonKernels = {
     detail::unpackMask2bppNeon,
     detail::countR2bppNeon,
-    detail::applyLut256Neon,
     detail::hammingRow256Scalar,
     detail::expandSourcesScalar,
 };
@@ -90,8 +79,6 @@ tableFor(Level level)
 #if defined(__x86_64__)
       case Level::Sse4:
         return &kSse4Kernels;
-      case Level::Avx2:
-        return &kAvx2Kernels;
 #endif
 #if defined(__aarch64__)
       case Level::Neon:
@@ -109,17 +96,6 @@ applyLevel(Level level)
     g_kernels.store(tableFor(level), std::memory_order_release);
 }
 
-/** Step an unsupported request down to the nearest runnable level. */
-Level
-clampSupported(Level want)
-{
-    if (levelSupported(want))
-        return want;
-    if (want == Level::Avx2 && levelSupported(Level::Sse4))
-        return Level::Sse4;
-    return Level::Scalar;
-}
-
 Level
 envRequestedLevel()
 {
@@ -131,8 +107,6 @@ envRequestedLevel()
         return Level::Scalar;
     if (v == "sse4" || v == "sse4.1" || v == "sse4.2" || v == "sse")
         return Level::Sse4;
-    if (v == "avx2" || v == "avx")
-        return Level::Avx2;
     if (v == "neon")
         return Level::Neon;
     return bestSupported(); // unknown value: auto
@@ -159,8 +133,6 @@ levelName(Level level)
         return "scalar";
       case Level::Sse4:
         return "sse4";
-      case Level::Avx2:
-        return "avx2";
       case Level::Neon:
         return "neon";
     }
@@ -177,8 +149,6 @@ levelSupported(Level level)
       case Level::Sse4:
         return __builtin_cpu_supports("sse4.2") != 0 &&
                __builtin_cpu_supports("popcnt") != 0;
-      case Level::Avx2:
-        return __builtin_cpu_supports("avx2") != 0;
 #endif
 #if defined(__aarch64__)
       case Level::Neon:
@@ -192,8 +162,6 @@ levelSupported(Level level)
 Level
 bestSupported()
 {
-    if (levelSupported(Level::Avx2))
-        return Level::Avx2;
     if (levelSupported(Level::Sse4))
         return Level::Sse4;
     if (levelSupported(Level::Neon))
@@ -221,14 +189,16 @@ setLevel(Level level)
 void
 resetLevel()
 {
-    applyLevel(clampSupported(envRequestedLevel()));
+    // An unsupported request (say "neon" on x86) falls back to Scalar.
+    const Level want = envRequestedLevel();
+    applyLevel(levelSupported(want) ? want : Level::Scalar);
 }
 
 std::vector<Level>
 supportedLevels()
 {
     std::vector<Level> out;
-    for (Level l : {Level::Scalar, Level::Sse4, Level::Avx2, Level::Neon}) {
+    for (Level l : {Level::Scalar, Level::Sse4, Level::Neon}) {
         if (levelSupported(l))
             out.push_back(l);
     }
@@ -249,14 +219,6 @@ countR2bpp(const u8 *packed, size_t first, size_t count)
     if (count == 0)
         return 0;
     return kernels()->count_r(packed, first, count);
-}
-
-void
-applyLut256(u8 *data, size_t count, const u8 *lut)
-{
-    if (count == 0)
-        return;
-    kernels()->lut(data, count, lut);
 }
 
 void
@@ -334,13 +296,6 @@ countR2bppScalar(const u8 *packed, size_t first, size_t count)
         ++i;
     }
     return total;
-}
-
-void
-applyLut256Scalar(u8 *data, size_t count, const u8 *lut)
-{
-    for (size_t i = 0; i < count; ++i)
-        data[i] = lut[data[i]];
 }
 
 void

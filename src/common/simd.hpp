@@ -2,25 +2,24 @@
  * @file
  * Portable SIMD dispatch shim for the decode-path hot loops.
  *
- * Kernels here are the integer-exact inner loops the decoders, the ISP and
- * the descriptor matcher lean on: 2-bit mask-code expansion, packed R-code
- * population counts, the R-prefix source expansion, 256-entry LUT
- * application (gamma) and 256-bit Hamming distance rows. Every kernel has a pure-scalar
- * reference implementation plus SSE4.1/AVX2 (x86) and NEON (aarch64)
- * variants that produce **bit-identical output** — they only reorganise
- * integer loads/shuffles, never change arithmetic — so switching levels can
- * never change a decoded byte. Floating-point stages (colour-space
- * conversion, gray weighting) are deliberately *not* reimplemented here:
- * their double-precision rounding is pinned by tests and cannot be
- * reproduced exactly in fixed point, so they stay scalar (see DESIGN.md
- * section 10).
+ * Kernels here are the integer-exact inner loops the decoders and the
+ * descriptor matcher lean on: 2-bit mask-code expansion, packed R-code
+ * population counts, the R-prefix source expansion and 256-bit Hamming
+ * distance rows. Every kernel has a pure-scalar reference implementation
+ * plus SSE4.2 (x86) and NEON (aarch64) variants that produce
+ * **bit-identical output** — they only reorganise integer loads/shuffles,
+ * never change arithmetic — so switching levels can never change a
+ * decoded byte. Floating-point stages (colour-space conversion, gray
+ * weighting) are deliberately *not* reimplemented here: their
+ * double-precision rounding is pinned by tests and cannot be reproduced
+ * exactly in fixed point, so they stay scalar (see DESIGN.md section 10).
  *
  * Dispatch: the best level the CPU supports is detected once (cpuid via
  * __builtin_cpu_supports on x86; NEON is baseline on aarch64) and can be
  * overridden by the RPX_SIMD environment variable ("off"/"scalar",
- * "sse4", "avx2", "neon", "auto") or programmatically via setLevel() —
- * the test suites use the latter to prove identity across every level the
- * host can run.
+ * "sse4", "neon", "auto"; any other value means "auto") or
+ * programmatically via setLevel() — the test suites use the latter to
+ * prove identity across every level the host can run.
  */
 
 #ifndef RPX_COMMON_SIMD_HPP
@@ -36,12 +35,11 @@ namespace rpx::simd {
 /** Instruction-set level a kernel dispatches to. */
 enum class Level : int {
     Scalar = 0, //!< portable C++ (always available)
-    Sse4 = 1,   //!< x86 SSE4.1 (pshufb/popcnt era)
-    Avx2 = 2,   //!< x86 AVX2 (32-byte shuffles)
-    Neon = 3,   //!< aarch64 Advanced SIMD (baseline there)
+    Sse4 = 1,   //!< x86 SSE4.2 (pshufb/popcnt era)
+    Neon = 2,   //!< aarch64 Advanced SIMD (baseline there)
 };
 
-/** Printable name of a level ("scalar", "sse4", "avx2", "neon"). */
+/** Printable name of a level ("scalar", "sse4", "neon"). */
 const char *levelName(Level level);
 
 /** True when the level is both compiled in and supported by this CPU. */
@@ -85,12 +83,6 @@ void unpackMask2bpp(const u8 *packed, size_t first, size_t count, u8 *out);
 u32 countR2bpp(const u8 *packed, size_t first, size_t count);
 
 /**
- * Apply a 256-entry byte LUT in place: data[i] = lut[data[i]]. The gamma
- * stage and any other byte-mapping stage route through this.
- */
-void applyLut256(u8 *data, size_t count, const u8 *lut);
-
-/**
  * Hamming distances from one 32-byte (256-bit) descriptor to `n`
  * contiguous 32-byte descriptors: out[i] = popcount(query ^ pool[i]),
  * 0..256. Neither pointer needs any alignment. The ORB matcher takes one
@@ -113,13 +105,12 @@ u32 expandSources(const u8 *codes, size_t count, u32 first,
 namespace detail {
 
 // Per-level kernel implementations, exposed so the dispatcher (and the
-// identity tests) can address a specific level directly. The sse4/avx2
+// identity tests) can address a specific level directly. The sse4
 // symbols exist only on x86 builds, neon only on aarch64 builds — callers
 // go through levelSupported() first.
 void unpackMask2bppScalar(const u8 *packed, size_t first, size_t count,
                           u8 *out);
 u32 countR2bppScalar(const u8 *packed, size_t first, size_t count);
-void applyLut256Scalar(u8 *data, size_t count, const u8 *lut);
 void hammingRow256Scalar(const u8 *query, const u8 *pool, size_t n,
                          u16 *out);
 u32 expandSourcesScalar(const u8 *codes, size_t count, u32 first,
@@ -130,25 +121,16 @@ u32 expandSourcesScalar(const u8 *codes, size_t count, u32 first,
 void unpackMask2bppSse4(const u8 *packed, size_t first, size_t count,
                         u8 *out);
 u32 countR2bppSse4(const u8 *packed, size_t first, size_t count);
-void applyLut256Sse4(u8 *data, size_t count, const u8 *lut);
-// The Avx2 level reuses this body.
 void hammingRow256Sse4(const u8 *query, const u8 *pool, size_t n, u16 *out);
-// The Avx2 level reuses this body too.
 u32 expandSourcesSse4(const u8 *codes, size_t count, u32 first,
                       const u8 *payload, size_t payload_size, u32 *offset,
                       u8 *value);
-
-void unpackMask2bppAvx2(const u8 *packed, size_t first, size_t count,
-                        u8 *out);
-u32 countR2bppAvx2(const u8 *packed, size_t first, size_t count);
-void applyLut256Avx2(u8 *data, size_t count, const u8 *lut);
 #endif
 
 #if defined(__aarch64__)
 void unpackMask2bppNeon(const u8 *packed, size_t first, size_t count,
                         u8 *out);
 u32 countR2bppNeon(const u8 *packed, size_t first, size_t count);
-void applyLut256Neon(u8 *data, size_t count, const u8 *lut);
 // The Neon level reuses hammingRow256Scalar: std::popcount on aarch64
 // already compiles to cnt. It reuses expandSourcesScalar as well.
 #endif

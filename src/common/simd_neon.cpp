@@ -69,29 +69,6 @@ countR2bppNeon(const u8 *packed, size_t first, size_t count)
     return total;
 }
 
-void
-applyLut256Neon(u8 *data, size_t count, const u8 *lut)
-{
-    // Four 64-entry table-lookup groups; vqtbl4q returns 0 for indices out
-    // of range, so subtracting the group base and OR-ing the results
-    // composes the full 256-entry lookup.
-    uint8x16x4_t t0 = vld1q_u8_x4(lut);
-    uint8x16x4_t t1 = vld1q_u8_x4(lut + 64);
-    uint8x16x4_t t2 = vld1q_u8_x4(lut + 128);
-    uint8x16x4_t t3 = vld1q_u8_x4(lut + 192);
-    size_t i = 0;
-    for (; i + 16 <= count; i += 16) {
-        const uint8x16_t x = vld1q_u8(data + i);
-        uint8x16_t res = vqtbl4q_u8(t0, x);
-        res = vorrq_u8(res, vqtbl4q_u8(t1, vsubq_u8(x, vdupq_n_u8(64))));
-        res = vorrq_u8(res, vqtbl4q_u8(t2, vsubq_u8(x, vdupq_n_u8(128))));
-        res = vorrq_u8(res, vqtbl4q_u8(t3, vsubq_u8(x, vdupq_n_u8(192))));
-        vst1q_u8(data + i, res);
-    }
-    for (; i < count; ++i)
-        data[i] = lut[data[i]];
-}
-
 } // namespace rpx::simd::detail
 
 #endif // aarch64

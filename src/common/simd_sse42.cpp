@@ -121,37 +121,6 @@ countR2bppSse4(const u8 *packed, size_t first, size_t count)
 }
 
 void
-applyLut256Sse4(u8 *data, size_t count, const u8 *lut)
-{
-    // The 256-entry LUT as sixteen 16-entry shuffle tables selected by the
-    // high nibble.
-    __m128i tables[16];
-    for (int t = 0; t < 16; ++t)
-        tables[t] = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(lut + 16 * t));
-    const __m128i low_mask = _mm_set1_epi8(0x0f);
-    size_t i = 0;
-    for (; i + 16 <= count; i += 16) {
-        const __m128i x = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(data + i));
-        const __m128i lo = _mm_and_si128(x, low_mask);
-        const __m128i hi =
-            _mm_and_si128(_mm_srli_epi16(x, 4), low_mask);
-        __m128i res = _mm_setzero_si128();
-        for (int t = 0; t < 16; ++t) {
-            const __m128i match =
-                _mm_cmpeq_epi8(hi, _mm_set1_epi8(static_cast<char>(t)));
-            res = _mm_or_si128(
-                res,
-                _mm_and_si128(_mm_shuffle_epi8(tables[t], lo), match));
-        }
-        _mm_storeu_si128(reinterpret_cast<__m128i *>(data + i), res);
-    }
-    for (; i < count; ++i)
-        data[i] = lut[data[i]];
-}
-
-void
 hammingRow256Sse4(const u8 *query, const u8 *pool, size_t n, u16 *out)
 {
     // hammingRow256Scalar's body: under -msse4.2 each std::popcount is

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "common/simd.hpp"
 
 namespace rpx {
 
@@ -21,8 +20,8 @@ GammaLut::GammaLut(double gamma) : gamma_(gamma)
 void
 GammaLut::apply(Image &img) const
 {
-    std::vector<u8> &data = img.data();
-    simd::applyLut256(data.data(), data.size(), lut_.data());
+    for (u8 &v : img.data())
+        v = lut_[v];
 }
 
 } // namespace rpx

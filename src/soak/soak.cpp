@@ -77,8 +77,6 @@ class SoakRunner
             throwInvalid("soak needs at least one stream");
         if (opts_.fps <= 0.0 || opts_.duration_s <= 0.0)
             throwInvalid("soak duration and fps must be positive");
-        if (opts_.max_streams && opts_.max_streams < opts_.streams)
-            throwInvalid("soak max_streams below streams");
 
         budget_ = static_cast<u64>(
             std::llround(opts_.duration_s * opts_.fps));
@@ -348,19 +346,19 @@ class SoakRunner
             max_drift_ = std::max(max_drift_, cp.frames_drift);
             // At most one frame per live stream is in flight, so the
             // registry can run ahead of the journal by at most
-            // max_streams frames (and their bytes).
-            if (cp.frames_drift > max_streams_) {
+            // `streams` frames (and their bytes).
+            if (cp.frames_drift > opts_.streams) {
                 std::ostringstream os;
                 os << "checkpoint@" << g << ": frames drift "
                    << cp.frames_drift << " exceeds max in-flight "
-                   << max_streams_ << " (journal " << j.frames
+                   << opts_.streams << " (journal " << j.frames
                    << ", registry " << rf << ", live " << live << ")";
                 violateLocked(os.str());
             }
             const u64 per_frame_cap =
                 static_cast<u64>(width_) * static_cast<u64>(height_) * 4 +
                 65536;
-            const u64 byte_cap = max_streams_ * per_frame_cap;
+            const u64 byte_cap = opts_.streams * per_frame_cap;
             const u64 jw = static_cast<u64>(j.bytes_written);
             const u64 jr = static_cast<u64>(j.bytes_read);
             const u64 jm = static_cast<u64>(j.metadata_bytes);
@@ -397,7 +395,6 @@ class SoakRunner
     bool have_trace_ = false;
     fault::FaultPlan plan_;
     fault::FaultPlan stream_plan_; //!< per-generation reseeded copy
-    u32 max_streams_ = 0;
 
     obs::ObsContext obs_;
     std::unique_ptr<obs::TelemetrySink> sink_;
@@ -426,8 +423,6 @@ class SoakRunner
 SoakResult
 SoakRunner::run()
 {
-    max_streams_ = opts_.max_streams ? opts_.max_streams : opts_.streams;
-
     obs::TelemetrySink::Config sc;
     sc.keep_frames = 0; // totals only: a soak must not grow the ring
     sc.journal_path = opts_.journal_path;
@@ -472,7 +467,7 @@ SoakRunner::run()
     }
     fc.streams = opts_.streams;
     fc.frames_per_stream = static_cast<u32>(budget_);
-    fc.max_streams = max_streams_;
+    fc.max_streams = opts_.streams;
     fc.capture_workers = opts_.capture_workers;
     fc.encode_engines = opts_.encode_engines;
     fc.decode_engines = opts_.decode_engines;

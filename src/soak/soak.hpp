@@ -8,12 +8,12 @@
  *
  *  - conservation: the "pipeline.*" registry counters may run ahead of
  *    the TelemetrySink journal totals by at most the frames in flight
- *    (bounded by max_streams) mid-run, and must match *exactly* once
+ *    (one per live stream, so at most `streams`) mid-run, and must match
+ *    *exactly* once
  *    the fleet has quiesced;
  *  - memory: RSS (VmRSS) is sampled at every checkpoint and its peak
- *    reported; the decoder arena high-water gauge and every queue's
- *    high-water mark land in the report so growth is visible in trend
- *    comparisons;
+ *    reported; every queue's high-water mark lands in the embedded
+ *    fleet report so growth is visible in trend comparisons;
  *  - health: stream errors are zero and the degradation ladder state is
  *    recorded.
  *
@@ -50,10 +50,11 @@ namespace rpx::soak {
 
 /** Soak run configuration. */
 struct SoakOptions {
-    /** Concurrent stream slots (and initial streams). */
+    /**
+     * Concurrent stream slots (and initial streams). Churn replaces a
+     * stream only after it retires, so live streams never exceed this.
+     */
     u32 streams = 8;
-    /** Ceiling on live streams; 0 resolves to streams (churn is 1:1). */
-    u32 max_streams = 0;
     /** Simulated seconds of video per slot (frames = duration * fps). */
     double duration_s = 2.0;
     double fps = 30.0;
@@ -112,7 +113,7 @@ struct SoakResult {
     u64 frames_budget = 0;       //!< streams * duration * fps
     u64 generations = 0;         //!< stream generations started
     u64 fault_drops = 0;         //!< sum of fault.*.drops
-    u64 fault_byte_errors = 0;   //!< sum of fault.*.byte_errors
+    u64 fault_byte_errors = 0;   //!< sum of fault.*.bytes_corrupted
     u64 fault_stalls = 0;        //!< sum of fault.*.stalls
     u64 degrade_escalations = 0;
     u64 degrade_recoveries = 0;

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -74,6 +75,51 @@ TEST(Simd, SetLevelRejectsUnsupported)
     resetLevel();
 }
 
+/**
+ * RAII RPX_SIMD override: restores the prior variable and dispatch level
+ * on scope exit, so a failing assertion cannot leak either.
+ */
+class ScopedSimdEnv
+{
+  public:
+    ScopedSimdEnv() : level_(activeLevel())
+    {
+        if (const char *prior = std::getenv("RPX_SIMD")) {
+            had_prior_ = true;
+            prior_ = prior;
+        }
+    }
+    ~ScopedSimdEnv()
+    {
+        if (had_prior_)
+            setenv("RPX_SIMD", prior_.c_str(), 1);
+        else
+            unsetenv("RPX_SIMD");
+        setLevel(level_);
+    }
+    void set(const char *value) { setenv("RPX_SIMD", value, 1); }
+
+  private:
+    Level level_;
+    bool had_prior_ = false;
+    std::string prior_;
+};
+
+TEST(Simd, UnknownEnvLevelResolvesToBest)
+{
+    ScopedSimdEnv env;
+    // "avx2" is not a level name, so it resolves like any unknown value:
+    // to the best level the host supports.
+    for (const char *value : {"avx2", "bogus"}) {
+        env.set(value);
+        resetLevel();
+        EXPECT_EQ(activeLevel(), bestSupported()) << value;
+    }
+    env.set("off");
+    resetLevel();
+    EXPECT_EQ(activeLevel(), Level::Scalar);
+}
+
 TEST(Simd, UnpackMatchesReferenceAtEveryLevel)
 {
     const std::vector<u8> packed = randomPacked(1024, 7);
@@ -121,51 +167,6 @@ TEST(Simd, CountRMatchesReferenceAtEveryLevel)
                 << levelName(level) << " first=" << first
                 << " count=" << count;
         }
-    }
-}
-
-TEST(Simd, ApplyLutMatchesReferenceAtEveryLevel)
-{
-    // A table that visits every input byte value, plus a permutation-ish
-    // map so mistakes in any lane show up.
-    std::vector<u8> lut(256);
-    for (int i = 0; i < 256; ++i)
-        lut[static_cast<size_t>(i)] = static_cast<u8>((i * 37 + 11) & 0xFF);
-    for (const size_t n : {size_t{0}, size_t{1}, size_t{15}, size_t{16},
-                           size_t{31}, size_t{257}, size_t{4096}}) {
-        std::vector<u8> input(n);
-        for (size_t i = 0; i < n; ++i)
-            input[i] = static_cast<u8>(i * 101 + 7);
-        std::vector<u8> want(input);
-        for (u8 &b : want)
-            b = lut[b];
-        for (const Level level : supportedLevels()) {
-            ScopedLevel guard(level);
-            ASSERT_TRUE(guard.ok()) << levelName(level);
-            std::vector<u8> got(input);
-            applyLut256(got.data(), got.size(), lut.data());
-            ASSERT_EQ(got, want) << levelName(level) << " n=" << n;
-        }
-    }
-}
-
-TEST(Simd, AllInputByteValuesThroughLut)
-{
-    std::vector<u8> lut(256);
-    for (int i = 0; i < 256; ++i)
-        lut[static_cast<size_t>(i)] = static_cast<u8>(255 - i);
-    std::vector<u8> input(256);
-    for (int i = 0; i < 256; ++i)
-        input[static_cast<size_t>(i)] = static_cast<u8>(i);
-    for (const Level level : supportedLevels()) {
-        ScopedLevel guard(level);
-        ASSERT_TRUE(guard.ok()) << levelName(level);
-        std::vector<u8> got(input);
-        applyLut256(got.data(), got.size(), lut.data());
-        for (int i = 0; i < 256; ++i)
-            ASSERT_EQ(got[static_cast<size_t>(i)],
-                      static_cast<u8>(255 - i))
-                << levelName(level);
     }
 }
 

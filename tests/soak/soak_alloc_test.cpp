@@ -1,14 +1,14 @@
 /**
  * @file
- * Allocation-rate regression guard for the soak path (ISSUE 9).
+ * Allocation-rate regression guard for the soak path.
  *
- * Replaces global operator new/delete with counting wrappers (own binary
- * for the same reason as decode_alloc_test: the hooks are process-global)
- * and runs a churn-free soak, sampling the allocation counter at frame
- * milestones through the frame hook. The per-frame allocation rate of a
- * late window must not creep above the early window's — the signal that
- * something on the per-frame path (journal accounting, queue traffic,
- * decoder pools) started leaking or re-allocating per frame.
+ * Links the counting global allocator (tests/common/counting_allocator.cpp;
+ * own binary because the hooks are process-global) and runs a churn-free
+ * soak, sampling the allocation counter at frame milestones through the
+ * frame hook. The per-frame allocation rate of a late window must not
+ * creep above the early window's — the signal that something on the
+ * per-frame path (journal accounting, queue traffic, decoder pools)
+ * started leaking or re-allocating per frame.
  *
  * Per-frame allocations as such are expected (each frame materialises an
  * Image and a telemetry record); *growth* of the rate is the bug.
@@ -17,102 +17,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
-#include <new>
 
+#include "../common/counting_allocator.hpp"
 #include "soak/soak.hpp"
-
-namespace {
-
-std::atomic<unsigned long long> g_allocations{0};
-
-unsigned long long
-allocationCount()
-{
-    return g_allocations.load(std::memory_order_relaxed);
-}
-
-// Out of line so operator new stays small enough to inline: GCC's
-// -Wmismatched-new-delete fires when it sees a call to the replaced
-// operator new paired with the inlined free() in operator delete.
-[[gnu::noinline]] void
-countAllocation()
-{
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-}
-
-} // namespace
-
-// Counting global allocator. Deliberately minimal: count + malloc/free.
-void *
-operator new(std::size_t size)
-{
-    countAllocation();
-    if (void *p = std::malloc(size ? size : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t size)
-{
-    return operator new(size);
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-// The nothrow forms too: std::stable_sort's temporary buffer comes from
-// operator new(size_t, nothrow_t), and a sanitizer's own nothrow new
-// would otherwise be paired with the free() in the deletes above.
-void *
-operator new(std::size_t size, const std::nothrow_t &) noexcept
-{
-    countAllocation();
-    return std::malloc(size ? size : 1);
-}
-
-void *
-operator new[](std::size_t size, const std::nothrow_t &) noexcept
-{
-    return operator new(size, std::nothrow);
-}
-
-void
-operator delete(void *p, const std::nothrow_t &) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, const std::nothrow_t &) noexcept
-{
-    std::free(p);
-}
 
 namespace rpx {
 namespace {
+
+using test::allocationCount;
 
 TEST(SoakAlloc, SteadyStateAllocationRateDoesNotCreep)
 {

@@ -307,10 +307,6 @@ TEST(Soak, RejectsBadOptions)
     o.duration_s = -1.0;
     EXPECT_THROW(soak::runSoak(o), std::exception);
     o = soak::SoakOptions{};
-    o.max_streams = 2;
-    o.streams = 4;
-    EXPECT_THROW(soak::runSoak(o), std::exception);
-    o = soak::SoakOptions{};
     o.trace_path = testing::TempDir() + "definitely_missing_trace.csv";
     EXPECT_THROW(soak::runSoak(o), std::exception);
 }

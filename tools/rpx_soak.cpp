@@ -10,7 +10,7 @@
  *            [--faults on|off] [--churn on|off] [--chaos on|off]
  *            [--trace FILE]
  *            [--width N] [--height N] [--checkpoint-every N]
- *            [--max-streams N] [--journal FILE]
+ *            [--journal FILE]
  *            [--report FILE | --out-dir DIR]
  *
  * --duration is *simulated* seconds per stream slot (frames = duration *
@@ -40,7 +40,7 @@ usage()
         << "                [--seed N] [--faults on|off] [--churn on|off]\n"
         << "                [--chaos on|off] [--trace FILE]\n"
         << "                [--width N] [--height N]\n"
-        << "                [--checkpoint-every N] [--max-streams N]\n"
+        << "                [--checkpoint-every N]\n"
         << "                [--journal FILE] [--report FILE]\n"
         << "                [--out-dir DIR]\n";
     std::exit(2);
@@ -94,8 +94,6 @@ main(int argc, char **argv)
             opts.height = static_cast<rpx::i32>(std::stol(value()));
         else if (arg == "--checkpoint-every")
             opts.checkpoint_every = std::stoull(value());
-        else if (arg == "--max-streams")
-            opts.max_streams = static_cast<rpx::u32>(std::stoul(value()));
         else if (arg == "--journal")
             opts.journal_path = value();
         else if (arg == "--report")
