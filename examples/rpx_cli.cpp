@@ -8,8 +8,8 @@
  *
  * Usage:
  *   rpx_cli run   --task slam|face|pose --scheme FCH|FCL|RP|MULTIROI
- *                 [--cycle N] [--frames N] [--encoder-threads N]
- *                 [--decoder-threads N] [--region-trace-out FILE]
+ *                 [--cycle N] [--frames N] [--decoder-threads N]
+ *                 [--region-trace-out FILE]
  *                 [--trace-out FILE] [--metrics-out FILE]
  *                 [--journal-out FILE]
  *                 [--streams N] [--fleet-report FILE]
@@ -64,8 +64,7 @@ usage()
         << "usage:\n"
         << "  rpx_cli run    --task slam|face|pose --scheme "
            "FCH|FCL|RP|MULTIROI [--cycle N]\n"
-        << "                 [--frames N] [--encoder-threads N]\n"
-        << "                 [--decoder-threads N]\n"
+        << "                 [--frames N] [--decoder-threads N]\n"
         << "                 [--region-trace-out FILE]\n"
         << "                 [--trace-out FILE] [--metrics-out FILE]\n"
         << "                 [--journal-out FILE]\n"
@@ -83,8 +82,8 @@ usage()
 
 /** The flags each command reads; anything else is a usage error. */
 const std::set<std::string> kRunFlags = {
-    "task", "scheme", "cycle", "frames", "encoder-threads",
-    "decoder-threads", "region-trace-out", "trace-out", "metrics-out",
+    "task", "scheme", "cycle", "frames", "decoder-threads",
+    "region-trace-out", "trace-out", "metrics-out",
     "journal-out", "streams", "fleet-report", "admission", "watchdog-ms",
     "shed-slack-ms", "log-level"};
 const std::set<std::string> kReplayFlags = {
@@ -315,10 +314,7 @@ runCommand(const std::map<std::string, std::string> &flags)
         flags.count("scheme") ? flags.at("scheme") : "RP");
     wc.cycle_length =
         flags.count("cycle") ? std::stoi(flags.at("cycle")) : 10;
-    // 1 = serial encode (default); 0 = one worker per hardware thread.
-    wc.encoder_threads = flags.count("encoder-threads")
-                             ? std::stoi(flags.at("encoder-threads"))
-                             : 1;
+    // 1 = serial decode (default); 0 = one worker per hardware thread.
     wc.decoder_threads = flags.count("decoder-threads")
                              ? std::stoi(flags.at("decoder-threads"))
                              : 1;

@@ -1,12 +1,12 @@
 /**
  * @file
- * A small persistent worker pool for data-parallel encode/simulation work.
+ * A small persistent worker pool for data-parallel decode and fleet work.
  *
  * Jobs are type-erased `void()` callables; submit() returns a future that
  * becomes ready when the job finishes (carrying any exception it threw).
  * The pool keeps its threads alive between frames, so per-frame dispatch
  * costs one lock + notify per job instead of a thread spawn — the property
- * the ParallelEncoder's per-band fan-out depends on at video rates.
+ * the ParallelDecoder's per-band fan-out depends on at video rates.
  */
 
 #ifndef RPX_COMMON_THREAD_POOL_HPP

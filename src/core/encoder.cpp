@@ -389,11 +389,20 @@ RhythmicEncoder::chargeRowCycles(u64 row_comparisons,
 }
 
 EncodedFrame
-RhythmicEncoder::openFrame() const
+RhythmicEncoder::encodeFrame(const Image &gray, FrameIndex t)
 {
-    RPX_ASSERT(plan_.valid(), "openFrame needs a planned frame");
+    if (gray.channels() != 1)
+        throwInvalid("encoder consumes grayscale (post-ISP luma) frames");
+    if (gray.width() != frame_w_ || gray.height() != frame_h_)
+        throwInvalid("frame geometry mismatch: got ", gray.width(), "x",
+                     gray.height(), ", configured ", frame_w_, "x",
+                     frame_h_);
+    planFrame(t);
+
+    // Shape the output from the plan: an all-N mask, a payload sized to
+    // the kept count and the row offsets the plan fixes.
     EncodedFrame out;
-    out.index = plan_.frame();
+    out.index = t;
     out.width = frame_w_;
     out.height = frame_h_;
     out.mask = EncMask(frame_w_, frame_h_);
@@ -401,16 +410,11 @@ RhythmicEncoder::openFrame() const
     out.offsets = RowOffsets(frame_h_);
     for (i32 y = 0; y < frame_h_; ++y)
         out.offsets.setRowCount(y, plan_.rowKept(y));
-    return out;
-}
 
-void
-RhythmicEncoder::encodeRows(const Image &gray, i32 y0, i32 y1,
-                            EncodedFrame &out) const
-{
-    RPX_ASSERT(y0 >= 0 && y0 <= y1 && y1 <= frame_h_,
-               "encodeRows row range out of frame");
-    for (i32 y = y0; y < y1; ++y) {
+    // Each span's mask run as replicated code bytes, then the kept
+    // columns' R codes and pixels: one copy per all-kept span, else a
+    // strided gather.
+    for (i32 y = 0; y < frame_h_; ++y) {
         const u8 *src = gray.row(y);
         u8 *dst = out.pixels.data() + out.offsets.offsetOf(y);
         for (const KeptSpan &s : plan_.spans(y)) {
@@ -428,11 +432,9 @@ RhythmicEncoder::encodeRows(const Image &gray, i32 y0, i32 y1,
             });
         }
     }
-}
 
-void
-RhythmicEncoder::commitFrame(const EncodedFrame &out)
-{
+    // Fold the plan's work counters into the stats, the attribution
+    // snapshot and the obs counters.
     const u64 pixels_in =
         static_cast<u64>(frame_w_) * static_cast<u64>(frame_h_);
     stats_.accumulate(plan_work_);
@@ -448,24 +450,6 @@ RhythmicEncoder::commitFrame(const EncodedFrame &out)
         obs_comparisons_->add(plan_work_.region_comparisons);
         obs_compare_cycles_->add(plan_work_.compare_cycles);
     }
-}
-
-EncodedFrame
-RhythmicEncoder::encodeFrame(const Image &gray, FrameIndex t)
-{
-    if (gray.channels() != 1)
-        throwInvalid("encoder consumes grayscale (post-ISP luma) frames");
-    if (gray.width() != frame_w_ || gray.height() != frame_h_)
-        throwInvalid("frame geometry mismatch: got ", gray.width(), "x",
-                     gray.height(), ", configured ", frame_w_, "x",
-                     frame_h_);
-
-    // The serial path is one whole-frame band: the exact code the
-    // ParallelEncoder fans out per band, over the same plan.
-    planFrame(t);
-    EncodedFrame out = openFrame();
-    encodeRows(gray, 0, frame_h_, out);
-    commitFrame(out);
     return out;
 }
 

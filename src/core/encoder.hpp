@@ -38,8 +38,6 @@
 #include "core/region.hpp"
 #include "frame/image.hpp"
 #include "obs/obs.hpp"
-#include "stream/fifo.hpp"
-#include "stream/pixel_stream.hpp"
 
 namespace rpx {
 
@@ -119,7 +117,6 @@ class RhythmicEncoder
     struct Config {
         ComparisonMode mode = ComparisonMode::Hybrid;
         double pixels_per_clock = 2.0;  //!< ISP line rate to keep up with
-        size_t fifo_depth = 16;         //!< input/output FIFO depth (§5.1)
         int engine_lanes = 16;          //!< parallel comparators per cycle
         bool require_sorted = true;     //!< insist on y-sorted label lists
     };
@@ -149,7 +146,9 @@ class RhythmicEncoder
 
     /**
      * Encode one dense grayscale frame captured at frame index `t`.
-     * The frame must match the configured geometry.
+     * The frame must match the configured geometry. Plans the frame (or
+     * reuses its plan), writes each span's mask run and gathers the kept
+     * pixels, then folds the plan's work counters into stats().
      */
     EncodedFrame encodeFrame(const Image &gray, FrameIndex t);
 
@@ -182,33 +181,6 @@ class RhythmicEncoder
      * simulator to evaluate 4K-scale traces quickly (§5.3.1).
      */
     FrameSummary summarizeFrame(FrameIndex t) const;
-
-    /**
-     * The output frame of the current plan before any pixel is written:
-     * an all-N mask, a payload sized to the plan's kept count and the
-     * row offsets the plan fixes. encodeRows() fills it in.
-     */
-    EncodedFrame openFrame() const;
-
-    /**
-     * Write rows [y0, y1) of the planned frame into `out` (from
-     * openFrame()): each span's mask run as replicated code bytes, then
-     * the kept columns' R codes and pixels, gathered from `gray` with one
-     * copy per all-kept span or a strided copy. Thread-safe for disjoint
-     * bands that start on multiples of 4 rows: it is const, reads the
-     * plan only, and each band's mask bytes and payload slice are its
-     * own (the ParallelEncoder's fan-out).
-     */
-    void encodeRows(const Image &gray, i32 y0, i32 y1,
-                    EncodedFrame &out) const;
-
-    /**
-     * Fold the planned frame's work counters and the assembled output
-     * into stats_, the attribution snapshot and the attached obs
-     * counters. encodeFrame() and ParallelEncoder both end with it, so
-     * their stats are the plan's by construction.
-     */
-    void commitFrame(const EncodedFrame &out);
 
     /**
      * Toggle per-region work attribution (off by default: the hot loops

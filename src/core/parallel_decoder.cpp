@@ -1,9 +1,19 @@
 #include "core/parallel_decoder.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
-#include "core/parallel_encoder.hpp"
 
 namespace rpx {
+
+namespace {
+
+/** Band starts land on multiples of 4 rows: 4 rows of 2-bit codes occupy
+ *  exactly `width` bytes, so every band boundary is byte-aligned in the
+ *  packed mask regardless of frame width. */
+constexpr i32 kBandAlign = 4;
+
+} // namespace
 
 ParallelDecoder::ParallelDecoder(const Config &config)
     : config_(config),
@@ -13,10 +23,10 @@ ParallelDecoder::ParallelDecoder(const Config &config)
     if (config.threads < 0)
         throwInvalid("decoder thread count must be >= 0, got ",
                      config.threads);
-    if (config.min_band_rows < 4 || config.min_band_rows % 4 != 0)
-        throwInvalid("min_band_rows must be a positive multiple of 4, "
-                     "got ",
-                     config.min_band_rows);
+    if (config.min_band_rows < kBandAlign ||
+        config.min_band_rows % kBandAlign != 0)
+        throwInvalid("min_band_rows must be a positive multiple of ",
+                     kBandAlign, ", got ", config.min_band_rows);
     band_.reserve(static_cast<size_t>(threads_));
     band_.push_back(std::make_unique<SoftwareDecoder>(config.decoder));
     if (threads_ > 1)
@@ -26,7 +36,18 @@ ParallelDecoder::ParallelDecoder(const Config &config)
 std::vector<std::pair<i32, i32>>
 ParallelDecoder::partition(i32 rows, int bands, i32 min_band_rows)
 {
-    return ParallelEncoder::partition(rows, bands, min_band_rows);
+    RPX_ASSERT(rows > 0 && bands > 0, "partition needs rows and bands");
+    // Rows per band: an even split, rounded up to the alignment quantum
+    // and floored at min_band_rows so tiny frames do not shatter into
+    // slivers with more stitch overhead than decode work.
+    const i32 even = (rows + bands - 1) / bands;
+    i32 per_band = ((even + kBandAlign - 1) / kBandAlign) * kBandAlign;
+    per_band = std::max(per_band, min_band_rows);
+
+    std::vector<std::pair<i32, i32>> ranges;
+    for (i32 y0 = 0; y0 < rows; y0 += per_band)
+        ranges.emplace_back(y0, std::min(rows, y0 + per_band));
+    return ranges;
 }
 
 void

@@ -1,12 +1,12 @@
 /**
  * @file
- * Band-parallel software decoder — the read-path mirror of
- * ParallelEncoder.
+ * Band-parallel software decoder.
  *
- * The frame is partitioned into horizontal bands (the same 4-row-aligned
- * partition the encoder uses) and each band is reconstructed independently
- * on a persistent thread pool by a per-band SoftwareDecoder instance. The
- * result is byte-identical to the serial decoder by construction:
+ * The frame is partitioned into horizontal bands that start on multiples
+ * of 4 rows (whole bytes of the packed EncMask), and each band is
+ * reconstructed independently on a persistent thread pool by a per-band
+ * SoftwareDecoder instance. The result is byte-identical to the serial
+ * decoder by construction:
  *  - every band runs the exact serial per-row reconstruction over its own
  *    output rows,
  *  - bands only *read* the shared encoded frames (current + history),
@@ -49,8 +49,8 @@ class ParallelDecoder
         /** Worker threads; 1 = serial, 0 = one per hardware thread. */
         int threads = 1;
         /**
-         * Minimum rows per band (multiple of 4, matching the encoder's
-         * band alignment so decode bands line up with encode bands).
+         * Minimum rows per band (a multiple of 4, so every band starts on
+         * a whole byte of the packed EncMask).
          */
         i32 min_band_rows = 16;
     };
@@ -86,8 +86,8 @@ class ParallelDecoder
     /** Sum of the band decoders' black-pixel tallies for the last decode. */
     u64 lastBlackPixels() const { return last_black_; }
 
-    /** Band row ranges for a frame of `rows` rows (exposed for tests);
-     *  identical to ParallelEncoder::partition. */
+    /** Band row ranges for a frame of `rows` rows (exposed for tests):
+     *  an even split rounded up to 4 rows, floored at min_band_rows. */
     static std::vector<std::pair<i32, i32>> partition(i32 rows, int bands,
                                                       i32 min_band_rows);
 

@@ -77,10 +77,9 @@ StreamContext::StreamContext(const PipelineConfig &config,
                                              config.height);
     runtime_ = std::make_unique<RegionRuntime>(*driver_);
 
-    ParallelEncoder::Config ec;
-    ec.encoder.mode = config.comparison_mode;
-    ec.threads = config.encoder_threads;
-    encoder_ = std::make_unique<ParallelEncoder>(config.width,
+    RhythmicEncoder::Config ec;
+    ec.mode = config.comparison_mode;
+    encoder_ = std::make_unique<RhythmicEncoder>(config.width,
                                                  config.height, ec);
     store_ = std::make_unique<FrameStore>(*dram_, config.width,
                                           config.height, config.history);

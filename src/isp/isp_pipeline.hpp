@@ -18,7 +18,7 @@
 #include "core/kept_plan.hpp"
 #include "frame/image.hpp"
 #include "isp/gamma.hpp"
-#include "stream/pixel_stream.hpp"
+#include "stream/cycle_budget.hpp"
 
 namespace rpx {
 

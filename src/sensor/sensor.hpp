@@ -18,7 +18,6 @@
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "frame/image.hpp"
-#include "stream/pixel_stream.hpp"
 
 namespace rpx {
 

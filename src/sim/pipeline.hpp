@@ -39,16 +39,8 @@ class VisionPipeline
     /** Push one scene frame (RGB for the sensor path, else grayscale). */
     PipelineFrameResult processFrame(const Image &scene);
 
-    /** Serial-encoder view: region list, merged stats, cycle budget. */
-    const RhythmicEncoder &encoder() const
-    {
-        return ctx_->encoder().serial();
-    }
-    /** The (possibly multi-threaded) encoder frames go through. */
-    const ParallelEncoder &parallelEncoder() const
-    {
-        return ctx_->encoder();
-    }
+    /** The encoder frames go through: region list, stats, cycle budget. */
+    const RhythmicEncoder &encoder() const { return ctx_->encoder(); }
     /** The PMMU transaction decoder over this pipeline's frame store. */
     RhythmicDecoder &decoder() { return *decoder_; }
     const FrameStore &frameStore() const { return ctx_->store(); }

@@ -124,7 +124,6 @@ runSlamWorkload(const SlamSequenceConfig &sequence_cfg,
     PipelineConfig pc;
     pc.width = w;
     pc.height = h;
-    pc.encoder_threads = config.encoder_threads;
     pc.decoder_threads = config.decoder_threads;
     pc.obs = config.obs;
     pc.telemetry = config.telemetry;
@@ -219,7 +218,6 @@ runFaceWorkload(const FaceSequenceConfig &sequence_cfg,
     PipelineConfig pc;
     pc.width = w;
     pc.height = h;
-    pc.encoder_threads = config.encoder_threads;
     pc.decoder_threads = config.decoder_threads;
     pc.obs = config.obs;
     pc.telemetry = config.telemetry;
@@ -269,7 +267,6 @@ runPoseWorkload(const PoseSequenceConfig &sequence_cfg,
     PipelineConfig pc;
     pc.width = w;
     pc.height = h;
-    pc.encoder_threads = config.encoder_threads;
     pc.decoder_threads = config.decoder_threads;
     pc.obs = config.obs;
     pc.telemetry = config.telemetry;

@@ -44,11 +44,6 @@ struct WorkloadConfig {
     bool refresh_map = true;
     int map_refresh_interval = 15;
     /**
-     * Encoder worker threads for the run's pipeline (see
-     * PipelineConfig::encoder_threads); 1 = serial, 0 = hardware threads.
-     */
-    int encoder_threads = 1;
-    /**
      * Decoder worker threads for the run's pipeline (see
      * PipelineConfig::decoder_threads); 1 = serial, 0 = hardware threads.
      */

@@ -14,14 +14,12 @@
 
 #include "../common/counting_allocator.hpp"
 #include "common/rng.hpp"
-#include "core/parallel_encoder.hpp"
+#include "core/encoder.hpp"
 
 namespace rpx {
 namespace {
 
 using test::allocationCount;
-using test::t_counts_as_main;
-using test::workerAllocationCount;
 
 Image
 noiseFrame(i32 w, i32 h)
@@ -53,19 +51,11 @@ labels(i32 w, i32 h, int count)
     return out;
 }
 
-/**
- * Allocations of one warm encodeFrame on the calling thread (and, with
- * threads > 1, on the pool's workers, which must make none).
- */
+/** Allocations of one warm encodeFrame. */
 unsigned long long
-warmEncodeAllocations(i32 w, i32 h, int regions, int threads,
-                      bool attribute)
+warmEncodeAllocations(i32 w, i32 h, int regions, bool attribute)
 {
-    t_counts_as_main = true;
-    ParallelEncoder::Config cfg;
-    cfg.threads = threads;
-    cfg.min_band_rows = 4;
-    ParallelEncoder enc(w, h, cfg);
+    RhythmicEncoder enc(w, h);
     enc.setRegionLabels(labels(w, h, regions));
     enc.enableRegionAttribution(attribute);
     const Image frame = noiseFrame(w, h);
@@ -73,12 +63,9 @@ warmEncodeAllocations(i32 w, i32 h, int regions, int threads,
     for (FrameIndex t = 0; t < 6; ++t)
         enc.encodeFrame(frame, t);
 
-    const unsigned long long workers = workerAllocationCount();
     const unsigned long long before = allocationCount();
     const EncodedFrame out = enc.encodeFrame(frame, 6);
     const unsigned long long made = allocationCount() - before;
-    EXPECT_EQ(workerAllocationCount() - workers, 0u)
-        << "band encodes must not touch the heap";
     EXPECT_GT(out.pixels.size(), 0u);
     return made;
 }
@@ -86,29 +73,23 @@ warmEncodeAllocations(i32 w, i32 h, int regions, int threads,
 TEST(EncodeAlloc, WarmEncodeAllocatesOnlyItsOutput)
 {
     // Mask, payload and row offsets.
-    EXPECT_EQ(warmEncodeAllocations(160, 64, 2, 1, false), 3u);
-    EXPECT_EQ(warmEncodeAllocations(160, 64, 2, 1, true), 3u);
+    EXPECT_EQ(warmEncodeAllocations(160, 64, 2, false), 3u);
+    EXPECT_EQ(warmEncodeAllocations(160, 64, 2, true), 3u);
 }
 
 TEST(EncodeAlloc, SameCountAtTwoAndFourHundredFiftyRegions)
 {
-    for (const int threads : {1, 2}) {
-        for (const bool attribute : {false, true}) {
-            EXPECT_EQ(warmEncodeAllocations(160, 120, 2, threads, attribute),
-                      warmEncodeAllocations(160, 120, 450, threads,
-                                            attribute))
-                << "threads=" << threads << " attribute=" << attribute;
-        }
+    for (const bool attribute : {false, true}) {
+        EXPECT_EQ(warmEncodeAllocations(160, 120, 2, attribute),
+                  warmEncodeAllocations(160, 120, 450, attribute))
+            << "attribute=" << attribute;
     }
 }
 
 TEST(EncodeAlloc, SameCountAtSixtyFourAndFourHundredEightyRows)
 {
-    for (const int threads : {1, 2}) {
-        EXPECT_EQ(warmEncodeAllocations(160, 64, 40, threads, true),
-                  warmEncodeAllocations(160, 480, 40, threads, true))
-            << "threads=" << threads;
-    }
+    EXPECT_EQ(warmEncodeAllocations(160, 64, 40, true),
+              warmEncodeAllocations(160, 480, 40, true));
 }
 
 } // namespace

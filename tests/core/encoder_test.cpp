@@ -4,7 +4,6 @@
 
 #include "common/rng.hpp"
 #include "core/encoder.hpp"
-#include "core/parallel_encoder.hpp"
 #include "frame/draw.hpp"
 #include "reference_encode.hpp"
 
@@ -375,7 +374,7 @@ expectStatsEqual(const EncoderStats &got, const EncoderStats &want)
 
 /**
  * The planned encoder against the per-pixel reference loop: for every
- * comparison mode, attribution setting and band split, over label lists
+ * comparison mode and attribution setting, over label lists
  * from empty to ~450 overlapping strided grids on odd geometries, the
  * mask bytes, payload, offsets, work counters and per-region attribution
  * are identical, and the summary counts are the mask's. Strides up to 9
@@ -401,46 +400,39 @@ TEST(Encoder, PlanMatchesReferenceEncoder)
             }();
             for (const ComparisonMode mode : modes) {
                 for (const bool attribute : {false, true}) {
-                    for (const int threads : {1, 2, 7}) {
-                        ParallelEncoder::Config cfg;
-                        cfg.encoder.mode = mode;
-                        cfg.threads = threads;
-                        cfg.min_band_rows = 4;
-                        ParallelEncoder enc(w, h, cfg);
-                        enc.setRegionLabels(labels);
-                        enc.enableRegionAttribution(attribute);
-                        for (FrameIndex t = 0; t < 3; ++t) {
-                            SCOPED_TRACE(testing::Message()
-                                         << w << "x" << h << " labels="
-                                         << count << "/" << max_stride
-                                         << " mode="
-                                         << static_cast<int>(mode)
-                                         << " attr=" << attribute
-                                         << " threads=" << threads
-                                         << " t=" << t);
-                            const ReferenceEncode ref = referenceEncode(
-                                labels, cfg.encoder, gray, t, attribute);
-                            enc.resetStats();
-                            const EncodedFrame got = enc.encodeFrame(gray, t);
-                            got.checkConsistency();
-                            EXPECT_EQ(got.index, t);
-                            EXPECT_EQ(got.mask.bytes(),
-                                      ref.frame.mask.bytes());
-                            EXPECT_EQ(got.pixels, ref.frame.pixels);
-                            EXPECT_EQ(got.offsets, ref.frame.offsets);
-                            expectStatsEqual(enc.stats(), ref.stats);
-                            EXPECT_EQ(enc.lastFrameAttribution().kept,
-                                      ref.attr.kept);
-                            EXPECT_EQ(enc.lastFrameAttribution().comparisons,
-                                      ref.attr.comparisons);
+                    RhythmicEncoder::Config cfg;
+                    cfg.mode = mode;
+                    RhythmicEncoder enc(w, h, cfg);
+                    enc.setRegionLabels(labels);
+                    enc.enableRegionAttribution(attribute);
+                    for (FrameIndex t = 0; t < 3; ++t) {
+                        SCOPED_TRACE(testing::Message()
+                                     << w << "x" << h << " labels=" << count
+                                     << "/" << max_stride
+                                     << " mode=" << static_cast<int>(mode)
+                                     << " attr=" << attribute
+                                     << " t=" << t);
+                        const ReferenceEncode ref = referenceEncode(
+                            labels, cfg, gray, t, attribute);
+                        enc.resetStats();
+                        const EncodedFrame got = enc.encodeFrame(gray, t);
+                        got.checkConsistency();
+                        EXPECT_EQ(got.index, t);
+                        EXPECT_EQ(got.mask.bytes(), ref.frame.mask.bytes());
+                        EXPECT_EQ(got.pixels, ref.frame.pixels);
+                        EXPECT_EQ(got.offsets, ref.frame.offsets);
+                        expectStatsEqual(enc.stats(), ref.stats);
+                        EXPECT_EQ(enc.lastFrameAttribution().kept,
+                                  ref.attr.kept);
+                        EXPECT_EQ(enc.lastFrameAttribution().comparisons,
+                                  ref.attr.comparisons);
 
-                            const auto sum = enc.summarizeFrame(t);
-                            const auto hist = ref.frame.mask.histogram();
-                            EXPECT_EQ(sum.r, hist[3]);
-                            EXPECT_EQ(sum.sk, hist[2]);
-                            EXPECT_EQ(sum.st, hist[1]);
-                            EXPECT_EQ(sum.n, hist[0]);
-                        }
+                        const auto sum = enc.summarizeFrame(t);
+                        const auto hist = ref.frame.mask.histogram();
+                        EXPECT_EQ(sum.r, hist[3]);
+                        EXPECT_EQ(sum.sk, hist[2]);
+                        EXPECT_EQ(sum.st, hist[1]);
+                        EXPECT_EQ(sum.n, hist[0]);
                     }
                 }
             }

@@ -479,6 +479,8 @@ TEST(DecoderCarry, ThresholdMatchesBruteForceSourceRows)
     }
 }
 
+// Bands tile the frame without gaps, and every band starts on the 4-row
+// quantum at which the encoder's packed 2-bit mask is byte-aligned.
 TEST(ParallelDecoder, BandsAlignWithEncoderPartition)
 {
     for (const i32 rows : {1, 3, 4, 16, 17, 33, 47, 480, 1080}) {
@@ -487,12 +489,13 @@ TEST(ParallelDecoder, BandsAlignWithEncoderPartition)
             ASSERT_FALSE(ranges.empty());
             i32 next = 0;
             for (const auto &[y0, y1] : ranges) {
-                EXPECT_EQ(y0, next);
+                EXPECT_EQ(y0, next) << "gap/overlap at band start";
                 EXPECT_LT(y0, y1);
-                EXPECT_EQ(y0 % 4, 0);
+                EXPECT_EQ(y0 % 4, 0)
+                    << "band start must stay byte-aligned in the mask";
                 next = y1;
             }
-            EXPECT_EQ(next, rows);
+            EXPECT_EQ(next, rows) << "bands must cover every row";
             EXPECT_LE(static_cast<int>(ranges.size()), bands);
         }
     }

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
-#include "common/simd.hpp"
 #include "isp/color.hpp"
 #include "isp/demosaic.hpp"
 #include "isp/gamma.hpp"
@@ -170,22 +169,17 @@ TEST(Demosaic, FastPathMatchesReferenceWalk)
     }
 }
 
-TEST(Gamma, ImageApplyMatchesScalarLutAtEveryLevel)
+TEST(Gamma, ImageApplyMatchesPerByteLut)
 {
     GammaLut lut(1.0 / 2.2);
     Image base(31, 17, PixelFormat::Rgb8);
     Rng rng(5);
     for (u8 &b : base.data())
         b = static_cast<u8>(rng.uniformInt(0, 255));
-    for (const simd::Level level : simd::supportedLevels()) {
-        ASSERT_TRUE(simd::setLevel(level));
-        Image img = base;
-        lut.apply(img);
-        for (size_t i = 0; i < base.data().size(); ++i)
-            ASSERT_EQ(img.data()[i], lut.apply(base.data()[i]))
-                << simd::levelName(level) << " i=" << i;
-    }
-    simd::resetLevel();
+    Image img = base;
+    lut.apply(img);
+    for (size_t i = 0; i < base.data().size(); ++i)
+        ASSERT_EQ(img.data()[i], lut.apply(base.data()[i])) << "i=" << i;
 }
 
 TEST(Color, RgbToGrayIntoMatchesToGray)

@@ -5,7 +5,7 @@
  * The attribution layer is only trustworthy if it never invents or loses
  * work, so these tests pin three layers of bookkeeping to each other:
  *  - encoder RegionAttribution sums exactly equal the encoder's own
- *    aggregate stats, serial and row-parallel alike;
+ *    aggregate stats;
  *  - pipeline FrameTelemetry region entries sum to the frame fields, and
  *    TelemetrySink totals reconcile with the PerfRegistry counters the
  *    pipeline maintains independently;
@@ -23,7 +23,6 @@
 
 #include "common/rng.hpp"
 #include "core/encoder.hpp"
-#include "core/parallel_encoder.hpp"
 #include "frame/draw.hpp"
 #include "obs/obs.hpp"
 #include "obs/telemetry.hpp"
@@ -97,36 +96,6 @@ TEST(RegionAttribution, DisabledLeavesNoTrace)
     enc.setRegionLabels(mixedLabels(w, h));
     enc.encodeFrame(noisyFrame(w, h, 3), 0);
     EXPECT_TRUE(enc.lastFrameAttribution().empty());
-}
-
-TEST(RegionAttribution, ParallelEncoderMatchesSerial)
-{
-    const i32 w = 128, h = 96;
-    const std::vector<RegionLabel> labels = mixedLabels(w, h);
-
-    RhythmicEncoder serial(w, h);
-    serial.setRegionLabels(labels);
-    serial.enableRegionAttribution(true);
-
-    ParallelEncoder::Config cfg;
-    cfg.threads = 4;
-    ParallelEncoder parallel(w, h, cfg);
-    parallel.setRegionLabels(labels);
-    parallel.enableRegionAttribution(true);
-
-    for (FrameIndex t = 0; t < 6; ++t) {
-        const Image frame = noisyFrame(w, h, 100 + t);
-        serial.encodeFrame(frame, t);
-        parallel.encodeFrame(frame, t);
-        // Band-sharded attribution must stitch back to the serial answer
-        // exactly — same invariant as the bit-identical output contract.
-        EXPECT_EQ(parallel.lastFrameAttribution().kept,
-                  serial.lastFrameAttribution().kept)
-            << "frame " << t;
-        EXPECT_EQ(parallel.lastFrameAttribution().comparisons,
-                  serial.lastFrameAttribution().comparisons)
-            << "frame " << t;
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -158,7 +158,7 @@ TEST(Pipeline, SensorPathMatchesDenseReference)
         const fleet::StreamContext &ctx = pipeline.streamContext();
         const ReferenceEncode ref =
             referenceEncode(ctx.encoder().regionLabels(),
-                            ctx.encoder().serial().config(), gray, t, false);
+                            ctx.encoder().config(), gray, t, false);
 
         const EncodedFrame &stored = *ctx.store().recent(0);
         ASSERT_EQ(stored.mask.bytes(), ref.frame.mask.bytes()) << t;
@@ -215,39 +215,6 @@ TEST(Pipeline, ReportContainsAllSections)
           "energy.total_mj"}) {
         EXPECT_NE(report.find(key), std::string::npos) << key;
     }
-}
-
-TEST(Pipeline, ThreadedEncoderMatchesSerialPipeline)
-{
-    // encoder_threads is a pure performance knob: every frame result and
-    // every encoder stat must match the serial pipeline exactly.
-    PipelineConfig serial_cfg = smallPipeline();
-    PipelineConfig threaded_cfg = smallPipeline();
-    threaded_cfg.encoder_threads = 3;
-    VisionPipeline serial(serial_cfg);
-    VisionPipeline threaded(threaded_cfg);
-    EXPECT_GE(threaded.parallelEncoder().threadCount(), 3);
-
-    const std::vector<RegionLabel> labels = {
-        {4, 2, 30, 20, 2, 1, 0},
-        {50, 10, 40, 40, 1, 2, 0},
-        {10, 40, 60, 20, 3, 1, 0},
-    };
-    serial.runtime().setRegionLabels(labels);
-    threaded.runtime().setRegionLabels(labels);
-
-    for (int t = 0; t < 4; ++t) {
-        const Image scene = testScene(96, 64, 20u + static_cast<u64>(t));
-        const auto a = serial.processFrame(scene);
-        const auto b = threaded.processFrame(scene);
-        EXPECT_EQ(b.decoded, a.decoded) << "t=" << t;
-        EXPECT_DOUBLE_EQ(b.kept_fraction, a.kept_fraction);
-        EXPECT_EQ(b.traffic.bytes_written, a.traffic.bytes_written);
-    }
-    EXPECT_EQ(threaded.encoder().stats().compare_cycles,
-              serial.encoder().stats().compare_cycles);
-    EXPECT_EQ(threaded.encoder().stats().stream_cycles,
-              serial.encoder().stats().stream_cycles);
 }
 
 TEST(Pipeline, FootprintBoundedByHistory)
