@@ -213,7 +213,7 @@ FleetServer::streamReportLocked(u32 id, const StreamEntry &entry) const
     sr.errors = t.errors;
     sr.dma_retries = t.dma_retries;
     sr.dma_dropped_bursts = t.dma_dropped_bursts;
-    sr.degradation_level = t.degradation_level;
+    sr.degradation_level = entry.degradation_level;
     sr.completed = t.frames >= entry.target;
     sr.health = entry.health.state();
     sr.health_transitions = entry.health.transitions();
@@ -221,6 +221,43 @@ FleetServer::streamReportLocked(u32 id, const StreamEntry &entry) const
     sr.watchdog_warns = entry.watchdog_warns;
     sr.evicted = entry.evicted;
     return sr;
+}
+
+FrameTotals
+FleetServer::totals() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return totalsLocked();
+}
+
+FrameTotals
+FleetServer::totalsLocked() const
+{
+    FrameTotals sum;
+    std::vector<double> kept;
+    kept.reserve(streams_.size());
+    for (const auto &[id, entry] : streams_) {
+        const FrameTotals &t = entry.totals;
+        sum.frames += t.frames;
+        sum.errors += t.errors;
+        sum.deadline_misses += t.deadline_misses;
+        sum.quarantined += t.quarantined;
+        sum.shed += t.shed;
+        sum.transient_faults += t.transient_faults;
+        sum.dma_retries += t.dma_retries;
+        sum.dma_dropped_bursts += t.dma_dropped_bursts;
+        sum.bytes_written += t.bytes_written;
+        sum.bytes_read += t.bytes_read;
+        sum.metadata_bytes += t.metadata_bytes;
+        kept.push_back(t.kept_sum);
+    }
+    // Under churn, which stream gets which id depends on timing; adding
+    // the per-stream kept sums in value order instead of id order makes
+    // the floating-point total reproducible.
+    std::sort(kept.begin(), kept.end());
+    for (const double k : kept)
+        sum.kept_sum += k;
+    return sum;
 }
 
 FleetStreamReport
@@ -344,7 +381,7 @@ FleetServer::runStage(const Stage &stage, FrameTask &task)
 }
 
 void
-FleetServer::FrameTotals::add(const PipelineFrameResult &r, bool errored)
+FrameTotals::add(const PipelineFrameResult &r, bool errored)
 {
     ++frames;
     if (errored) {
@@ -361,7 +398,6 @@ FleetServer::FrameTotals::add(const PipelineFrameResult &r, bool errored)
     bytes_read += r.traffic.bytes_read;
     metadata_bytes += r.traffic.metadata_bytes;
     kept_sum += r.kept_fraction;
-    degradation_level = r.degradation_level;
 }
 
 void
@@ -378,6 +414,7 @@ FleetServer::countFrameLocked(StreamEntry &entry,
         sig.deadline_missed = r.deadline_missed;
         sig.degradation_level = static_cast<u32>(
             r.degradation_level < 0 ? 0 : r.degradation_level);
+        entry.degradation_level = r.degradation_level;
     }
     entry.health.onFrame(sig);
 }
@@ -742,21 +779,22 @@ FleetServer::run()
 
     FleetReport rep;
     rep.streams_started = static_cast<u32>(streams_.size());
-    double kept_sum = 0.0;
+    const FrameTotals t = totalsLocked();
+    rep.frames = t.frames;
+    rep.errors = t.errors;
+    rep.deadline_misses = t.deadline_misses;
+    rep.quarantined = t.quarantined;
+    rep.shed_frames = t.shed;
+    rep.transient_faults = t.transient_faults;
+    rep.dma_retries = t.dma_retries;
+    rep.dma_dropped_bursts = t.dma_dropped_bursts;
+    rep.bytes_written = t.bytes_written;
+    rep.bytes_read = t.bytes_read;
+    rep.metadata_bytes = t.metadata_bytes;
+    const u64 ok_frames = t.frames - t.errors;
+    rep.kept_fraction_mean =
+        ok_frames ? t.kept_sum / static_cast<double>(ok_frames) : 0.0;
     for (const auto &[id, entry] : streams_) {
-        const FrameTotals &t = entry.totals;
-        rep.frames += t.frames;
-        rep.errors += t.errors;
-        rep.deadline_misses += t.deadline_misses;
-        rep.quarantined += t.quarantined;
-        rep.shed_frames += t.shed;
-        rep.transient_faults += t.transient_faults;
-        rep.dma_retries += t.dma_retries;
-        rep.dma_dropped_bursts += t.dma_dropped_bursts;
-        rep.bytes_written += t.bytes_written;
-        rep.bytes_read += t.bytes_read;
-        rep.metadata_bytes += t.metadata_bytes;
-        kept_sum += t.kept_sum;
         FleetStreamReport sr = streamReportLocked(id, entry);
         if (sr.completed)
             ++rep.streams_completed;
@@ -764,9 +802,6 @@ FleetServer::run()
         rep.health_recoveries += sr.health_recoveries;
         rep.streams.push_back(std::move(sr));
     }
-    const u64 ok_frames = rep.frames - rep.errors;
-    rep.kept_fraction_mean =
-        ok_frames ? kept_sum / static_cast<double>(ok_frames) : 0.0;
     rep.wall_seconds =
         std::chrono::duration<double>(end - start).count();
     rep.frames_per_second =

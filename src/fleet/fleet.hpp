@@ -54,6 +54,29 @@
 
 namespace rpx::fleet {
 
+/**
+ * Frame outcomes, each frame counted once by FleetServer::finishFrame():
+ * the fleet's ledger. Every frame report (per stream and fleet-wide) is a
+ * view of these counts.
+ */
+struct FrameTotals {
+    u64 frames = 0; //!< every outcome: delivered, shed and errored
+    u64 errors = 0; //!< errored frames carry no result and no journal line
+    u64 deadline_misses = 0;
+    u64 quarantined = 0;
+    u64 shed = 0;
+    u64 transient_faults = 0;
+    u64 dma_retries = 0;
+    u64 dma_dropped_bursts = 0;
+    Bytes bytes_written = 0;
+    Bytes bytes_read = 0;
+    Bytes metadata_bytes = 0;
+    double kept_sum = 0.0; //!< over frames that did not error
+
+    /** Count one frame; an errored frame carries no result. */
+    void add(const PipelineFrameResult &r, bool errored);
+};
+
 /** Per-stream outcome in a FleetReport. */
 struct FleetStreamReport {
     u32 id = 0;
@@ -262,37 +285,23 @@ class FleetServer
      */
     StreamContext *stream(u32 id);
     u32 activeStreams() const;
+
+    /**
+     * The ledger: every stream's frame totals, live and retired, summed
+     * under the fleet mutex (thread-safe, callable during run()). A
+     * frame is journaled before it is counted here, so totals read
+     * before TelemetrySink::totals() never lead the journal's.
+     */
+    FrameTotals totals() const;
     PipelineObs &obs() { return *obs_; }
 
   private:
-    /**
-     * One stream's frame outcomes, each frame counted once by
-     * finishFrame(). The fleet-wide report is the sum over streams.
-     */
-    struct FrameTotals {
-        u64 frames = 0; //!< every outcome: delivered, shed and errored
-        u64 errors = 0;
-        u64 deadline_misses = 0;
-        u64 quarantined = 0;
-        u64 shed = 0;
-        u64 transient_faults = 0;
-        u64 dma_retries = 0;
-        u64 dma_dropped_bursts = 0;
-        Bytes bytes_written = 0;
-        Bytes bytes_read = 0;
-        Bytes metadata_bytes = 0;
-        double kept_sum = 0.0;     //!< over frames that did not error
-        int degradation_level = 0; //!< ladder level after the last frame
-
-        /** Count one frame; an errored frame carries no result. */
-        void add(const PipelineFrameResult &r, bool errored);
-    };
-
     struct StreamEntry {
         std::unique_ptr<StreamContext> ctx; //!< released at retirement
         std::string label; //!< outlives ctx for reports after retirement
         u64 target = 0;
         FrameTotals totals;
+        int degradation_level = 0; //!< ladder level after the last frame
         bool active = true;    //!< still scheduled for more frames
         bool seeded = false;   //!< first frame has entered the graph
         bool finished = false; //!< left the fleet (completed or removed)
@@ -338,6 +347,7 @@ class FleetServer
     FleetStreamReport retireLocked(u32 id, StreamEntry &entry);
     FleetStreamReport streamReportLocked(u32 id,
                                          const StreamEntry &entry) const;
+    FrameTotals totalsLocked() const;
 
     void captureLoop();
     void encodeLoop();

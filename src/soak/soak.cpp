@@ -29,8 +29,12 @@ namespace {
  */
 thread_local i64 t_pending_slot = -1;
 
+/**
+ * One kB field of /proc/self/status (0 off-Linux): VmRSS is the current
+ * resident set, VmHWM its peak.
+ */
 u64
-readStatusKb(const char *key)
+statusKb(const char *key)
 {
     std::ifstream in("/proc/self/status");
     std::string line;
@@ -47,24 +51,108 @@ readStatusKb(const char *key)
     return 0;
 }
 
-double
-sortedQuantile(std::vector<double> v, double q)
+using Journal = obs::TelemetryTotals;
+using Ledger = fleet::FrameTotals;
+
+/** One frame-ledger field that the telemetry journal also counts. */
+struct LedgerField {
+    const char *name;
+    u64 Journal::*journal;
+    u64 Ledger::*ledger;
+    /** At most one per frame; else counted per byte or DMA burst. */
+    bool per_frame;
+};
+
+/** The fields on which journal and ledger must agree. */
+constexpr LedgerField kLedgerFields[] = {
+    {"frames", &Journal::frames, &Ledger::frames, true},
+    {"bytes_written", &Journal::bytes_written, &Ledger::bytes_written, false},
+    {"bytes_read", &Journal::bytes_read, &Ledger::bytes_read, false},
+    {"metadata_bytes", &Journal::metadata_bytes, &Ledger::metadata_bytes,
+     false},
+    {"quarantined", &Journal::quarantined_frames, &Ledger::quarantined, true},
+    {"deadline_misses", &Journal::deadline_misses, &Ledger::deadline_misses,
+     true},
+    {"transient_faults", &Journal::transient_faults,
+     &Ledger::transient_faults, false},
+    {"shed_frames", &Journal::shed_frames, &Ledger::shed, true},
+    {"dma_retries", &Journal::dma_retries, &Ledger::dma_retries, false},
+    {"dma_dropped_bursts", &Journal::dma_dropped_bursts,
+     &Ledger::dma_dropped_bursts, false},
+};
+
+u64
+absDiff(u64 a, u64 b)
 {
-    if (v.empty())
-        return 0.0;
-    std::sort(v.begin(), v.end());
-    const double pos = q * static_cast<double>(v.size() - 1);
-    const size_t lo = static_cast<size_t>(pos);
-    const size_t hi = std::min(lo + 1, v.size() - 1);
-    const double frac = pos - static_cast<double>(lo);
-    return v[lo] + (v[hi] - v[lo]) * frac;
+    return a >= b ? a - b : b - a;
 }
 
-bool
-endsWith(const std::string &s, const std::string &suffix)
+/**
+ * Compare journal and ledger on every field. The journal may lead by at
+ * most `frame_cap` on per-frame fields and `byte_cap` on the others, and
+ * never trail; each field outside that window is one violation, prefixed
+ * by `where`.
+ */
+std::vector<std::string>
+ledgerViolations(const std::string &where, const Journal &j, const Ledger &l,
+                 u64 frame_cap, u64 byte_cap)
 {
-    return s.size() >= suffix.size() &&
-           s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
+    std::vector<std::string> out;
+    for (const LedgerField &f : kLedgerFields) {
+        const u64 jv = j.*f.journal;
+        const u64 lv = l.*f.ledger;
+        const u64 cap = f.per_frame ? frame_cap : byte_cap;
+        if (jv >= lv && jv - lv <= cap)
+            continue;
+        std::ostringstream os;
+        os << where << ": journal/ledger " << f.name
+           << " out of bounds (journal " << jv << ", ledger " << lv
+           << ", cap " << cap << ")";
+        out.push_back(os.str());
+    }
+    return out;
+}
+
+/** The ledger as the journal sees it: errored frames are never journaled. */
+Ledger
+journaledLedger(const fleet::FleetServer &server)
+{
+    Ledger l = server.totals();
+    l.frames -= l.errors;
+    return l;
+}
+
+/**
+ * The standard soak fault mix for a master seed: metadata corruption
+ * drives the CRC/quarantine path, DMA drops the transient-retry path,
+ * injected deadline misses the degradation ladder (escalate after 2,
+ * recover after 8 clean frames) without wall clocks.
+ */
+fault::FaultPlan
+faultPlanFor(u64 seed)
+{
+    fault::FaultPlan plan;
+    plan.seed = seed ^ 0xF417F417F417F417ULL;
+    plan.at(fault::Stage::FrameMeta).byte_error_rate = 3e-5;
+    plan.at(fault::Stage::Dma).drop_rate = 0.02;
+    plan.at(fault::Stage::Deadline).drop_rate = 0.12;
+    return plan;
+}
+
+/**
+ * The amplified chaos-mode fault mix: forced Stage::Shed verdicts
+ * exercise the guard's load-shed accounting, and a much hotter
+ * metadata-corruption rate produces the consecutive-quarantine streaks
+ * that push streams into Quarantined and back out (the recovery
+ * transitions the chaos gate asserts).
+ */
+fault::FaultPlan
+chaosFaultPlanFor(u64 seed)
+{
+    fault::FaultPlan plan = faultPlanFor(seed);
+    plan.at(fault::Stage::Shed).drop_rate = 0.08;
+    plan.at(fault::Stage::FrameMeta).byte_error_rate = 2e-4;
+    return plan;
 }
 
 /** The soak driver; one instance per runSoak() call. */
@@ -90,7 +178,6 @@ class SoakRunner
             if (trace_.trace.empty())
                 throwRuntime("soak trace has no frames: ",
                              opts_.trace_path);
-            have_trace_ = true;
             width_ = trace_.width;
             height_ = trace_.height;
         }
@@ -106,11 +193,13 @@ class SoakRunner
 
   private:
     struct SlotState {
-        u64 done = 0;     //!< frames completed across generations
         u64 gen = 0;      //!< generations started
         u64 gen_base = 0; //!< slot-frame offset of the running generation
         u64 gen_done = 0; //!< frames the running generation completed
         u64 stop_at = 0;  //!< frames the running generation will run
+
+        /** Frames completed across generations. */
+        u64 done() const { return gen_base + gen_done; }
     };
 
     /**
@@ -148,9 +237,9 @@ class SoakRunner
                              : static_cast<u64>(id);
         id2slot_[id] = slot;
         SlotState &st = slots_.at(slot);
-        st.gen_base = st.done;
+        st.gen_base = st.done();
         st.gen_done = 0;
-        st.stop_at = genLength(slot, st.gen, budget_ - st.done);
+        st.stop_at = genLength(slot, st.gen, budget_ - st.gen_base);
         // Decorrelate each generation's fault sequence: a plan seed
         // shared by every stream would fault every stream identically
         // (and short generations would never reach the later draws of
@@ -171,18 +260,21 @@ class SoakRunner
         ++generations_;
     }
 
+    /** Stream `id`'s slot and its generation's slot-frame offset. */
+    std::pair<u64, u64>
+    slotOf(u32 id)
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        const u64 slot = id2slot_.at(id);
+        return {slot, slots_[slot].gen_base};
+    }
+
     /** Scene content is keyed by slot frame, so a replacement stream
      *  continues exactly where the departed generation stopped. */
     Image
     sceneFor(u32 id, u64 frame)
     {
-        u64 slot = 0;
-        u64 base = 0;
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            slot = id2slot_.at(id);
-            base = slots_[slot].gen_base;
-        }
+        const auto [slot, base] = slotOf(id);
         Image img(width_, height_);
         Rng rng = Rng(opts_.seed)
                       .fork(0x5CE11EULL + slot * 0x9E3779B97F4A7C15ULL)
@@ -220,14 +312,8 @@ class SoakRunner
     std::vector<RegionLabel>
     labelsFor(u32 id)
     {
-        u64 slot = 0;
-        u64 base = 0;
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            slot = id2slot_.at(id);
-            base = slots_[slot].gen_base;
-        }
-        if (have_trace_) {
+        const auto [slot, base] = slotOf(id);
+        if (!trace_.trace.empty()) {
             const auto &labels = trace_.trace[base % trace_.trace.size()];
             if (!labels.empty())
                 return labels;
@@ -237,9 +323,8 @@ class SoakRunner
     }
 
     void
-    onFrame(fleet::StreamContext &s, const PipelineFrameResult &result)
+    onFrame(fleet::StreamContext &s)
     {
-        (void)result;
         const u32 id = s.id();
         const u64 g =
             global_frames_.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -249,12 +334,11 @@ class SoakRunner
             const u64 slot = id2slot_.at(id);
             SlotState &st = slots_[slot];
             ++st.gen_done;
-            ++st.done;
             // Trace replay programs the *next* frame's labels. Safe
             // without per-stream locking: one frame per stream is in
             // flight and the sink runs before frame n+1 is resubmitted,
             // so nothing else touches this stream's runtime right now.
-            if (have_trace_ && st.gen_done < st.stop_at) {
+            if (!trace_.trace.empty() && st.gen_done < st.stop_at) {
                 const auto &next =
                     trace_.trace[(st.gen_base + st.gen_done) %
                                  trace_.trace.size()];
@@ -290,7 +374,7 @@ class SoakRunner
                 const u64 slot = it->second;
                 id2slot_.erase(it);
                 if (!aborted_.load(std::memory_order_relaxed) &&
-                    slots_[slot].done < budget_)
+                    slots_[slot].done() < budget_)
                     replace_slot = static_cast<i64>(slot);
             }
         }
@@ -322,65 +406,30 @@ class SoakRunner
     {
         std::lock_guard<std::mutex> lock(check_mutex_);
         const auto t0 = std::chrono::steady_clock::now();
-        // Journal first, registry second: every registry update of a
-        // frame happens-before its journal record (program order into
-        // the sink mutex), so this read order guarantees registry >=
-        // journal for each conserved counter.
-        const obs::TelemetryTotals j = sink_->totals();
-        const u64 rf = reg_frames_->value();
-        const u64 rw = reg_written_->value();
-        const u64 rr = reg_read_->value();
-        const u64 rm = reg_meta_->value();
-        const u64 live = server_->activeStreams();
-
-        SoakCheckpoint cp;
-        cp.at_frame = g;
-        cp.live_streams = live;
-        if (rf < j.frames) {
-            std::ostringstream os;
-            os << "checkpoint@" << g << ": journal frames (" << j.frames
-               << ") ahead of registry (" << rf << ")";
-            violateLocked(os.str());
-        } else {
-            cp.frames_drift = rf - j.frames;
-            max_drift_ = std::max(max_drift_, cp.frames_drift);
-            // At most one frame per live stream is in flight, so the
-            // registry can run ahead of the journal by at most
-            // `streams` frames (and their bytes).
-            if (cp.frames_drift > opts_.streams) {
-                std::ostringstream os;
-                os << "checkpoint@" << g << ": frames drift "
-                   << cp.frames_drift << " exceeds max in-flight "
-                   << opts_.streams << " (journal " << j.frames
-                   << ", registry " << rf << ", live " << live << ")";
-                violateLocked(os.str());
-            }
-            const u64 per_frame_cap =
-                static_cast<u64>(width_) * static_cast<u64>(height_) * 4 +
-                65536;
-            const u64 byte_cap = opts_.streams * per_frame_cap;
-            const u64 jw = static_cast<u64>(j.bytes_written);
-            const u64 jr = static_cast<u64>(j.bytes_read);
-            const u64 jm = static_cast<u64>(j.metadata_bytes);
-            if (rw < jw || rr < jr || rm < jm ||
-                rw - jw > byte_cap || rr - jr > byte_cap ||
-                rm - jm > byte_cap) {
-                std::ostringstream os;
-                os << "checkpoint@" << g
-                   << ": byte counters out of conservation bounds"
-                   << " (written " << rw << "/" << jw << ", read " << rr
-                   << "/" << jr << ", metadata " << rm << "/" << jm
-                   << ", cap " << byte_cap << ")";
-                violateLocked(os.str());
-            }
-        }
-        cp.rss_kb = currentRssKb();
-        rss_peak_ = std::max(rss_peak_, cp.rss_kb);
+        // Ledger first, journal second: accountFrame() journals a frame
+        // before finishFrame() counts it in the ledger, so this read
+        // order guarantees journal >= ledger on every field.
+        const Ledger l = journaledLedger(*server_);
+        const Journal j = sink_->totals();
+        SoakCheckpoint cp{g, absDiff(j.frames, l.frames),
+                          server_->activeStreams(),
+                          statusKb("VmRSS:")};
+        max_drift_ = std::max(max_drift_, cp.frames_drift);
+        // At most one frame per live stream is journaled but not yet in
+        // the ledger, and live streams never exceed `streams`.
+        const u64 byte_cap =
+            opts_.streams *
+            (static_cast<u64>(width_) * static_cast<u64>(height_) * 4 +
+             65536);
+        for (std::string &v :
+             ledgerViolations("checkpoint@" + std::to_string(g), j, l,
+                              opts_.streams, byte_cap))
+            violateLocked(std::move(v));
         cp.duration_us =
             std::chrono::duration<double, std::micro>(
                 std::chrono::steady_clock::now() - t0)
                 .count();
-        check_durations_.push_back(cp.duration_us);
+        check_us_.record(cp.duration_us);
         checkpoints_.push_back(cp);
     }
 
@@ -391,19 +440,13 @@ class SoakRunner
     u64 budget_ = 0;
     i32 width_ = 0;
     i32 height_ = 0;
-    TraceFile trace_;
-    bool have_trace_ = false;
+    TraceFile trace_; //!< no frames = synthetic labels
     fault::FaultPlan plan_;
     fault::FaultPlan stream_plan_; //!< per-generation reseeded copy
 
     obs::ObsContext obs_;
     std::unique_ptr<obs::TelemetrySink> sink_;
     std::unique_ptr<fleet::FleetServer> server_;
-    obs::Counter *reg_frames_ = nullptr;
-    obs::Counter *reg_written_ = nullptr;
-    obs::Counter *reg_read_ = nullptr;
-    obs::Counter *reg_meta_ = nullptr;
-    obs::Counter *reg_shed_ = nullptr;
 
     std::mutex mutex_; //!< slots / id map / generation count
     std::vector<SlotState> slots_;
@@ -414,10 +457,9 @@ class SoakRunner
 
     std::mutex check_mutex_; //!< checkpoint + violation state
     std::vector<SoakCheckpoint> checkpoints_;
-    std::vector<double> check_durations_;
+    obs::Histogram check_us_{obs::Histogram::defaultLatencyBoundsUs()};
     std::vector<std::string> violations_;
     u64 max_drift_ = 0;
-    u64 rss_peak_ = 0;
 };
 
 SoakResult
@@ -427,12 +469,6 @@ SoakRunner::run()
     sc.keep_frames = 0; // totals only: a soak must not grow the ring
     sc.journal_path = opts_.journal_path;
     sink_ = std::make_unique<obs::TelemetrySink>(sc);
-
-    reg_frames_ = &obs_.registry().counter("pipeline.frames");
-    reg_written_ = &obs_.registry().counter("pipeline.bytes_written");
-    reg_read_ = &obs_.registry().counter("pipeline.bytes_read");
-    reg_meta_ = &obs_.registry().counter("pipeline.metadata_bytes");
-    reg_shed_ = &obs_.registry().counter("pipeline.shed_frames");
 
     fleet::FleetConfig fc;
     fc.stream.width = width_;
@@ -483,15 +519,14 @@ SoakRunner::run()
         configureStream(id, pc);
     };
     fc.frame_sink = [this](fleet::StreamContext &s,
-                           const PipelineFrameResult &r) { onFrame(s, r); };
+                           const PipelineFrameResult &) { onFrame(s); };
     fc.stream_retired = [this](const fleet::FleetStreamReport &sr) {
         onRetired(sr);
     };
 
     SoakResult res;
     res.frames_budget = budget_ * opts_.streams;
-    res.rss_start_kb = currentRssKb();
-    rss_peak_ = res.rss_start_kb;
+    res.rss_start_kb = statusKb("VmRSS:");
 
     server_ = std::make_unique<fleet::FleetServer>(fc);
     const fleet::FleetReport rep = server_->run();
@@ -508,7 +543,7 @@ void
 SoakRunner::finalChecks(const fleet::FleetReport &rep, SoakResult &res)
 {
     std::lock_guard<std::mutex> lock(check_mutex_);
-    const obs::TelemetryTotals j = sink_->totals();
+    const Journal j = sink_->totals();
 
     res.frames = j.frames;
     res.generations = generations_;
@@ -518,57 +553,26 @@ SoakRunner::finalChecks(const fleet::FleetReport &rep, SoakResult &res)
     res.chaos_hits = rep.chaos_hits;
     res.checkpoints = checkpoints_.size();
     res.max_frames_drift = max_drift_;
-    res.final_frames_drift = reg_frames_->value() >= j.frames
-                                 ? reg_frames_->value() - j.frames
-                                 : j.frames - reg_frames_->value();
-    res.final_bytes_drift =
-        (static_cast<i64>(reg_written_->value()) -
-         static_cast<i64>(j.bytes_written)) +
-        (static_cast<i64>(reg_read_->value()) -
-         static_cast<i64>(j.bytes_read)) +
-        (static_cast<i64>(reg_meta_->value()) -
-         static_cast<i64>(j.metadata_bytes));
 
-    const auto expectEq = [&](const char *what, u64 got, u64 want) {
-        if (got == want)
-            return;
-        std::ostringstream os;
-        os << "final: " << what << " mismatch (" << got
-           << " != " << want << ")";
-        violations_.push_back(os.str());
-    };
-    expectEq("registry/journal frames", reg_frames_->value(), j.frames);
-    expectEq("registry/journal bytes_written", reg_written_->value(),
-             static_cast<u64>(j.bytes_written));
-    expectEq("registry/journal bytes_read", reg_read_->value(),
-             static_cast<u64>(j.bytes_read));
-    expectEq("registry/journal metadata_bytes", reg_meta_->value(),
-             static_cast<u64>(j.metadata_bytes));
-    expectEq("fleet/journal frames", rep.frames, j.frames);
-    expectEq("fleet/journal quarantined", rep.quarantined,
-             j.quarantined_frames);
-    expectEq("fleet/journal deadline_misses", rep.deadline_misses,
-             j.deadline_misses);
-    expectEq("fleet/journal transient_faults", rep.transient_faults,
-             j.transient_faults);
-    // Shed accounting is three-way: every shed frame appears once in the
-    // journal, the registry, and the fleet report (shed != lost).
-    expectEq("registry/journal shed_frames", reg_shed_->value(),
-             j.shed_frames);
-    expectEq("fleet/journal shed_frames", rep.shed_frames,
-             j.shed_frames);
-    expectEq("fleet/journal dma_retries", rep.dma_retries,
-             j.dma_retries);
-    expectEq("fleet/journal dma_dropped_bursts", rep.dma_dropped_bursts,
-             j.dma_dropped_bursts);
-    expectEq("fleet errors", rep.errors, 0);
+    // The run has quiesced: journal and ledger agree exactly.
+    const Ledger l = journaledLedger(*server_);
+    for (std::string &v : ledgerViolations("final", j, l, 0, 0))
+        violations_.push_back(std::move(v));
+    res.final_frames_drift = absDiff(j.frames, l.frames);
+    res.final_bytes_drift = static_cast<i64>(
+        absDiff(j.bytes_written, l.bytes_written) +
+        absDiff(j.bytes_read, l.bytes_read) +
+        absDiff(j.metadata_bytes, l.metadata_bytes));
+    if (rep.errors != 0)
+        violations_.push_back("final: fleet errors mismatch (" +
+                              std::to_string(rep.errors) + " != 0)");
 
     if (!aborted_.load(std::memory_order_relaxed)) {
         std::lock_guard<std::mutex> slots_lock(mutex_);
         for (size_t s = 0; s < slots_.size(); ++s)
-            if (slots_[s].done != budget_) {
+            if (slots_[s].done() != budget_) {
                 std::ostringstream os;
-                os << "final: slot " << s << " ran " << slots_[s].done
+                os << "final: slot " << s << " ran " << slots_[s].done()
                    << " of " << budget_ << " budgeted frames";
                 violations_.push_back(os.str());
             }
@@ -581,11 +585,11 @@ SoakRunner::finalChecks(const fleet::FleetReport &rep, SoakResult &res)
             continue;
         const u64 v = static_cast<u64>(sample.value);
         if (sample.name.rfind("fault.", 0) == 0) {
-            if (endsWith(sample.name, ".drops"))
+            if (sample.name.ends_with(".drops"))
                 res.fault_drops += v;
-            else if (endsWith(sample.name, ".bytes_corrupted"))
+            else if (sample.name.ends_with(".bytes_corrupted"))
                 res.fault_byte_errors += v;
-            else if (endsWith(sample.name, ".stalls"))
+            else if (sample.name.ends_with(".stalls"))
                 res.fault_stalls += v;
         } else if (sample.name == "degrade.escalations") {
             res.degrade_escalations = v;
@@ -594,9 +598,10 @@ SoakRunner::finalChecks(const fleet::FleetReport &rep, SoakResult &res)
         }
     }
 
-    res.rss_peak_kb = std::max(rss_peak_, peakRssKb());
-    res.checkpoint_p50_us = sortedQuantile(check_durations_, 0.5);
-    res.checkpoint_p99_us = sortedQuantile(check_durations_, 0.99);
+    // VmHWM is the high-water mark of every VmRSS sample taken.
+    res.rss_peak_kb = statusKb("VmHWM:");
+    res.checkpoint_p50_us = check_us_.quantile(0.5);
+    res.checkpoint_p99_us = check_us_.quantile(0.99);
     res.checkpoint_log = checkpoints_;
     res.violations = violations_;
     res.ok = violations_.empty();
@@ -608,82 +613,40 @@ SoakRunner::buildBench(SoakResult &res) const
     obs::BenchReport b;
     b.bench = "soak";
     b.commit = obs::benchCommitFromEnv();
-    const auto model = [&](const std::string &name, double v,
-                           const char *unit, const char *dir) {
+    const auto model = [&](const char *name, double v, const char *unit,
+                           const char *dir) {
         b.setMetric(name, v, unit, dir, "model");
     };
-    const auto wall = [&](const std::string &name, double v,
-                          const char *unit, const char *dir) {
+    const auto wall = [&](const char *name, double v, const char *unit,
+                          const char *dir) {
         b.setMetric(name, v, unit, dir, "wall");
     };
-    model("soak.frames", static_cast<double>(res.frames), "frames",
-          "higher");
-    model("soak.generations", static_cast<double>(res.generations),
-          "count", "higher");
-    model("soak.errors", static_cast<double>(res.fleet.errors), "count",
-          "lower");
-    model("soak.frames_drift", static_cast<double>(res.final_frames_drift),
-          "frames", "lower");
-    model("soak.quarantined", static_cast<double>(res.fleet.quarantined),
-          "frames", "lower");
-    model("soak.deadline_misses",
-          static_cast<double>(res.fleet.deadline_misses), "count",
-          "lower");
-    model("soak.transient_faults",
-          static_cast<double>(res.fleet.transient_faults), "count",
-          "lower");
-    model("soak.bytes_written",
-          static_cast<double>(res.fleet.bytes_written), "bytes", "lower");
+    const fleet::FleetReport &f = res.fleet;
+    model("soak.frames", res.frames, "frames", "higher");
+    model("soak.generations", res.generations, "count", "higher");
+    model("soak.errors", f.errors, "count", "lower");
+    model("soak.frames_drift", res.final_frames_drift, "frames", "lower");
+    model("soak.quarantined", f.quarantined, "frames", "lower");
+    model("soak.deadline_misses", f.deadline_misses, "count", "lower");
+    model("soak.transient_faults", f.transient_faults, "count", "lower");
+    model("soak.bytes_written", f.bytes_written, "bytes", "lower");
     if (opts_.chaos) {
         // Emitted only in chaos mode so the baseline soak trend schema
         // is unchanged.
-        model("soak.shed_frames", static_cast<double>(res.shed_frames),
-              "frames", "lower");
-        model("soak.health_recoveries",
-              static_cast<double>(res.health_recoveries), "count",
+        model("soak.shed_frames", res.shed_frames, "frames", "lower");
+        model("soak.health_recoveries", res.health_recoveries, "count",
               "higher");
-        wall("soak.watchdog_warns",
-             static_cast<double>(res.watchdog_warns), "count", "lower");
-        wall("soak.chaos_hits", static_cast<double>(res.chaos_hits),
-             "count", "higher");
+        wall("soak.watchdog_warns", res.watchdog_warns, "count", "lower");
+        wall("soak.chaos_hits", res.chaos_hits, "count", "higher");
     }
-    wall("soak.wall_seconds", res.fleet.wall_seconds, "s", "lower");
-    wall("soak.frames_per_second", res.fleet.frames_per_second, "fps",
-         "higher");
+    wall("soak.wall_seconds", f.wall_seconds, "s", "lower");
+    wall("soak.frames_per_second", f.frames_per_second, "fps", "higher");
     wall("soak.checkpoint_p99_us", res.checkpoint_p99_us, "us", "lower");
-    wall("soak.rss_peak_kb", static_cast<double>(res.rss_peak_kb), "kB",
-         "lower");
+    wall("soak.rss_peak_kb", res.rss_peak_kb, "kB", "lower");
     res.bench = b;
 }
 
 } // namespace
-
-fault::FaultPlan
-faultPlanFor(u64 seed)
-{
-    fault::FaultPlan plan;
-    plan.seed = seed ^ 0xF417F417F417F417ULL;
-    // Metadata corruption drives the CRC/quarantine path, DMA drops the
-    // transient-retry path, injected deadline misses the degradation
-    // ladder (escalate after 2, recover after 8 clean frames).
-    plan.at(fault::Stage::FrameMeta).byte_error_rate = 3e-5;
-    plan.at(fault::Stage::Dma).drop_rate = 0.02;
-    plan.at(fault::Stage::Deadline).drop_rate = 0.12;
-    return plan;
-}
-
-fault::FaultPlan
-chaosFaultPlanFor(u64 seed)
-{
-    fault::FaultPlan plan = faultPlanFor(seed);
-    // Forced shed verdicts exercise the guard's load-shed accounting,
-    // and a much hotter metadata-corruption rate produces the
-    // consecutive-quarantine streaks that push streams into Quarantined
-    // and back out (the recovery transitions the chaos gate asserts).
-    plan.at(fault::Stage::Shed).drop_rate = 0.08;
-    plan.at(fault::Stage::FrameMeta).byte_error_rate = 2e-4;
-    return plan;
-}
 
 SoakResult
 runSoak(const SoakOptions &options)
@@ -692,45 +655,34 @@ runSoak(const SoakOptions &options)
     return runner.run();
 }
 
-u64
-currentRssKb()
-{
-    return readStatusKb("VmRSS:");
-}
-
-u64
-peakRssKb()
-{
-    return readStatusKb("VmHWM:");
-}
-
 std::string
 toJson(const SoakResult &result)
 {
     std::ostringstream os;
     os << "{\n  \"schema\": \"rpx-soak-report-v1\",\n";
     os << "  \"ok\": " << (result.ok ? "true" : "false") << ",\n";
-    os << "  \"frames\": " << result.frames << ",\n";
-    os << "  \"frames_budget\": " << result.frames_budget << ",\n";
-    os << "  \"generations\": " << result.generations << ",\n";
-    os << "  \"checkpoints\": " << result.checkpoints << ",\n";
-    os << "  \"max_frames_drift\": " << result.max_frames_drift << ",\n";
-    os << "  \"final_frames_drift\": " << result.final_frames_drift
-       << ",\n";
-    os << "  \"final_bytes_drift\": " << result.final_bytes_drift << ",\n";
-    os << "  \"fault_drops\": " << result.fault_drops << ",\n";
-    os << "  \"fault_byte_errors\": " << result.fault_byte_errors << ",\n";
-    os << "  \"fault_stalls\": " << result.fault_stalls << ",\n";
-    os << "  \"degrade_escalations\": " << result.degrade_escalations
-       << ",\n";
-    os << "  \"degrade_recoveries\": " << result.degrade_recoveries
-       << ",\n";
-    os << "  \"shed_frames\": " << result.shed_frames << ",\n";
-    os << "  \"health_recoveries\": " << result.health_recoveries << ",\n";
-    os << "  \"watchdog_warns\": " << result.watchdog_warns << ",\n";
-    os << "  \"chaos_hits\": " << result.chaos_hits << ",\n";
-    os << "  \"rss_start_kb\": " << result.rss_start_kb << ",\n";
-    os << "  \"rss_peak_kb\": " << result.rss_peak_kb << ",\n";
+    const std::pair<const char *, u64> counts[] = {
+        {"frames", result.frames},
+        {"frames_budget", result.frames_budget},
+        {"generations", result.generations},
+        {"checkpoints", result.checkpoints},
+        {"max_frames_drift", result.max_frames_drift},
+        {"final_frames_drift", result.final_frames_drift},
+        {"final_bytes_drift", static_cast<u64>(result.final_bytes_drift)},
+        {"fault_drops", result.fault_drops},
+        {"fault_byte_errors", result.fault_byte_errors},
+        {"fault_stalls", result.fault_stalls},
+        {"degrade_escalations", result.degrade_escalations},
+        {"degrade_recoveries", result.degrade_recoveries},
+        {"shed_frames", result.shed_frames},
+        {"health_recoveries", result.health_recoveries},
+        {"watchdog_warns", result.watchdog_warns},
+        {"chaos_hits", result.chaos_hits},
+        {"rss_start_kb", result.rss_start_kb},
+        {"rss_peak_kb", result.rss_peak_kb},
+    };
+    for (const auto &[key, value] : counts)
+        os << "  \"" << key << "\": " << value << ",\n";
     os << "  \"checkpoint_p50_us\": " << json::number(result.checkpoint_p50_us)
        << ",\n";
     os << "  \"checkpoint_p99_us\": " << json::number(result.checkpoint_p99_us)

@@ -6,16 +6,15 @@
  * *slot*, with deterministic fault injection, join/leave churn, and
  * periodic invariant checkpoints:
  *
- *  - conservation: the "pipeline.*" registry counters may run ahead of
- *    the TelemetrySink journal totals by at most the frames in flight
- *    (one per live stream, so at most `streams`) mid-run, and must match
- *    *exactly* once
- *    the fleet has quiesced;
+ *  - conservation: the telemetry journal (TelemetrySink::totals()) and
+ *    the fleet's frame ledger (FleetServer::totals()) agree on frames,
+ *    bytes, and every fault and shed count. Mid-run the journal may lead
+ *    by the frames in flight (at most `streams`); once the fleet has
+ *    quiesced they must match exactly;
  *  - memory: RSS (VmRSS) is sampled at every checkpoint and its peak
  *    reported; every queue's high-water mark lands in the embedded
  *    fleet report so growth is visible in trend comparisons;
- *  - health: stream errors are zero and the degradation ladder state is
- *    recorded.
+ *  - health: stream errors are zero and every slot finishes its budget.
  *
  * A violated invariant aborts the run via FleetServer::drain() — frames
  * in flight still complete and are accounted — and the violation text
@@ -60,7 +59,7 @@ struct SoakOptions {
     double fps = 30.0;
     /** Master seed for content, labels, churn schedule, and faults. */
     u64 seed = 1;
-    /** Inject the standard fault mix (see faultPlanFor). */
+    /** Inject the standard fault mix (faultPlanFor in soak.cpp). */
     bool faults = true;
     /** Streams leave mid-run and replacements continue their slot. */
     bool churn = true;
@@ -97,7 +96,7 @@ struct SoakOptions {
 /** One invariant checkpoint's observations. */
 struct SoakCheckpoint {
     u64 at_frame = 0;       //!< global frame ordinal that triggered it
-    u64 frames_drift = 0;   //!< registry frames - journal frames
+    u64 frames_drift = 0;   //!< journal frames - ledger frames
     u64 live_streams = 0;
     u64 rss_kb = 0;         //!< VmRSS at the checkpoint
     double duration_us = 0.0;
@@ -126,7 +125,7 @@ struct SoakResult {
     u64 checkpoints = 0;
     u64 max_frames_drift = 0;   //!< worst mid-run drift observed
     u64 final_frames_drift = 0; //!< must be 0
-    i64 final_bytes_drift = 0;  //!< written+read+metadata; must be 0
+    i64 final_bytes_drift = 0;  //!< sum of |journal - ledger| bytes; 0
 
     // Memory.
     u64 rss_start_kb = 0;
@@ -141,20 +140,6 @@ struct SoakResult {
     obs::BenchReport bench; //!< embedded "soak" bench report
 };
 
-/**
- * The standard soak fault mix for a master seed: metadata byte errors
- * (quarantine path), DMA drops (transient-fault retries), and injected
- * deadline misses (degradation-ladder exercise without wall clocks).
- */
-fault::FaultPlan faultPlanFor(u64 seed);
-
-/**
- * The amplified chaos-mode fault mix: the standard plan plus forced
- * Stage::Shed verdicts and enough metadata corruption to push streams
- * through full Quarantined -> recovery health cycles.
- */
-fault::FaultPlan chaosFaultPlanFor(u64 seed);
-
 /** Run one soak. Throws on setup errors (e.g. unreadable trace). */
 SoakResult runSoak(const SoakOptions &options);
 
@@ -164,10 +149,6 @@ SoakResult runSoak(const SoakOptions &options);
  * it, so a soak report is directly consumable by trend_compare).
  */
 std::string toJson(const SoakResult &result);
-
-/** Current / peak resident set from /proc/self/status, in kB (0 off-Linux). */
-u64 currentRssKb();
-u64 peakRssKb();
 
 } // namespace rpx::soak
 

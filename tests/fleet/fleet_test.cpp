@@ -3,8 +3,9 @@
  * Integration tests for the multi-stream fleet server: byte-identity of a
  * 1-stream fleet against the legacy pipeline, engine-pool starvation,
  * all-streams-miss deadline escalation, stream join/leave mid-run,
- * per-stream telemetry conservation against the shared registry, and frame
- * conservation when the scene source fails.
+ * per-stream telemetry conservation against the shared registry, the
+ * fleet ledger (FleetServer::totals()) against the report and journal,
+ * and frame conservation when the scene source fails.
  */
 
 #include <gtest/gtest.h>
@@ -447,6 +448,87 @@ TEST(Fleet, SceneSourceFailureCountsOneErroredFrame)
     }
     EXPECT_EQ(rep.frames, delivered_total + rep.shed_frames + rep.errors);
     EXPECT_EQ(rep.frames, 2u * 5u + kFailFrame + 1);
+}
+
+/**
+ * FleetServer::totals() is the ledger every frame report views. Read from
+ * the frame sink, it only grows and never counts a frame the journal has
+ * not recorded; after run() it equals the report's frame fields and the
+ * journal field for field. The errored frame is the one exception: it
+ * carries no result, so it has no journal line.
+ */
+TEST(Fleet, TotalsMatchReportAndJournal)
+{
+    obs::TelemetrySink sink;
+    fault::FaultPlan plan;
+    plan.seed = 77;
+    plan.at(fault::Stage::Dma).drop_rate = 0.2;
+    plan.at(fault::Stage::FrameMeta).byte_error_rate = 2e-4;
+    FleetConfig fc = smallFleet(4, 8);
+    fc.stream.telemetry = &sink;
+    fc.stream.fault.plan = &plan;
+    fc.stream.fault.graceful = true;
+    fc.stream.fault.crc_metadata = true;
+    fc.scene_source = [](u32 id, u64 frame) {
+        if (id == 2 && frame == 5)
+            throw std::runtime_error("scene source failed");
+        return sceneFor(id, frame);
+    };
+
+    FleetServer *server_ptr = nullptr;
+    std::mutex mutex;
+    FrameTotals last;
+    u64 reads = 0;
+    fc.frame_sink = [&](StreamContext &, const PipelineFrameResult &) {
+        std::lock_guard<std::mutex> lock(mutex);
+        // Ledger first, journal second: a frame is journaled before the
+        // ledger counts it.
+        const FrameTotals l = server_ptr->totals();
+        const obs::TelemetryTotals j = sink.totals();
+        EXPECT_GE(l.frames, last.frames);
+        EXPECT_GE(l.errors, last.errors);
+        EXPECT_GE(l.bytes_written, last.bytes_written);
+        EXPECT_GE(l.bytes_read, last.bytes_read);
+        EXPECT_GE(l.metadata_bytes, last.metadata_bytes);
+        EXPECT_GE(l.transient_faults, last.transient_faults);
+        EXPECT_LE(l.frames - l.errors, j.frames);
+        EXPECT_LE(l.bytes_written, j.bytes_written);
+        last = l;
+        ++reads;
+    };
+    FleetServer server(fc);
+    server_ptr = &server;
+    const FleetReport rep = server.run();
+
+    EXPECT_GT(reads, 0u);
+    const FrameTotals l = server.totals();
+    EXPECT_EQ(l.errors, 1u);
+    EXPECT_GT(l.quarantined + l.transient_faults, 0u); // faults fired
+    EXPECT_EQ(l.frames, rep.frames);
+    EXPECT_EQ(l.errors, rep.errors);
+    EXPECT_EQ(l.deadline_misses, rep.deadline_misses);
+    EXPECT_EQ(l.quarantined, rep.quarantined);
+    EXPECT_EQ(l.shed, rep.shed_frames);
+    EXPECT_EQ(l.transient_faults, rep.transient_faults);
+    EXPECT_EQ(l.dma_retries, rep.dma_retries);
+    EXPECT_EQ(l.dma_dropped_bursts, rep.dma_dropped_bursts);
+    EXPECT_EQ(l.bytes_written, rep.bytes_written);
+    EXPECT_EQ(l.bytes_read, rep.bytes_read);
+    EXPECT_EQ(l.metadata_bytes, rep.metadata_bytes);
+    EXPECT_DOUBLE_EQ(l.kept_sum / static_cast<double>(l.frames - l.errors),
+                     rep.kept_fraction_mean);
+
+    const obs::TelemetryTotals j = sink.totals();
+    EXPECT_EQ(l.frames - l.errors, j.frames);
+    EXPECT_EQ(l.deadline_misses, j.deadline_misses);
+    EXPECT_EQ(l.quarantined, j.quarantined_frames);
+    EXPECT_EQ(l.shed, j.shed_frames);
+    EXPECT_EQ(l.transient_faults, j.transient_faults);
+    EXPECT_EQ(l.dma_retries, j.dma_retries);
+    EXPECT_EQ(l.dma_dropped_bursts, j.dma_dropped_bursts);
+    EXPECT_EQ(l.bytes_written, j.bytes_written);
+    EXPECT_EQ(l.bytes_read, j.bytes_read);
+    EXPECT_EQ(l.metadata_bytes, j.metadata_bytes);
 }
 
 /**

@@ -113,6 +113,7 @@ expectSameModelOutcome(const soak::SoakResult &a, const soak::SoakResult &b)
     EXPECT_EQ(a.fleet.bytes_written, b.fleet.bytes_written);
     EXPECT_EQ(a.fleet.bytes_read, b.fleet.bytes_read);
     EXPECT_EQ(a.fleet.metadata_bytes, b.fleet.metadata_bytes);
+    EXPECT_EQ(a.fleet.kept_fraction_mean, b.fleet.kept_fraction_mean);
     // Every model metric of the embedded bench reports matches too.
     const auto modelMetrics = [](const obs::BenchReport &r) {
         std::map<std::string, double> out;

@@ -1,9 +1,10 @@
 /**
  * @file
  * Soak/replay harness CLI: drives a FleetServer for a simulated duration
- * with deterministic faults and join/leave churn, checks conservation
- * invariants at checkpoints, and emits an rpx-soak-report-v1 JSON that
- * trend_compare accepts directly (the bench report is embedded).
+ * with deterministic faults and join/leave churn, checks at checkpoints
+ * that the telemetry journal and the fleet's frame ledger agree, and
+ * emits an rpx-soak-report-v1 JSON that trend_compare accepts directly
+ * (the bench report is embedded).
  *
  * Usage:
  *   rpx_soak [--streams N] [--duration SECONDS] [--fps N] [--seed N]
@@ -109,7 +110,8 @@ main(int argc, char **argv)
 
         std::cout << "rpx_soak: " << res.frames << "/" << res.frames_budget
                   << " frames, " << res.generations << " generations, "
-                  << res.checkpoints << " checkpoints (max drift "
+                  << res.checkpoints
+                  << " checkpoints (journal vs ledger frame drift: max "
                   << res.max_frames_drift << ", final "
                   << res.final_frames_drift << ")\n"
                   << "  faults: " << res.fault_drops << " drops, "
