@@ -8,6 +8,9 @@
  *    size of a tracking map, N = 500 the feature policy's previous frame.
  *  - BM_DetectOrb640x480: ORB detection (pyramid, FAST, blur, orientation,
  *    rotated BRIEF) on one rendered 640x480 SlamSequence frame.
+ *  - BM_FastPyramid640x480: FAST with non-maximum suppression on the four
+ *    pyramid levels of that frame, the detector's FAST stage alone.
+ *  - BM_BoxBlur3_640x480: the descriptor blur of that frame's base level.
  *
  * Wall-clock only; nothing here writes a trend report.
  */
@@ -19,7 +22,9 @@
 
 #include "datasets/slam_dataset.hpp"
 #include "vision/matcher.hpp"
+#include "vision/fast.hpp"
 #include "vision/orb.hpp"
+#include "vision/pyramid.hpp"
 
 namespace rpx {
 namespace {
@@ -75,6 +80,34 @@ BM_DetectOrb640x480(benchmark::State &state)
     state.counters["features"] = static_cast<double>(features);
 }
 BENCHMARK(BM_DetectOrb640x480)->Unit(benchmark::kMillisecond);
+
+void
+BM_FastPyramid640x480(benchmark::State &state)
+{
+    const ImagePyramid pyramid(sequence().renderFrame(0));
+    size_t corners = 0;
+    for (auto _ : state) {
+        corners = 0;
+        for (size_t lvl = 0; lvl < pyramid.levels(); ++lvl) {
+            const auto c = detectFast(pyramid.level(lvl).image);
+            corners += c.size();
+            benchmark::DoNotOptimize(c.data());
+        }
+    }
+    state.counters["corners"] = static_cast<double>(corners);
+}
+BENCHMARK(BM_FastPyramid640x480)->Unit(benchmark::kMicrosecond);
+
+void
+BM_BoxBlur3_640x480(benchmark::State &state)
+{
+    const Image frame = sequence().renderFrame(0);
+    for (auto _ : state) {
+        const Image blurred = boxBlur3(frame);
+        benchmark::DoNotOptimize(blurred.data().data());
+    }
+}
+BENCHMARK(BM_BoxBlur3_640x480)->Unit(benchmark::kMicrosecond);
 
 } // namespace
 } // namespace rpx

@@ -40,6 +40,7 @@ struct KernelTable {
     void (*hamming)(const u8 *, const u8 *, size_t, u16 *);
     u32 (*expand)(const u8 *, size_t, u32, const u8 *, size_t, u32 *,
                   u8 *);
+    u32 (*fast_row)(const u8 *, size_t, u32, u32, int, int, u32 *);
 };
 
 constexpr KernelTable kScalarKernels = {
@@ -47,6 +48,7 @@ constexpr KernelTable kScalarKernels = {
     detail::countR2bppScalar,
     detail::hammingRow256Scalar,
     detail::expandSourcesScalar,
+    detail::fastRowScalar,
 };
 
 #if defined(__x86_64__)
@@ -55,6 +57,7 @@ constexpr KernelTable kSse4Kernels = {
     detail::countR2bppSse4,
     detail::hammingRow256Sse4,
     detail::expandSourcesSse4,
+    detail::fastRowSse4,
 };
 #endif
 
@@ -64,6 +67,7 @@ constexpr KernelTable kNeonKernels = {
     detail::countR2bppNeon,
     detail::hammingRow256Scalar,
     detail::expandSourcesScalar,
+    detail::fastRowScalar,
 };
 #endif
 
@@ -239,6 +243,16 @@ expandSources(const u8 *codes, size_t count, u32 first, const u8 *payload,
                              offset, value);
 }
 
+u32
+fastRow(const u8 *row, size_t stride, u32 x_begin, u32 x_end, int threshold,
+        int arc, u32 *cols)
+{
+    if (x_begin >= x_end)
+        return 0;
+    return kernels()->fast_row(row, stride, x_begin, x_end, threshold, arc,
+                               cols);
+}
+
 namespace detail {
 
 void
@@ -327,6 +341,55 @@ expandSourcesScalar(const u8 *codes, size_t count, u32 first,
             value[i] = payload[offset[i]];
     }
     return seen;
+}
+
+u32
+fastRowScalar(const u8 *row, size_t stride, u32 x_begin, u32 x_end,
+              int threshold, int arc, u32 *cols)
+{
+    std::ptrdiff_t ring[16];
+    for (int i = 0; i < 16; ++i)
+        ring[i] = kFastRing[i][1] * static_cast<std::ptrdiff_t>(stride) +
+                  kFastRing[i][0];
+    // A contiguous arc of `arc` ring pixels covers at least arc / 4 of the
+    // four compass points (0, 4, 8, 12), so fewer compass hits on both
+    // sides rule the pixel out before the other 12 ring pixels are read.
+    const int need = arc / 4;
+    // True when the 16-bit ring mask holds `arc` circularly contiguous
+    // bits: AND-ing the doubled mask with its shifts leaves bit i set iff
+    // ring positions i .. i + arc - 1 (mod 16) are all set.
+    const auto has_arc = [arc](u32 mask) {
+        const u32 doubled = mask | (mask << 16);
+        u32 run = doubled;
+        for (int k = 1; k < arc && run != 0; ++k)
+            run &= doubled >> k;
+        return run != 0;
+    };
+    u32 n = 0;
+    for (u32 x = x_begin; x < x_end; ++x) {
+        const u8 *p = row + x;
+        const int center = *p;
+        const int hi = center + threshold;
+        const int lo = center - threshold;
+        int brighter4 = 0, darker4 = 0;
+        for (int i = 0; i < 16; i += 4) {
+            const int v = p[ring[i]];
+            brighter4 += v >= hi;
+            darker4 += v <= lo;
+        }
+        if (brighter4 < need && darker4 < need)
+            continue;
+
+        u32 bright = 0, dark = 0;
+        for (int i = 0; i < 16; ++i) {
+            const int v = p[ring[i]];
+            bright |= static_cast<u32>(v >= hi) << i;
+            dark |= static_cast<u32>(v <= lo) << i;
+        }
+        if (has_arc(bright) || has_arc(dark))
+            cols[n++] = x;
+    }
+    return n;
 }
 
 } // namespace detail

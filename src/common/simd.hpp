@@ -1,12 +1,13 @@
 /**
  * @file
- * Portable SIMD dispatch shim for the decode-path hot loops.
+ * Portable SIMD dispatch shim for the decode and ORB hot loops.
  *
  * Kernels here are the integer-exact inner loops the decoders and the
- * descriptor matcher lean on: 2-bit mask-code expansion, packed R-code
- * population counts, the R-prefix source expansion and 256-bit Hamming
- * distance rows. Every kernel has a pure-scalar reference implementation
- * plus SSE4.2 (x86) and NEON (aarch64) variants that produce
+ * ORB front end lean on: 2-bit mask-code expansion, packed R-code
+ * population counts, the R-prefix source expansion, 256-bit Hamming
+ * distance rows and the FAST segment test over one image row. Every
+ * kernel has a pure-scalar reference implementation plus SSE4.2 (x86)
+ * and, where it pays, NEON (aarch64) variants that produce
  * **bit-identical output** — they only reorganise integer loads/shuffles,
  * never change arithmetic — so switching levels can never change a
  * decoded byte. Floating-point stages (colour-space conversion, gray
@@ -102,6 +103,26 @@ u32 expandSources(const u8 *codes, size_t count, u32 first,
                   const u8 *payload, size_t payload_size, u32 *offset,
                   u8 *value);
 
+/** The radius-3 Bresenham ring fastRow tests, {dx, dy} clockwise from
+ *  12 o'clock. */
+inline constexpr int kFastRing[16][2] = {
+    {0, -3}, {1, -3}, {2, -2}, {3, -1}, {3, 0}, {3, 1}, {2, 2}, {1, 3},
+    {0, 3}, {-1, 3}, {-2, 2}, {-3, 1}, {-3, 0}, {-3, -1}, {-2, -2}, {-1, -3},
+};
+
+/**
+ * The FAST segment test over columns [x_begin, x_end) of one gray image
+ * row. `row` points at column 0 of that row; the rows `row - 3 * stride`
+ * .. `row + 3 * stride` and columns x_begin - 3 .. x_end + 2 must be
+ * readable. A column passes when `arc` (1..16) circularly contiguous
+ * pixels of its radius-3 Bresenham ring are all >= centre + threshold, or
+ * all <= centre - threshold (threshold >= 1; >= 256 passes nothing).
+ * Writes the passing columns to `cols` in ascending order and returns
+ * how many there are (at most x_end - x_begin).
+ */
+u32 fastRow(const u8 *row, size_t stride, u32 x_begin, u32 x_end,
+            int threshold, int arc, u32 *cols);
+
 namespace detail {
 
 // Per-level kernel implementations, exposed so the dispatcher (and the
@@ -116,6 +137,8 @@ void hammingRow256Scalar(const u8 *query, const u8 *pool, size_t n,
 u32 expandSourcesScalar(const u8 *codes, size_t count, u32 first,
                         const u8 *payload, size_t payload_size,
                         u32 *offset, u8 *value);
+u32 fastRowScalar(const u8 *row, size_t stride, u32 x_begin, u32 x_end,
+                  int threshold, int arc, u32 *cols);
 
 #if defined(__x86_64__)
 void unpackMask2bppSse4(const u8 *packed, size_t first, size_t count,
@@ -125,6 +148,8 @@ void hammingRow256Sse4(const u8 *query, const u8 *pool, size_t n, u16 *out);
 u32 expandSourcesSse4(const u8 *codes, size_t count, u32 first,
                       const u8 *payload, size_t payload_size, u32 *offset,
                       u8 *value);
+u32 fastRowSse4(const u8 *row, size_t stride, u32 x_begin, u32 x_end,
+                int threshold, int arc, u32 *cols);
 #endif
 
 #if defined(__aarch64__)
@@ -132,7 +157,8 @@ void unpackMask2bppNeon(const u8 *packed, size_t first, size_t count,
                         u8 *out);
 u32 countR2bppNeon(const u8 *packed, size_t first, size_t count);
 // The Neon level reuses hammingRow256Scalar: std::popcount on aarch64
-// already compiles to cnt. It reuses expandSourcesScalar as well.
+// already compiles to cnt. It reuses expandSourcesScalar and
+// fastRowScalar as well.
 #endif
 
 } // namespace detail

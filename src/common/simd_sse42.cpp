@@ -12,6 +12,7 @@
 #include <nmmintrin.h>
 
 #include <bit>
+#include <cstddef>
 #include <cstring>
 
 namespace rpx::simd::detail {
@@ -203,6 +204,77 @@ expandSourcesSse4(const u8 *codes, size_t count, u32 first,
                                     payload, payload_size, offset + i,
                                     value ? value + i : nullptr);
     return seen;
+}
+
+u32
+fastRowSse4(const u8 *row, size_t stride, u32 x_begin, u32 x_end,
+            int threshold, int arc, u32 *cols)
+{
+    // No u8 difference reaches 256; the saturating compares below need
+    // the threshold to fit a byte.
+    if (threshold > 255)
+        return 0;
+    std::ptrdiff_t ring[16];
+    for (int i = 0; i < 16; ++i)
+        ring[i] = kFastRing[i][1] * static_cast<std::ptrdiff_t>(stride) +
+                  kFastRing[i][0];
+    const __m128i zero = _mm_setzero_si128();
+    const __m128i t = _mm_set1_epi8(static_cast<char>(threshold));
+    // Lane counts are at most 16 + arc - 1 < 128, so signed compares
+    // against need - 1 and arc - 1 are exact.
+    const __m128i need_m1 = _mm_set1_epi8(static_cast<char>(arc / 4 - 1));
+    const __m128i arc_m1 = _mm_set1_epi8(static_cast<char>(arc - 1));
+    u32 n = 0;
+    u32 x = x_begin;
+    for (; x + 16 <= x_end; x += 16) {
+        const u8 *p = row + x;
+        const __m128i c =
+            _mm_loadu_si128(reinterpret_cast<const __m128i *>(p));
+        // Ring pixel i of all 16 centres: bright iff v - c >= t, dark iff
+        // c - v >= t, with the differences saturated at 0.
+        __m128i bright[16], dark[16];
+        const auto test = [&](int i) {
+            const __m128i v = _mm_loadu_si128(
+                reinterpret_cast<const __m128i *>(p + ring[i]));
+            bright[i] = _mm_cmpeq_epi8(
+                _mm_subs_epu8(t, _mm_subs_epu8(v, c)), zero);
+            dark[i] = _mm_cmpeq_epi8(
+                _mm_subs_epu8(t, _mm_subs_epu8(c, v)), zero);
+        };
+        // Compass pre-reject (fastRowScalar's): a mask lane is -1, so
+        // subtracting masks counts hits.
+        __m128i nb = zero, nd = zero;
+        for (int i = 0; i < 16; i += 4) {
+            test(i);
+            nb = _mm_sub_epi8(nb, bright[i]);
+            nd = _mm_sub_epi8(nd, dark[i]);
+        }
+        if (_mm_movemask_epi8(_mm_or_si128(_mm_cmpgt_epi8(nb, need_m1),
+                                           _mm_cmpgt_epi8(nd, need_m1))) ==
+            0)
+            continue;
+        for (int i = 0; i < 16; ++i) {
+            if ((i & 3) != 0)
+                test(i);
+        }
+        // Running run lengths around the ring and once more over its
+        // first arc - 1 positions, so arcs that wrap past 15 are seen.
+        __m128i rb = zero, rd = zero, hit = zero;
+        for (int k = 0; k < 16 + arc - 1; ++k) {
+            const int i = k & 15;
+            rb = _mm_and_si128(_mm_sub_epi8(rb, bright[i]), bright[i]);
+            rd = _mm_and_si128(_mm_sub_epi8(rd, dark[i]), dark[i]);
+            hit = _mm_or_si128(hit,
+                               _mm_or_si128(_mm_cmpgt_epi8(rb, arc_m1),
+                                            _mm_cmpgt_epi8(rd, arc_m1)));
+        }
+        for (u32 m = static_cast<u32>(_mm_movemask_epi8(hit)); m != 0;
+             m &= m - 1)
+            cols[n++] = x + static_cast<u32>(std::countr_zero(m));
+    }
+    if (x < x_end)
+        n += fastRowScalar(row, stride, x, x_end, threshold, arc, cols + n);
+    return n;
 }
 
 } // namespace rpx::simd::detail

@@ -206,13 +206,7 @@ FleetServer::streamReportLocked(u32 id, const StreamEntry &entry) const
     sr.id = id;
     sr.label = entry.label;
     const FrameTotals &t = entry.totals;
-    sr.frames = t.frames;
-    sr.deadline_misses = t.deadline_misses;
-    sr.quarantined = t.quarantined;
-    sr.shed = t.shed;
-    sr.errors = t.errors;
-    sr.dma_retries = t.dma_retries;
-    sr.dma_dropped_bursts = t.dma_dropped_bursts;
+    sr.totals = t;
     sr.degradation_level = entry.degradation_level;
     sr.completed = t.frames >= entry.target;
     sr.health = entry.health.state();
@@ -893,13 +887,13 @@ toJson(const FleetReport &r)
         const FleetStreamReport &s = r.streams[i];
         os << (i ? "," : "") << "\n    {\"id\": " << s.id
            << ", \"label\": \"" << json::escape(s.label) << "\""
-           << ", \"frames\": " << s.frames
-           << ", \"deadline_misses\": " << s.deadline_misses
-           << ", \"quarantined\": " << s.quarantined
-           << ", \"shed\": " << s.shed
-           << ", \"dma_retries\": " << s.dma_retries
-           << ", \"dma_dropped_bursts\": " << s.dma_dropped_bursts
-           << ", \"errors\": " << s.errors
+           << ", \"frames\": " << s.totals.frames
+           << ", \"deadline_misses\": " << s.totals.deadline_misses
+           << ", \"quarantined\": " << s.totals.quarantined
+           << ", \"shed\": " << s.totals.shed
+           << ", \"dma_retries\": " << s.totals.dma_retries
+           << ", \"dma_dropped_bursts\": " << s.totals.dma_dropped_bursts
+           << ", \"errors\": " << s.totals.errors
            << ", \"degradation_level\": " << s.degradation_level
            << ", \"health\": \""
            << guard::healthStateName(s.health) << "\""

@@ -81,13 +81,7 @@ struct FrameTotals {
 struct FleetStreamReport {
     u32 id = 0;
     std::string label;
-    u64 frames = 0;
-    u64 deadline_misses = 0;
-    u64 quarantined = 0;
-    u64 shed = 0; //!< frames shed by the guard (first-class, not lost)
-    u64 errors = 0;
-    u64 dma_retries = 0;
-    u64 dma_dropped_bursts = 0;
+    FrameTotals totals; //!< the stream's ledger entry
     int degradation_level = 0; //!< ladder level after the last frame
     bool completed = false;    //!< reached its frame target (vs removed)
     // Health state machine outcome (deterministic from frame outcomes).

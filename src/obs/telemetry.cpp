@@ -78,6 +78,14 @@ TelemetrySink::perStreamTotals() const
     return per_stream_;
 }
 
+TelemetryTotals
+TelemetrySink::streamTotals(const std::string &stream) const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = per_stream_.find(stream);
+    return it == per_stream_.end() ? TelemetryTotals{} : it->second;
+}
+
 std::vector<FrameTelemetry>
 TelemetrySink::frames() const
 {

@@ -166,6 +166,8 @@ class TelemetrySink
      * fleet reconciliation tests assert against the PerfRegistry.
      */
     std::map<std::string, TelemetryTotals> perStreamTotals() const;
+    /** One stream's entry of perStreamTotals() (zeros when unseen). */
+    TelemetryTotals streamTotals(const std::string &stream) const;
     /** Copy of the retained ring, oldest first. */
     std::vector<FrameTelemetry> frames() const;
     /** Flush the journal stream (record() already writes eagerly). */

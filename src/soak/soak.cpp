@@ -115,9 +115,8 @@ ledgerViolations(const std::string &where, const Journal &j, const Ledger &l,
 
 /** The ledger as the journal sees it: errored frames are never journaled. */
 Ledger
-journaledLedger(const fleet::FleetServer &server)
+journaled(Ledger l)
 {
-    Ledger l = server.totals();
     l.frames -= l.errors;
     return l;
 }
@@ -366,6 +365,23 @@ class SoakRunner
     void
     onRetired(const fleet::FleetStreamReport &sr)
     {
+        // A retired stream has no frame in flight, so its journal lines
+        // and its ledger entry must agree exactly.
+        std::vector<std::string> bad =
+            ledgerViolations("retire@" + sr.label,
+                             sink_->streamTotals(sr.label),
+                             journaled(sr.totals), 0, 0);
+        if (!bad.empty()) {
+            {
+                std::lock_guard<std::mutex> lock(check_mutex_);
+                for (std::string &v : bad)
+                    violations_.push_back(std::move(v));
+            }
+            aborted_.store(true, std::memory_order_relaxed);
+            // Outside check_mutex_: drain() may retire more streams
+            // through this hook.
+            server_->drain();
+        }
         i64 replace_slot = -1;
         {
             std::lock_guard<std::mutex> lock(mutex_);
@@ -409,7 +425,7 @@ class SoakRunner
         // Ledger first, journal second: accountFrame() journals a frame
         // before finishFrame() counts it in the ledger, so this read
         // order guarantees journal >= ledger on every field.
-        const Ledger l = journaledLedger(*server_);
+        const Ledger l = journaled(server_->totals());
         const Journal j = sink_->totals();
         SoakCheckpoint cp{g, absDiff(j.frames, l.frames),
                           server_->activeStreams(),
@@ -555,7 +571,7 @@ SoakRunner::finalChecks(const fleet::FleetReport &rep, SoakResult &res)
     res.max_frames_drift = max_drift_;
 
     // The run has quiesced: journal and ledger agree exactly.
-    const Ledger l = journaledLedger(*server_);
+    const Ledger l = journaled(server_->totals());
     for (std::string &v : ledgerViolations("final", j, l, 0, 0))
         violations_.push_back(std::move(v));
     res.final_frames_drift = absDiff(j.frames, l.frames);

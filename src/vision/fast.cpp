@@ -4,30 +4,82 @@
 #include <cstdlib>
 
 #include "common/error.hpp"
+#include "common/simd.hpp"
 
 namespace rpx {
 
 namespace {
 
-/** The 16 Bresenham-circle offsets (radius 3), clockwise from 12 o'clock. */
-constexpr i32 kRing[16][2] = {
-    {0, -3}, {1, -3}, {2, -2}, {3, -1}, {3, 0}, {3, 1}, {2, 2}, {1, 3},
-    {0, 3}, {-1, 3}, {-2, 2}, {-3, 1}, {-3, 0}, {-3, -1}, {-2, -2}, {-1, -3},
-};
-
 /**
- * True when the 16-bit ring mask holds `arc` circularly contiguous bits.
- * AND-ing the doubled mask with its shifts leaves bit i set iff ring
- * positions i .. i + arc - 1 (mod 16) are all set.
+ * 3x3 non-maximum suppression over a row-major corner list of an image
+ * `w` pixels wide. A corner survives when no neighbour has a higher
+ * score, nor an equal score earlier in row-major order. Scores of the
+ * rows y - 1, y and y + 1 sit in a ring of three zeroed row buffers;
+ * every corner scores at least 1, so an empty cell never suppresses.
  */
-bool
-hasArc(u32 mask, int arc)
+std::vector<Corner>
+suppressNonMax(const std::vector<Corner> &raw, i32 w)
 {
-    const u32 doubled = mask | (mask << 16);
-    u32 run = doubled;
-    for (int k = 1; k < arc && run != 0; ++k)
-        run &= doubled >> k;
-    return run != 0;
+    const size_t pitch = static_cast<size_t>(w) + 2;
+    std::vector<float> rows(3 * pitch, 0.0f);
+    // Which row each ring slot holds, and that row's span of `raw`.
+    struct Slot {
+        i32 y = -1;
+        size_t begin = 0, end = 0;
+    } slots[3];
+    const auto slot_row = [&](i32 y) {
+        return rows.data() + static_cast<size_t>(y % 3) * pitch + 1;
+    };
+    const auto load = [&](i32 y, size_t begin, size_t end) {
+        Slot &slot = slots[y % 3];
+        if (slot.y == y)
+            return;
+        float *row = slot_row(y);
+        for (size_t i = slot.begin; i < slot.end; ++i)
+            row[raw[i].x] = 0.0f;
+        for (size_t i = begin; i < end; ++i)
+            row[raw[i].x] = raw[i].score;
+        slot = {y, begin, end};
+    };
+
+    std::vector<Corner> out;
+    out.reserve(raw.size() / 2);
+    const size_t n = raw.size();
+    size_t prev_begin = 0, prev_end = 0;
+    for (size_t begin = 0; begin < n;) {
+        const i32 y = raw[begin].y;
+        size_t end = begin;
+        while (end < n && raw[end].y == y)
+            ++end;
+        size_t next_end = end;
+        while (next_end < n && raw[next_end].y == y + 1)
+            ++next_end;
+        if (prev_end == begin && prev_begin < begin &&
+            raw[prev_begin].y == y - 1)
+            load(y - 1, prev_begin, prev_end);
+        else
+            load(y - 1, begin, begin);
+        load(y, begin, end);
+        load(y + 1, end, next_end);
+        const float *up = slot_row(y - 1);
+        const float *mid = slot_row(y);
+        const float *down = slot_row(y + 1);
+        for (size_t i = begin; i < end; ++i) {
+            const Corner &c = raw[i];
+            const float s = c.score;
+            const i32 x = c.x;
+            const bool is_max = (up[x - 1] < s) & (up[x] < s) &
+                                (up[x + 1] < s) & (mid[x - 1] < s) &
+                                (mid[x + 1] <= s) & (down[x - 1] <= s) &
+                                (down[x] <= s) & (down[x + 1] <= s);
+            if (is_max)
+                out.push_back(c);
+        }
+        prev_begin = begin;
+        prev_end = end;
+        begin = end;
+    }
+    return out;
 }
 
 } // namespace
@@ -44,79 +96,35 @@ detectFast(const Image &gray, const FastOptions &options)
 
     const i32 w = gray.width();
     const i32 h = gray.height();
-    const int t = options.threshold;
-    const int arc = options.arc_length;
-    // A contiguous arc of `arc` ring pixels covers at least arc / 4 of the
-    // four compass points (0, 4, 8, 12), so fewer compass hits on both
-    // sides rule the pixel out before the other 12 ring pixels are read.
-    const int need = arc / 4;
+    std::vector<Corner> raw;
+    if (w <= 6 || h <= 6)
+        return raw;
     std::ptrdiff_t ring[16];
     for (int i = 0; i < 16; ++i)
-        ring[i] = static_cast<std::ptrdiff_t>(kRing[i][1]) * w + kRing[i][0];
+        ring[i] = static_cast<std::ptrdiff_t>(simd::kFastRing[i][1]) * w +
+                  simd::kFastRing[i][0];
 
-    std::vector<Corner> raw;
+    std::vector<u32> cols(static_cast<size_t>(w));
     for (i32 y = 3; y < h - 3; ++y) {
         const u8 *row = gray.row(y);
-        for (i32 x = 3; x < w - 3; ++x) {
-            const u8 *p = row + x;
-            const int center = *p;
-            const int hi = center + t;
-            const int lo = center - t;
-            int brighter4 = 0, darker4 = 0;
-            for (int i = 0; i < 16; i += 4) {
-                const int v = p[ring[i]];
-                brighter4 += v >= hi;
-                darker4 += v <= lo;
-            }
-            if (brighter4 < need && darker4 < need)
-                continue;
-
-            u32 bright = 0, dark = 0;
-            for (int i = 0; i < 16; ++i) {
-                const int v = p[ring[i]];
-                bright |= static_cast<u32>(v >= hi) << i;
-                dark |= static_cast<u32>(v <= lo) << i;
-            }
-            if (!hasArc(bright, arc) && !hasArc(dark, arc))
-                continue;
-            // Score: sum of absolute ring differences, in ring order.
-            float score = 0.0f;
+        const u32 hits = simd::fastRow(
+            row, static_cast<size_t>(w), 3, static_cast<u32>(w - 3),
+            options.threshold, options.arc_length, cols.data());
+        for (u32 k = 0; k < hits; ++k) {
+            const u8 *p = row + cols[k];
+            // Score: sum of absolute ring differences. Every partial sum
+            // is an integer below 2^24, so summing in int and converting
+            // once gives the float the ring-order float sum gives.
+            int score = 0;
             for (int i = 0; i < 16; ++i)
-                score += static_cast<float>(std::abs(p[ring[i]] - center));
-            raw.push_back({x, y, score});
+                score += std::abs(p[ring[i]] - *p);
+            raw.push_back({static_cast<i32>(cols[k]), y,
+                           static_cast<float>(score)});
         }
     }
     if (!options.nonmax || raw.empty())
         return raw;
-
-    // 3x3 non-maximum suppression on a sparse score map.
-    std::vector<float> scores(static_cast<size_t>(w) * h, 0.0f);
-    for (const auto &c : raw)
-        scores[static_cast<size_t>(c.y) * w + c.x] = c.score;
-    std::vector<Corner> out;
-    out.reserve(raw.size() / 2);
-    for (const auto &c : raw) {
-        bool is_max = true;
-        for (i32 dy = -1; dy <= 1 && is_max; ++dy) {
-            for (i32 dx = -1; dx <= 1; ++dx) {
-                if (dx == 0 && dy == 0)
-                    continue;
-                const i32 nx = c.x + dx, ny = c.y + dy;
-                if (nx < 0 || nx >= w || ny < 0 || ny >= h)
-                    continue;
-                const float other =
-                    scores[static_cast<size_t>(ny) * w + nx];
-                if (other > c.score ||
-                    (other == c.score && (dy < 0 || (dy == 0 && dx < 0)))) {
-                    is_max = false;
-                    break;
-                }
-            }
-        }
-        if (is_max)
-            out.push_back(c);
-    }
-    return out;
+    return suppressNonMax(raw, w);
 }
 
 std::vector<Corner>

@@ -12,63 +12,133 @@ namespace rpx {
 
 namespace {
 
-/** BRIEF sampling pattern: 256 point pairs inside the patch. */
+/**
+ * BRIEF sampling pattern: 256 point pairs, each coordinate in [-11, 11].
+ * Pair b is points 2b and 2b + 1, stored as doubles so rotation multiplies
+ * the same doubles the i8 pattern converts to.
+ */
 struct BriefPattern {
-    std::array<std::array<i8, 4>, 256> pairs; // x1, y1, x2, y2
+    alignas(16) double x[512];
+    alignas(16) double y[512];
 };
 
 /** Deterministic pattern, generated once (gaussian-ish, clipped). */
 const BriefPattern &
-briefPattern(int radius)
+briefPattern()
 {
     static const BriefPattern pattern = [] {
         BriefPattern p;
         Rng rng(0x5eedb41f);
         const double sigma = 5.0;
-        for (auto &pair : p.pairs) {
-            for (int k = 0; k < 4; ++k) {
+        for (size_t i = 0; i < 512; ++i) {
+            for (double *coord : {&p.x[i], &p.y[i]}) {
                 const double v = rng.gaussian(0.0, sigma);
-                pair[static_cast<size_t>(k)] = static_cast<i8>(
-                    std::clamp(v, -11.0, 11.0));
+                *coord = static_cast<i8>(std::clamp(v, -11.0, 11.0));
             }
         }
         return p;
     }();
-    (void)radius;
     return pattern;
 }
 
-/** Intensity-centroid orientation over a circular patch. */
+/**
+ * std::lround for |v| < 2^30: round half away from zero. 2v is exact, and
+ * for v >= 0, floor(v + 1/2) = (floor(2v) + 1) / 2 in integers; negative
+ * v mirrors. Only i32 arithmetic follows the one truncating conversion,
+ * so a loop of these vectorises.
+ */
+inline i32
+roundHalfAway(double v)
+{
+    const i32 q = static_cast<i32>(2.0 * v);
+    const i32 r = ((q < 0 ? -q : q) + 1) >> 1;
+    return q < 0 ? -r : r;
+}
+
+/**
+ * Intensity-centroid orientation over a circular patch. The moments are
+ * integers far below 2^53, so summing them in i64 and converting once
+ * gives the doubles a double-accumulating sum gives.
+ */
 float
 orientation(const Image &img, i32 x, i32 y, int radius)
 {
-    double m01 = 0.0, m10 = 0.0;
+    const bool inside = x - radius >= 0 && x + radius < img.width() &&
+                        y - radius >= 0 && y + radius < img.height();
+    i64 m01 = 0, m10 = 0;
     for (i32 dy = -radius; dy <= radius; ++dy) {
-        for (i32 dx = -radius; dx <= radius; ++dx) {
-            if (dx * dx + dy * dy > radius * radius)
-                continue;
-            const double v = img.atClamped(x + dx, y + dy);
-            m10 += dx * v;
-            m01 += dy * v;
+        // Half-width of the disk's row dy.
+        i32 half = 0;
+        while ((half + 1) * (half + 1) + dy * dy <= radius * radius)
+            ++half;
+        i64 sum = 0, weighted = 0;
+        if (inside) {
+            const u8 *p = img.row(y + dy) + x;
+            for (i32 dx = -half; dx <= half; ++dx) {
+                sum += p[dx];
+                weighted += dx * p[dx];
+            }
+        } else {
+            for (i32 dx = -half; dx <= half; ++dx) {
+                const i32 v = img.atClamped(x + dx, y + dy);
+                sum += v;
+                weighted += dx * v;
+            }
         }
+        m10 += weighted;
+        m01 += dy * sum;
     }
-    return static_cast<float>(std::atan2(m01, m10));
+    return static_cast<float>(
+        std::atan2(static_cast<double>(m01), static_cast<double>(m10)));
 }
 
+/**
+ * Rotated BRIEF: rotates all 512 pattern points by `angle` in one pass,
+ * then compares the point pairs, through row pointers when every rotated
+ * point lies inside the image and through clamped reads otherwise.
+ */
 Descriptor
-describe(const Image &blurred, i32 x, i32 y, float angle, int radius)
+describe(const Image &blurred, i32 x, i32 y, float angle)
 {
-    const BriefPattern &pattern = briefPattern(radius);
+    const BriefPattern &pattern = briefPattern();
     const double c = std::cos(angle);
     const double s = std::sin(angle);
+    alignas(16) i32 dx[512], dy[512];
+    for (size_t i = 0; i < 512; ++i) {
+        dx[i] = roundHalfAway(c * pattern.x[i] - s * pattern.y[i]);
+        dy[i] = roundHalfAway(s * pattern.x[i] + c * pattern.y[i]);
+    }
+    i32 lo_x = 0, hi_x = 0, lo_y = 0, hi_y = 0;
+    for (size_t i = 0; i < 512; ++i) {
+        lo_x = std::min(lo_x, dx[i]);
+        hi_x = std::max(hi_x, dx[i]);
+        lo_y = std::min(lo_y, dy[i]);
+        hi_y = std::max(hi_y, dy[i]);
+    }
+    const i32 w = blurred.width();
     Descriptor desc{};
+    if (x + lo_x >= 0 && x + hi_x < w && y + lo_y >= 0 &&
+        y + hi_y < blurred.height()) {
+        const u8 *centre = blurred.row(y) + x;
+        for (size_t byte = 0; byte < 32; ++byte) {
+            u32 bits = 0;
+            for (size_t k = 0; k < 8; ++k) {
+                const size_t i = 16 * byte + 2 * k;
+                const u8 a = centre[static_cast<std::ptrdiff_t>(dy[i]) * w +
+                                    dx[i]];
+                const u8 b =
+                    centre[static_cast<std::ptrdiff_t>(dy[i + 1]) * w +
+                           dx[i + 1]];
+                bits |= static_cast<u32>(a < b) << k;
+            }
+            desc[byte] = static_cast<u8>(bits);
+        }
+        return desc;
+    }
     for (size_t bit = 0; bit < 256; ++bit) {
-        const auto &p = pattern.pairs[bit];
-        const i32 x1 = x + static_cast<i32>(std::lround(c * p[0] - s * p[1]));
-        const i32 y1 = y + static_cast<i32>(std::lround(s * p[0] + c * p[1]));
-        const i32 x2 = x + static_cast<i32>(std::lround(c * p[2] - s * p[3]));
-        const i32 y2 = y + static_cast<i32>(std::lround(s * p[2] + c * p[3]));
-        if (blurred.atClamped(x1, y1) < blurred.atClamped(x2, y2))
+        const size_t i = 2 * bit;
+        if (blurred.atClamped(x + dx[i], y + dy[i]) <
+            blurred.atClamped(x + dx[i + 1], y + dy[i + 1]))
             desc[bit >> 3] |= static_cast<u8>(1u << (bit & 7));
     }
     return desc;
@@ -126,8 +196,7 @@ detectOrb(const Image &gray, const OrbOptions &options)
         f.angle = orientation(blurred[cand.level], cand.corner.x,
                               cand.corner.y, options.patch_radius / 2);
         f.descriptor = describe(blurred[cand.level], cand.corner.x,
-                                cand.corner.y, f.angle,
-                                options.patch_radius);
+                                cand.corner.y, f.angle);
         features.push_back(f);
     }
     return features;

@@ -42,7 +42,13 @@ struct OrbOptions {
     int max_features = 500;
     int fast_threshold = 20;
     PyramidOptions pyramid;
-    int patch_radius = 12;  //!< descriptor/orientation patch half-size
+    /**
+     * Sets the orientation disk's radius (patch_radius / 2) and
+     * OrbFeature::size (2 * patch_radius, in level pixels). The rotated
+     * BRIEF pattern does not scale with it: its points lie within +-11 of
+     * the feature before rotation.
+     */
+    int patch_radius = 12;
 };
 
 /**

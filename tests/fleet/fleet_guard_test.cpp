@@ -143,9 +143,9 @@ TEST(FleetGuard, HardCapRejectsUnderSaturationUntilSlotFrees)
     std::map<u32, FleetStreamReport> by_id;
     for (const auto &s : rep.streams)
         by_id[s.id] = s;
-    EXPECT_EQ(by_id.at(1).frames, 1u);
+    EXPECT_EQ(by_id.at(1).totals.frames, 1u);
     EXPECT_FALSE(by_id.at(1).completed);
-    EXPECT_EQ(by_id.at(replacement_id.load()).frames, 3u);
+    EXPECT_EQ(by_id.at(replacement_id.load()).totals.frames, 3u);
     EXPECT_TRUE(by_id.at(replacement_id.load()).completed);
     // Conservation across the churn: 3 full streams + 1 cut short + the
     // replacement's full target.
@@ -200,11 +200,11 @@ TEST(FleetGuard, ShedAllFramesKeepsAccountingExact)
 
     u64 per_stream_shed = 0;
     for (const FleetStreamReport &s : rep.streams) {
-        EXPECT_EQ(s.shed, s.frames);
+        EXPECT_EQ(s.totals.shed, s.totals.frames);
         EXPECT_TRUE(s.completed);
         // All-shed streams sit in Degraded (dirty but decoding fine).
         EXPECT_EQ(s.health, guard::HealthState::Degraded);
-        per_stream_shed += s.shed;
+        per_stream_shed += s.totals.shed;
     }
     EXPECT_EQ(per_stream_shed, rep.shed_frames);
 }
@@ -273,7 +273,7 @@ TEST(FleetGuard, DecodePointShedPaysWriteSideOnly)
               rep.shed_frames);
     u64 per_stream_shed = 0;
     for (const FleetStreamReport &s : rep.streams)
-        per_stream_shed += s.shed;
+        per_stream_shed += s.totals.shed;
     EXPECT_EQ(per_stream_shed, rep.shed_frames);
 }
 
@@ -310,13 +310,13 @@ TEST(FleetGuard, WatchdogEvictsWedgedStreamsWithoutHang)
     u64 per_stream_frames = 0;
     u64 evicted = 0;
     for (const FleetStreamReport &s : rep.streams) {
-        per_stream_frames += s.frames;
+        per_stream_frames += s.totals.frames;
         if (s.evicted) {
             ++evicted;
             EXPECT_EQ(s.health, guard::HealthState::Evicted);
             EXPECT_FALSE(s.completed);
             // The wedged frame itself still completed and was counted.
-            EXPECT_GE(s.frames, 1u);
+            EXPECT_GE(s.totals.frames, 1u);
         }
     }
     EXPECT_EQ(evicted, rep.watchdog_evictions);

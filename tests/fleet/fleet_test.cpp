@@ -204,8 +204,8 @@ TEST(Fleet, AllStreamsMissingDeadlinesEscalatePerStream)
     EXPECT_EQ(rep.deadline_misses, 24u);
     ASSERT_EQ(rep.streams.size(), 3u);
     for (const FleetStreamReport &s : rep.streams) {
-        EXPECT_EQ(s.frames, 8u);
-        EXPECT_EQ(s.deadline_misses, 8u);
+        EXPECT_EQ(s.totals.frames, 8u);
+        EXPECT_EQ(s.totals.deadline_misses, 8u);
         // escalate_after_misses=2, max_level=3: 8 straight misses pin
         // the stream at the deepest degradation level.
         EXPECT_EQ(s.degradation_level, 3);
@@ -241,12 +241,12 @@ TEST(Fleet, StreamsJoinAndLeaveMidRun)
     for (const auto &s : rep.streams)
         by_id[s.id] = s;
     // The removed stream stopped after its in-flight frame.
-    EXPECT_EQ(by_id.at(1).frames, 1u);
+    EXPECT_EQ(by_id.at(1).totals.frames, 1u);
     EXPECT_FALSE(by_id.at(1).completed);
     // The joined stream ran its full target.
-    EXPECT_EQ(by_id.at(join_id.load()).frames, 6u);
+    EXPECT_EQ(by_id.at(join_id.load()).totals.frames, 6u);
     EXPECT_TRUE(by_id.at(join_id.load()).completed);
-    EXPECT_EQ(by_id.at(0).frames, 6u);
+    EXPECT_EQ(by_id.at(0).totals.frames, 6u);
     EXPECT_EQ(rep.frames, 6u + 1u + 6u);
     // Removing an already-finished stream is refused.
     EXPECT_FALSE(server.removeStream(1));
@@ -310,16 +310,16 @@ TEST(Fleet, ChurnUnderFaultInjectionConservesTelemetry)
     std::map<u32, FleetStreamReport> by_id;
     for (const auto &s : rep.streams)
         by_id[s.id] = s;
-    EXPECT_EQ(by_id.at(1).frames, 1u);
+    EXPECT_EQ(by_id.at(1).totals.frames, 1u);
     EXPECT_FALSE(by_id.at(1).completed);
-    EXPECT_EQ(by_id.at(replacement_id.load()).frames, 6u);
+    EXPECT_EQ(by_id.at(replacement_id.load()).totals.frames, 6u);
     EXPECT_EQ(rep.frames, 3u * 6u + 1u + 6u);
 
     // Retirement hook fired once per stream with the final counts.
     ASSERT_EQ(retired.size(), 5u);
     for (const auto &s : rep.streams) {
         ASSERT_TRUE(retired.count(s.id)) << "stream " << s.id;
-        EXPECT_EQ(retired.at(s.id).frames, s.frames);
+        EXPECT_EQ(retired.at(s.id).totals.frames, s.totals.frames);
         EXPECT_EQ(retired.at(s.id).label, s.label);
         EXPECT_EQ(retired.at(s.id).completed, s.completed);
     }
@@ -333,6 +333,9 @@ TEST(Fleet, ChurnUnderFaultInjectionConservesTelemetry)
     const auto per_stream = sink.perStreamTotals();
     ASSERT_TRUE(per_stream.count("s1"));
     EXPECT_EQ(per_stream.at("s1").frames, 1u);
+    EXPECT_EQ(sink.streamTotals("s1").bytes_written,
+              per_stream.at("s1").bytes_written);
+    EXPECT_EQ(sink.streamTotals("no-such-stream").frames, 0u);
     u64 frames = 0, quarantined = 0, transients = 0;
     Bytes written = 0, read = 0, meta = 0;
     for (const auto &[label, totals] : per_stream) {
@@ -406,7 +409,7 @@ TEST(Fleet, SlowRetireHookStillAddsReplacement)
     for (const auto &s : rep.streams)
         by_id[s.id] = s;
     ASSERT_TRUE(by_id.count(replacement_id.load()));
-    EXPECT_EQ(by_id.at(replacement_id.load()).frames, 6u);
+    EXPECT_EQ(by_id.at(replacement_id.load()).totals.frames, 6u);
 }
 
 /**
@@ -438,11 +441,12 @@ TEST(Fleet, SceneSourceFailureCountsOneErroredFrame)
     u64 delivered_total = 0;
     for (const FleetStreamReport &s : rep.streams) {
         delivered_total += delivered[s.id];
-        EXPECT_EQ(s.frames, delivered[s.id] + s.shed + s.errors)
+        EXPECT_EQ(s.totals.frames,
+                  delivered[s.id] + s.totals.shed + s.totals.errors)
             << "stream " << s.id;
         if (s.id == kFailStream) {
-            EXPECT_EQ(s.frames, kFailFrame + 1);
-            EXPECT_EQ(s.errors, 1u);
+            EXPECT_EQ(s.totals.frames, kFailFrame + 1);
+            EXPECT_EQ(s.totals.errors, 1u);
             EXPECT_FALSE(s.completed);
         }
     }
@@ -553,7 +557,7 @@ TEST(Fleet, DrainStopsAllStreamsAfterInFlightFrames)
     // most its in-flight frame plus one it resubmitted concurrently.
     EXPECT_LT(rep.frames, 3u * 16u);
     for (const auto &s : rep.streams) {
-        EXPECT_GE(s.frames, 1u);
+        EXPECT_GE(s.totals.frames, 1u);
         EXPECT_FALSE(s.completed);
     }
 }

@@ -1,7 +1,8 @@
 /**
  * @file
- * Unit tests for the FAST corner detector, plus a brute-force segment-test
- * oracle that every arc length and threshold must agree with.
+ * Unit tests for the FAST corner detector; every arc length, threshold
+ * and SIMD level must agree with the brute-force segment-test oracle in
+ * reference_orb.cpp.
  */
 
 #include <algorithm>
@@ -12,7 +13,9 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "common/simd.hpp"
 #include "frame/draw.hpp"
+#include "reference_orb.hpp"
 #include "vision/fast.hpp"
 
 namespace rpx {
@@ -110,69 +113,6 @@ TEST(Fast, OptionValidation)
     EXPECT_THROW(detectFast(rgb), std::invalid_argument);
 }
 
-// ---------------------------------------------------------------------
-// Oracle: the per-pixel segment test with bounds-checked reads, a plain
-// circular run count and no compass-point quick reject, followed by the
-// same 3x3 non-maximum suppression rule.
-
-constexpr i32 kOracleRing[16][2] = {
-    {0, -3}, {1, -3}, {2, -2}, {3, -1}, {3, 0}, {3, 1}, {2, 2}, {1, 3},
-    {0, 3}, {-1, 3}, {-2, 2}, {-3, 1}, {-3, 0}, {-3, -1}, {-2, -2}, {-1, -3},
-};
-
-std::vector<Corner>
-oracleFast(const Image &img, const FastOptions &options)
-{
-    const int t = options.threshold;
-    std::vector<Corner> raw;
-    for (i32 y = 3; y < img.height() - 3; ++y) {
-        for (i32 x = 3; x < img.width() - 3; ++x) {
-            const int center = img.at(x, y);
-            int ring[16];
-            for (int i = 0; i < 16; ++i)
-                ring[i] = img.at(x + kOracleRing[i][0],
-                                 y + kOracleRing[i][1]);
-            bool corner = false;
-            for (const bool bright : {true, false}) {
-                // Longest circular run: start at every ring position.
-                for (int start = 0; start < 16 && !corner; ++start) {
-                    int run = 0;
-                    while (run < 16) {
-                        const int v = ring[(start + run) % 16];
-                        if (bright ? v < center + t : v > center - t)
-                            break;
-                        ++run;
-                    }
-                    corner = run >= options.arc_length;
-                }
-            }
-            if (!corner)
-                continue;
-            float score = 0.0f;
-            for (int i = 0; i < 16; ++i)
-                score += static_cast<float>(std::abs(ring[i] - center));
-            raw.push_back({x, y, score});
-        }
-    }
-    if (!options.nonmax)
-        return raw;
-    std::vector<Corner> out;
-    for (const Corner &c : raw) {
-        bool is_max = true;
-        for (const Corner &o : raw) {
-            const i32 dx = o.x - c.x, dy = o.y - c.y;
-            if ((dx == 0 && dy == 0) || std::abs(dx) > 1 || std::abs(dy) > 1)
-                continue;
-            if (o.score > c.score ||
-                (o.score == c.score && (dy < 0 || (dy == 0 && dx < 0))))
-                is_max = false;
-        }
-        if (is_max)
-            out.push_back(c);
-    }
-    return out;
-}
-
 void
 expectSameCorners(const std::vector<Corner> &got,
                   const std::vector<Corner> &want, const std::string &what)
@@ -217,6 +157,62 @@ TEST(Fast, MatchesSegmentTestOracleForEveryArc)
                             " arc " + std::to_string(arc) + " t " +
                             std::to_string(threshold) +
                             (nonmax ? " nonmax" : ""));
+                }
+            }
+        }
+    }
+    EXPECT_GT(hits, 0u);
+}
+
+/** Restores the startup SIMD level however the test body exits. */
+struct LevelReset {
+    ~LevelReset() { simd::resetLevel(); }
+};
+
+TEST(Fast, MatchesSegmentTestOracleAtEverySimdLevel)
+{
+    // Widths whose interiors (w - 6) leave partial 16-lane tails, and
+    // pixels drawn mostly from {0, 255} so the saturating differences
+    // hit both ends of the byte range.
+    Rng rng(2024);
+    std::vector<Image> images;
+    for (const i32 w : {19, 35, 69}) {
+        Image img(w, 17);
+        for (u8 &v : img.data()) {
+            const i64 pick = rng.uniformInt(0, 3);
+            v = pick == 0   ? 0
+                : pick == 1 ? 255
+                            : static_cast<u8>(rng.uniformInt(0, 255));
+        }
+        images.push_back(img);
+        Image soft(w, 17);
+        fillValueNoise(soft, rng, 5.0, 0, 255);
+        fillRect(soft, Rect{4, 4, w / 3, 6}, 255);
+        fillRect(soft, Rect{w / 2, 8, w / 3, 6}, 0);
+        images.push_back(soft);
+    }
+    LevelReset reset;
+    size_t hits = 0;
+    for (const Image &img : images) {
+        for (int arc = 1; arc <= 16; ++arc) {
+            for (const int threshold : {1, 20, 254, 255, 256, 1000}) {
+                for (const bool nonmax : {false, true}) {
+                    FastOptions o;
+                    o.arc_length = arc;
+                    o.threshold = threshold;
+                    o.nonmax = nonmax;
+                    const auto want = oracleFast(img, o);
+                    hits += want.size();
+                    for (const simd::Level level : simd::supportedLevels()) {
+                        ASSERT_TRUE(simd::setLevel(level));
+                        expectSameCorners(
+                            detectFast(img, o), want,
+                            std::string(simd::levelName(level)) + " w " +
+                                std::to_string(img.width()) + " arc " +
+                                std::to_string(arc) + " t " +
+                                std::to_string(threshold) +
+                                (nonmax ? " nonmax" : ""));
+                    }
                 }
             }
         }

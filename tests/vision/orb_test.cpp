@@ -1,11 +1,18 @@
 /** @file Unit tests for the pyramid and ORB features. */
 
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "common/simd.hpp"
+#include "datasets/slam_dataset.hpp"
 #include "frame/draw.hpp"
+#include "reference_orb.hpp"
 #include "vision/orb.hpp"
 
 namespace rpx {
@@ -84,29 +91,6 @@ TEST(BoxBlur, SmoothsStep)
     // The step edge spreads: pixel left of the edge gains intensity.
     EXPECT_GT(blurred.at(4, 1), 0);
     EXPECT_LT(blurred.at(5, 1), 90);
-}
-
-/** Box-blur oracle: both passes through the clamped accessor. */
-Image
-oracleBoxBlur3(const Image &gray)
-{
-    Image tmp(gray.width(), gray.height(), PixelFormat::Gray8);
-    Image out(gray.width(), gray.height(), PixelFormat::Gray8);
-    for (i32 y = 0; y < gray.height(); ++y)
-        for (i32 x = 0; x < gray.width(); ++x)
-            tmp.set(x, y,
-                    static_cast<u8>((gray.atClamped(x - 1, y) +
-                                     gray.atClamped(x, y) +
-                                     gray.atClamped(x + 1, y)) /
-                                    3));
-    for (i32 y = 0; y < gray.height(); ++y)
-        for (i32 x = 0; x < gray.width(); ++x)
-            out.set(x, y,
-                    static_cast<u8>((tmp.atClamped(x, y - 1) +
-                                     tmp.atClamped(x, y) +
-                                     tmp.atClamped(x, y + 1)) /
-                                    3));
-    return out;
 }
 
 TEST(BoxBlur, MatchesClampedOracle)
@@ -194,6 +178,79 @@ TEST(Orb, RejectsBadInput)
     opts.max_features = 0;
     Image gray(32, 32);
     EXPECT_THROW(detectOrb(gray, opts), std::invalid_argument);
+}
+
+/** Restores the startup SIMD level however the test body exits. */
+struct LevelReset {
+    ~LevelReset() { simd::resetLevel(); }
+};
+
+void
+expectSameFeatures(const std::vector<OrbFeature> &got,
+                   const std::vector<OrbFeature> &want,
+                   const std::string &what)
+{
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (size_t i = 0; i < want.size(); ++i) {
+        const OrbFeature &g = got[i];
+        const OrbFeature &w = want[i];
+        // Bitwise: no tolerance on any field.
+        EXPECT_EQ(std::memcmp(&g.x, &w.x, sizeof g.x), 0) << what << " #" << i;
+        EXPECT_EQ(std::memcmp(&g.y, &w.y, sizeof g.y), 0) << what << " #" << i;
+        EXPECT_EQ(std::memcmp(&g.size, &w.size, sizeof g.size), 0)
+            << what << " #" << i;
+        EXPECT_EQ(std::memcmp(&g.angle, &w.angle, sizeof g.angle), 0)
+            << what << " #" << i;
+        EXPECT_EQ(std::memcmp(&g.response, &w.response, sizeof g.response),
+                  0)
+            << what << " #" << i;
+        EXPECT_EQ(g.octave, w.octave) << what << " #" << i;
+        EXPECT_EQ(g.descriptor, w.descriptor) << what << " #" << i;
+    }
+}
+
+TEST(Orb, MatchesReferenceDetector)
+{
+    // Rendered SLAM frames, plus a small textured image whose features
+    // all lie within 16 px of a border, so rotated BRIEF points and
+    // orientation disks leave the image on every side.
+    std::vector<std::pair<std::string, Image>> inputs;
+    const SlamSequence seq{SlamSequenceConfig{}};
+    for (int frame = 0; frame < 20; ++frame)
+        inputs.emplace_back("slam frame " + std::to_string(frame),
+                            seq.renderFrame(frame));
+    Image small(97, 61);
+    Rng rng(61);
+    fillValueNoise(small, rng, 4.0, 0, 255);
+    for (int k = 0; k < 12; ++k)
+        fillRect(small,
+                 Rect{static_cast<i32>(rng.uniformInt(-4, 92)),
+                      static_cast<i32>(rng.uniformInt(-4, 56)), 7, 5},
+                 static_cast<u8>(rng.uniformInt(0, 255)));
+    inputs.emplace_back("97x61", small);
+
+    // Every input at the default patch radius; the first frame and the
+    // small image also at 4 and 20 (the radius moves only the
+    // orientation disk and the feature size).
+    LevelReset reset;
+    for (const auto &[name, img] : inputs) {
+        for (const int patch_radius : {4, 12, 20}) {
+            if (patch_radius != 12 && name != "97x61" &&
+                name != "slam frame 0")
+                continue;
+            OrbOptions opts;
+            opts.patch_radius = patch_radius;
+            const auto want = referenceDetectOrb(img, opts);
+            ASSERT_FALSE(want.empty()) << name;
+            for (const simd::Level level : simd::supportedLevels()) {
+                ASSERT_TRUE(simd::setLevel(level));
+                expectSameFeatures(detectOrb(img, opts), want,
+                                   name + " r " +
+                                       std::to_string(patch_radius) + " " +
+                                       simd::levelName(level));
+            }
+        }
+    }
 }
 
 } // namespace
