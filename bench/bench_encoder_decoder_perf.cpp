@@ -39,6 +39,7 @@
 #include "obs/bench_report.hpp"
 #include "obs/perf_registry.hpp"
 #include "obs/telemetry.hpp"
+#include "sensor/sensor.hpp"
 #include "sim/pipeline.hpp"
 
 namespace rpx {
@@ -207,6 +208,35 @@ BM_IspGrayFoveated1080p(benchmark::State &state)
                                   (static_cast<double>(w) * h);
 }
 BENCHMARK(BM_IspGrayFoveated1080p)->Unit(benchmark::kMillisecond);
+
+/**
+ * The sensor readout of the same layout: an RGB scene mosaicked into the
+ * sensor's reused raw buffer, densely (arg 0) or only on the rows the
+ * kept-pixel ISP reads (arg 1; frame 0 samples the periphery, frame 1
+ * keeps only the fovea).
+ */
+void
+BM_SensorCaptureFoveated1080p(benchmark::State &state)
+{
+    const i32 w = 1920, h = 1080;
+    Image scene(w, h, PixelFormat::Rgb8);
+    Rng rng(5);
+    for (u8 &v : scene.data())
+        v = static_cast<u8>(rng.uniformInt(0, 255));
+    SensorConfig sc = sensorPreset1080p();
+    SensorModel sensor(sc);
+    RhythmicEncoder enc(w, h);
+    enc.setRegionLabels(foveatedLabels(w, h));
+    const bool planned = state.range(0) != 0;
+    FrameIndex t = 0;
+    for (auto _ : state) {
+        const KeptRunPlan *plan = planned ? &enc.planFrame(t++) : nullptr;
+        benchmark::DoNotOptimize(sensor.capture(scene, plan).data().data());
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_SensorCaptureFoveated1080p)->Arg(0)->Arg(1)
+    ->Unit(benchmark::kMillisecond);
 
 /** Hardware decoder: row-transaction service over a region workload. */
 void

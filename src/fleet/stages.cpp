@@ -78,30 +78,36 @@ CaptureStage::run(FrameTask &task) const
     if (cfg.use_sensor_path) {
         if (scene.channels() != 3)
             throwInvalid("sensor path needs an RGB scene frame");
-        Image raw;
+        const KeptRunPlan *plan = nullptr;
+        Image *raw = nullptr;
         {
             obs::ScopedStageTimer span(
                 ctx, po ? po->h_sensor : nullptr, "sensor_readout",
                 "pipeline", obs::TraceLane::Sensor, task.index,
                 tele ? &task.lat_sensor : nullptr);
-            raw = s.sensor().capture(scene);
+            // The labels are bound, so the frame is planned here: the
+            // sensor mosaics only the rows a gray ISP reads, the ISP
+            // computes only the pixels the encoder will keep, and the
+            // encode stage reuses the same plan. An RGB ISP reads every
+            // row, so it gets a dense capture.
+            plan = &s.encoder().planFrame(task.index);
+            raw = &s.sensor().capture(
+                scene,
+                s.isp().config().output == IspOutput::Gray ? plan
+                                                           : nullptr);
             // With an injector on the link the transfer can drop lines
             // and flip payload bits in the raw mosaic before the ISP.
             task.csi_status =
-                injector ? s.csi().transferFrame(raw, cfg.fps)
+                injector ? s.csi().transferFrame(*raw, cfg.fps)
                          : s.csi().transferFrame(
-                               static_cast<u64>(raw.pixelCount()));
+                               static_cast<u64>(raw->pixelCount()));
         }
         {
             obs::ScopedStageTimer span(ctx, po ? po->h_isp : nullptr,
                                        "isp", "pipeline",
                                        obs::TraceLane::Isp, task.index,
                                        tele ? &task.lat_isp : nullptr);
-            // The labels are bound, so the frame is planned here and the
-            // ISP computes only the pixels the encoder will keep; the
-            // encode stage reuses the same plan.
-            s.isp().processKept(raw, s.encoder().planFrame(task.index),
-                                task.gray);
+            s.isp().processKept(*raw, *plan, task.gray);
         }
     } else {
         {

@@ -11,11 +11,10 @@ namespace {
  * Fused demosaic -> gamma -> luma over the sites x, x + step, ... of row
  * y (count of them), written to the same columns of `dst`. Interior
  * sites take the row-pointer demosaic, border sites the bounds-checked
- * one; the luma is the double-precision BT.601 weighting of
- * Image::toGray, so every byte matches the staged chain.
+ * one; gamma and luma are the tables' lookups.
  */
 void
-grayRun(const Image &raw, const GammaLut &gamma, i32 y, i32 x, u32 count,
+grayRun(const Image &raw, const LumaTables &luma, i32 y, i32 x, u32 count,
         i32 step, u8 *dst)
 {
     const i32 w = raw.width();
@@ -31,19 +30,35 @@ grayRun(const Image &raw, const GammaLut &gamma, i32 y, i32 x, u32 count,
             demosaicInterior(rm, r0, rp, x, odd_row, rgb);
         else
             demosaicSite(raw, x, y, rgb);
-        const double r = gamma.apply(rgb[0]);
-        const double g = gamma.apply(rgb[1]);
-        const double b = gamma.apply(rgb[2]);
-        dst[x] = clampToU8(0.299 * r + 0.587 * g + 0.114 * b);
+        dst[x] = luma.luma(rgb[0], rgb[1], rgb[2]);
     }
 }
 
 } // namespace
 
+LumaTables::LumaTables(const GammaLut &gamma)
+{
+    for (int v = 0; v < 256; ++v) {
+        const double g = gamma.apply(static_cast<u8>(v));
+        const size_t i = static_cast<size_t>(v);
+        r_[i] = 0.299 * g;
+        g_[i] = 0.587 * g;
+        b_[i] = 0.114 * g;
+    }
+}
+
 IspPipeline::IspPipeline(const IspConfig &config)
     : config_(config), gamma_(config.gamma),
       budget_(config.pixels_per_clock)
 {
+}
+
+const LumaTables &
+IspPipeline::lumaTables()
+{
+    if (!luma_)
+        luma_ = std::make_unique<const LumaTables>(gamma_);
+    return *luma_;
 }
 
 Image
@@ -74,9 +89,10 @@ IspPipeline::processInto(const Image &raw, Image &out)
         return;
     }
     if (config_.output == IspOutput::Gray) {
+        const LumaTables &luma = lumaTables();
         out.reinit(raw.width(), raw.height(), PixelFormat::Gray8);
         for (i32 y = 0; y < raw.height(); ++y)
-            grayRun(raw, gamma_, y, 0, static_cast<u32>(raw.width()), 1,
+            grayRun(raw, luma, y, 0, static_cast<u32>(raw.width()), 1,
                     out.row(y));
         return;
     }
@@ -97,12 +113,13 @@ IspPipeline::processKept(const Image &raw, const KeptRunPlan &plan,
         throwInvalid("kept-run plan is ", plan.width(), "x", plan.height(),
                      ", frame is ", raw.width(), "x", raw.height());
     chargeFrame(raw);
+    const LumaTables &luma = lumaTables();
     out.reinit(raw.width(), raw.height(), PixelFormat::Gray8);
     for (i32 y = 0; y < raw.height(); ++y) {
         u8 *dst = out.row(y);
         for (const KeptSpan &s : plan.spans(y))
             plan.forEachRun(s, [&](i32 x, u32 count, i32 step) {
-                grayRun(raw, gamma_, y, x, count, step, dst);
+                grayRun(raw, luma, y, x, count, step, dst);
             });
     }
 }

@@ -5,15 +5,18 @@
  * attaches at this pipeline's output (§4.1.2).
  *
  * Gray output runs the three stages fused, one site at a time: the 3x3
- * Bayer window's bilinear RGB, the gamma LUT per channel, then BT.601
- * luma. Since the encoder reads only its kept pixels, processKept() runs
- * that kernel only at the frame plan's R positions — the software form of
- * doing only the imaging work vision consumes. The modelled timing is the
- * full-frame 2 px/clk either way.
+ * Bayer window's bilinear RGB, then gamma and BT.601 luma as three table
+ * lookups (LumaTables). Since the encoder reads only its kept pixels,
+ * processKept() runs that kernel only at the frame plan's R positions —
+ * the software form of doing only the imaging work vision consumes. The
+ * modelled timing is the full-frame 2 px/clk either way.
  */
 
 #ifndef RPX_ISP_ISP_PIPELINE_HPP
 #define RPX_ISP_ISP_PIPELINE_HPP
+
+#include <array>
+#include <memory>
 
 #include "core/kept_plan.hpp"
 #include "frame/image.hpp"
@@ -33,6 +36,30 @@ struct IspConfig {
     double gamma = 1.0 / 2.2;
     IspOutput output = IspOutput::Gray;
     double pixels_per_clock = 2.0;
+};
+
+/**
+ * Gamma then BT.601 luma of a demosaiced site as three 256-entry tables:
+ * entry v of channel c holds k_c * gamma(v). Summed in the order
+ * r + g + b, the doubles are exactly those of
+ * 0.299 * gamma(r) + 0.587 * gamma(g) + 0.114 * gamma(b), the weighting of
+ * Image::toGray, so every luma byte is the staged chain's.
+ */
+class LumaTables
+{
+  public:
+    explicit LumaTables(const GammaLut &gamma);
+
+    u8
+    luma(u8 r, u8 g, u8 b) const
+    {
+        return clampToU8(r_[r] + g_[g] + b_[b]);
+    }
+
+  private:
+    std::array<double, 256> r_{};
+    std::array<double, 256> g_{};
+    std::array<double, 256> b_{};
 };
 
 /**
@@ -73,8 +100,15 @@ class IspPipeline
     /** Model one frame's 2 px/clk timing. */
     void chargeFrame(const Image &raw);
 
+    /**
+     * The luma tables, built on the first gray Bayer frame: streams that
+     * never run the sensor path never pay for their 6 KiB.
+     */
+    const LumaTables &lumaTables();
+
     IspConfig config_;
     GammaLut gamma_;
+    std::unique_ptr<const LumaTables> luma_;
     CycleBudget budget_;
 };
 

@@ -49,32 +49,59 @@ SensorModel::SensorModel(const SensorConfig &config)
         throwInvalid("sensor frame rate must be positive");
 }
 
-Image
-SensorModel::capture(const Image &scene_rgb)
+namespace {
+
+/**
+ * One mosaic row of an RGB scene row. RGGB: even rows alternate R, G and
+ * odd rows G, B, so a row's column pair (2p, 2p + 1) reads the scene
+ * bytes 6p + c and 6p + 4 + c, with the channel offset c fixed by the
+ * row's parity.
+ */
+void
+mosaicRow(const u8 *rgb, u8 *dst, i32 w, bool odd_row)
+{
+    const u8 *src = rgb + (odd_row ? 1 : 0);
+    i32 x = 0;
+    for (; x + 1 < w; x += 2, src += 6) {
+        dst[x] = src[0];
+        dst[x + 1] = src[4];
+    }
+    if (x < w)
+        dst[x] = src[0];
+}
+
+} // namespace
+
+Image &
+SensorModel::capture(const Image &scene_rgb, const KeptRunPlan *plan)
 {
     if (scene_rgb.channels() != 3)
         throwInvalid("SensorModel::capture expects an RGB scene");
-    Image scene = scene_rgb;
-    if (scene.width() != config_.width || scene.height() != config_.height)
-        scene = scene.resized(config_.width, config_.height);
-
-    Image raw(config_.width, config_.height, PixelFormat::BayerRggb);
-    for (i32 y = 0; y < raw.height(); ++y) {
-        const u8 *src = scene.row(y);
-        u8 *dst = raw.row(y);
-        for (i32 x = 0; x < raw.width(); ++x) {
-            // RGGB: even rows alternate R,G; odd rows alternate G,B.
-            int channel;
-            if ((y & 1) == 0)
-                channel = ((x & 1) == 0) ? 0 : 1;
-            else
-                channel = ((x & 1) == 0) ? 1 : 2;
-            dst[x] = src[3 * static_cast<size_t>(x) + channel];
-        }
+    const i32 w = config_.width;
+    const i32 h = config_.height;
+    if (plan && (plan->width() != w || plan->height() != h))
+        throwInvalid("kept-run plan is ", plan->width(), "x",
+                     plan->height(), ", sensor is ", w, "x", h);
+    Image resized;
+    const Image *scene = &scene_rgb;
+    if (scene_rgb.width() != w || scene_rgb.height() != h) {
+        resized = scene_rgb.resized(w, h);
+        scene = &resized;
     }
-    addNoise(raw);
+    if (raw_.width() != w || raw_.height() != h)
+        raw_ = Image(w, h, PixelFormat::BayerRggb);
+
+    for (i32 y = 0; y < h; ++y) {
+        // A kept-pixel ISP reads the 3x3 window of each kept site.
+        const bool read = !plan || plan->rowKept(y) > 0 ||
+                          (y > 0 && plan->rowKept(y - 1) > 0) ||
+                          (y + 1 < h && plan->rowKept(y + 1) > 0);
+        if (read)
+            mosaicRow(scene->row(y), raw_.row(y), w, (y & 1) != 0);
+    }
+    addNoise(raw_);
     ++frames_;
-    return raw;
+    return raw_;
 }
 
 Image

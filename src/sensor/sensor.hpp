@@ -17,6 +17,7 @@
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
+#include "core/kept_plan.hpp"
 #include "frame/image.hpp"
 
 namespace rpx {
@@ -53,10 +54,19 @@ class SensorModel
     const SensorConfig &config() const { return config_; }
 
     /**
-     * Mosaic an RGB scene into the RGGB Bayer pattern this sensor reads out.
-     * The scene is resized to the sensor resolution if it differs.
+     * Mosaic an RGB scene into the RGGB Bayer pattern this sensor reads
+     * out. The scene is resized to the sensor resolution if it differs.
+     *
+     * The mosaic lands in the sensor's raw buffer, which is reused from
+     * frame to frame and returned (valid until the next capture; the CSI-2
+     * link damages it in place). With a plan, only the rows a kept-pixel
+     * ISP reads are mosaicked: y - 1 .. y + 1 of every row with a kept
+     * pixel. The other rows keep stale bytes. Read noise still runs over
+     * the whole buffer in raster order, so the noise sequence and every
+     * row the ISP reads are those of a dense capture.
      */
-    Image capture(const Image &scene_rgb);
+    Image &capture(const Image &scene_rgb,
+                   const KeptRunPlan *plan = nullptr);
 
     /**
      * Capture a grayscale frame directly (bypasses the mosaic; used by
@@ -73,6 +83,7 @@ class SensorModel
     SensorConfig config_;
     Rng rng_;
     u64 frames_ = 0;
+    Image raw_; //!< the Bayer readout, reused across captures
 };
 
 } // namespace rpx

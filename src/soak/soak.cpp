@@ -87,31 +87,33 @@ absDiff(u64 a, u64 b)
     return a >= b ? a - b : b - a;
 }
 
-/**
- * Compare journal and ledger on every field. The journal may lead by at
- * most `frame_cap` on per-frame fields and `byte_cap` on the others, and
- * never trail; each field outside that window is one violation, prefixed
- * by `where`.
- */
+} // namespace
+
 std::vector<std::string>
-ledgerViolations(const std::string &where, const Journal &j, const Ledger &l,
-                 u64 frame_cap, u64 byte_cap)
+ledgerViolations(const std::string &where, const Journal &before,
+                 const Ledger &ledger, const Journal &after, u64 frame_cap,
+                 u64 byte_cap)
 {
     std::vector<std::string> out;
     for (const LedgerField &f : kLedgerFields) {
-        const u64 jv = j.*f.journal;
-        const u64 lv = l.*f.ledger;
+        const u64 lv = ledger.*f.ledger;
+        const u64 jb = before.*f.journal;
+        const u64 ja = after.*f.journal;
         const u64 cap = f.per_frame ? frame_cap : byte_cap;
-        if (jv >= lv && jv - lv <= cap)
+        if (ja >= lv && (jb <= lv || jb - lv <= cap))
             continue;
         std::ostringstream os;
         os << where << ": journal/ledger " << f.name
-           << " out of bounds (journal " << jv << ", ledger " << lv
-           << ", cap " << cap << ")";
+           << " out of bounds (journal " << jb;
+        if (ja != jb)
+            os << " then " << ja;
+        os << ", ledger " << lv << ", cap " << cap << ")";
         out.push_back(os.str());
     }
     return out;
 }
+
+namespace {
 
 /** The ledger as the journal sees it: errored frames are never journaled. */
 Ledger
@@ -367,10 +369,10 @@ class SoakRunner
     {
         // A retired stream has no frame in flight, so its journal lines
         // and its ledger entry must agree exactly.
+        const Journal journal = sink_->streamTotals(sr.label);
         std::vector<std::string> bad =
-            ledgerViolations("retire@" + sr.label,
-                             sink_->streamTotals(sr.label),
-                             journaled(sr.totals), 0, 0);
+            ledgerViolations("retire@" + sr.label, journal,
+                             journaled(sr.totals), journal, 0, 0);
         if (!bad.empty()) {
             {
                 std::lock_guard<std::mutex> lock(check_mutex_);
@@ -422,12 +424,16 @@ class SoakRunner
     {
         std::lock_guard<std::mutex> lock(check_mutex_);
         const auto t0 = std::chrono::steady_clock::now();
-        // Ledger first, journal second: accountFrame() journals a frame
-        // before finishFrame() counts it in the ledger, so this read
-        // order guarantees journal >= ledger on every field.
+        // Journal, ledger, journal: accountFrame() journals a frame
+        // before finishFrame() counts it in the ledger, so the later
+        // journal read is >= the ledger on every field, and the earlier
+        // one cannot count frames journaled after the ledger read.
+        const Journal before = sink_->totals();
         const Ledger l = journaled(server_->totals());
-        const Journal j = sink_->totals();
-        SoakCheckpoint cp{g, absDiff(j.frames, l.frames),
+        const Journal after = sink_->totals();
+        SoakCheckpoint cp{g,
+                          before.frames > l.frames ? before.frames - l.frames
+                                                   : 0,
                           server_->activeStreams(),
                           statusKb("VmRSS:")};
         max_drift_ = std::max(max_drift_, cp.frames_drift);
@@ -438,8 +444,8 @@ class SoakRunner
             (static_cast<u64>(width_) * static_cast<u64>(height_) * 4 +
              65536);
         for (std::string &v :
-             ledgerViolations("checkpoint@" + std::to_string(g), j, l,
-                              opts_.streams, byte_cap))
+             ledgerViolations("checkpoint@" + std::to_string(g), before,
+                              l, after, opts_.streams, byte_cap))
             violateLocked(std::move(v));
         cp.duration_us =
             std::chrono::duration<double, std::micro>(
@@ -572,7 +578,7 @@ SoakRunner::finalChecks(const fleet::FleetReport &rep, SoakResult &res)
 
     // The run has quiesced: journal and ledger agree exactly.
     const Ledger l = journaled(server_->totals());
-    for (std::string &v : ledgerViolations("final", j, l, 0, 0))
+    for (std::string &v : ledgerViolations("final", j, l, j, 0, 0))
         violations_.push_back(std::move(v));
     res.final_frames_drift = absDiff(j.frames, l.frames);
     res.final_bytes_drift = static_cast<i64>(

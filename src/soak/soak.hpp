@@ -44,6 +44,7 @@
 
 #include "fleet/fleet.hpp"
 #include "obs/bench_report.hpp"
+#include "obs/telemetry.hpp"
 
 namespace rpx::soak {
 
@@ -139,6 +140,25 @@ struct SoakResult {
     fleet::FleetReport fleet;
     obs::BenchReport bench; //!< embedded "soak" bench report
 };
+
+/**
+ * Compare the telemetry journal with the fleet ledger (errored frames
+ * already taken out, as the journal never sees them) on every field
+ * both count. The journal is read twice, `before` and `after` the
+ * ledger. A frame is journaled before it is counted in the ledger, and
+ * both only grow, so the journal at the moment of the ledger read lies
+ * between the two reads. The check is that it can lie within the window:
+ * `after` never trails the ledger, and `before` leads it by at most
+ * `frame_cap` on per-frame fields and `byte_cap` on the others. Frames
+ * journaled after the ledger read count in neither bound. Each field
+ * outside the window is one violation, prefixed by `where`. With
+ * `before` == `after` (a quiesced fleet) this is the single-read check.
+ */
+std::vector<std::string> ledgerViolations(const std::string &where,
+                                          const obs::TelemetryTotals &before,
+                                          const fleet::FrameTotals &ledger,
+                                          const obs::TelemetryTotals &after,
+                                          u64 frame_cap, u64 byte_cap);
 
 /** Run one soak. Throws on setup errors (e.g. unreadable trace). */
 SoakResult runSoak(const SoakOptions &options);

@@ -3,13 +3,15 @@
  * Integration tests for the multi-stream fleet server: byte-identity of a
  * 1-stream fleet against the legacy pipeline, engine-pool starvation,
  * all-streams-miss deadline escalation, stream join/leave mid-run,
- * per-stream telemetry conservation against the shared registry, the
+ * per-stream telemetry conservation against the shared registry,
+ * sensor-path streams under parallel capture workers, the
  * fleet ledger (FleetServer::totals()) against the report and journal,
  * and frame conservation when the scene source fails.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -19,6 +21,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "common/crc32.hpp"
 #include "common/rng.hpp"
 #include "fleet/fleet.hpp"
 #include "frame/draw.hpp"
@@ -649,6 +652,87 @@ INSTANTIATE_TEST_SUITE_P(SerialAndParallel, FleetConservation,
                          [](const auto &info) {
                              return info.param ? "Parallel" : "Serial";
                          });
+
+/** What a sensor-path fleet run produced, keyed by (stream, frame). */
+struct SensorFleetRun {
+    std::map<std::pair<u32, FrameIndex>, u32> decoded_crc;
+    std::vector<std::string> journal; //!< *_us zeroed, sorted
+};
+
+/**
+ * Four RGB streams through the sensor model, CSI-2 (dropping lines and
+ * flipping bytes) and the kept-pixel ISP, with `workers` capture workers
+ * and as many engines of each kind.
+ */
+SensorFleetRun
+runSensorFleet(u32 workers)
+{
+    fault::FaultPlan plan;
+    plan.seed = 7;
+    plan.at(fault::Stage::Csi2).byte_error_rate = 1e-3;
+    plan.at(fault::Stage::Csi2).drop_rate = 0.03;
+    obs::TelemetrySink sink;
+    FleetConfig fc = smallFleet(4, 6);
+    fc.stream.use_sensor_path = true;
+    fc.stream.fault.plan = &plan;
+    fc.stream.telemetry = &sink;
+    fc.capture_workers = workers;
+    fc.encode_engines = workers;
+    fc.decode_engines = workers;
+    fc.scene_source = [](u32 id, u64 frame) {
+        Image rgb(96, 64, PixelFormat::Rgb8);
+        for (int c = 0; c < 3; ++c) {
+            const Image plane = sceneFor(id, 3 * frame + c);
+            for (i32 y = 0; y < 64; ++y)
+                for (i32 x = 0; x < 96; ++x)
+                    rgb.set(x, y, c, plane.at(x, y));
+        }
+        return rgb;
+    };
+    // The region rhythms leave rows the ISP never reads on some frames.
+    fc.label_source = [](u32) {
+        return std::vector<RegionLabel>{{8, 8, 40, 20, 1, 1, 0},
+                                        {0, 0, 96, 64, 4, 2, 0}};
+    };
+    SensorFleetRun run;
+    std::mutex mutex;
+    fc.frame_sink = [&](StreamContext &s, const PipelineFrameResult &r) {
+        std::lock_guard<std::mutex> lock(mutex);
+        run.decoded_crc[{s.id(), r.index}] = crc32(r.decoded.data());
+    };
+    FleetServer server(fc);
+    const FleetReport rep = server.run();
+    EXPECT_EQ(rep.frames, 24u);
+    EXPECT_EQ(rep.errors, 0u);
+    for (obs::FrameTelemetry f : sink.frames()) {
+        f.sensor_us = f.isp_us = f.encode_us = 0.0;
+        f.dram_write_us = f.decode_us = f.total_us = 0.0;
+        run.journal.push_back(obs::writeFrameJson(f));
+    }
+    std::sort(run.journal.begin(), run.journal.end());
+    return run;
+}
+
+/**
+ * Each stream's sensor owns one raw buffer that successive frames reuse
+ * from whichever capture worker runs them. Parallel capture workers
+ * must decode the same bytes and journal the same frames as one worker
+ * (wall-clock fields aside).
+ */
+TEST(Fleet, SensorPathStreamsMatchAcrossCaptureWorkers)
+{
+    const SensorFleetRun serial = runSensorFleet(1);
+    const SensorFleetRun parallel = runSensorFleet(2);
+    ASSERT_EQ(serial.decoded_crc.size(), 24u);
+    EXPECT_EQ(parallel.decoded_crc, serial.decoded_crc);
+    ASSERT_EQ(serial.journal.size(), 24u);
+    EXPECT_EQ(parallel.journal, serial.journal);
+    u32 dropped_frames = 0;
+    for (const std::string &line : serial.journal)
+        if (line.find("\"csi_dropped_lines\":0") == std::string::npos)
+            ++dropped_frames;
+    EXPECT_GT(dropped_frames, 0u);
+}
 
 TEST(Fleet, ReportJsonIsWellFormed)
 {

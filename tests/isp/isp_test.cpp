@@ -298,6 +298,36 @@ TEST(IspPipeline, KeptRunsMatchDenseIsp)
     }
 }
 
+/**
+ * The luma tables against the BT.601 formula they replace, at every
+ * (r, g, b) byte triple, at the default gamma and at gamma 1 (where the
+ * formula is Image::toGray's). A table sum reordered, or either side
+ * contracted into a fused multiply-add, shows up as a mismatched byte.
+ */
+TEST(IspPipeline, LumaTablesMatchBt601AtEveryTriple)
+{
+    for (const double gamma : {IspConfig{}.gamma, 1.0}) {
+        const GammaLut lut(gamma);
+        const LumaTables tables(lut);
+        u64 mismatches = 0;
+        for (int r = 0; r < 256; ++r) {
+            const double gr = lut.apply(static_cast<u8>(r));
+            for (int g = 0; g < 256; ++g) {
+                const double gg = lut.apply(static_cast<u8>(g));
+                for (int b = 0; b < 256; ++b) {
+                    const double gb = lut.apply(static_cast<u8>(b));
+                    const u8 want =
+                        clampToU8(0.299 * gr + 0.587 * gg + 0.114 * gb);
+                    if (tables.luma(static_cast<u8>(r), static_cast<u8>(g),
+                                    static_cast<u8>(b)) != want)
+                        ++mismatches;
+                }
+            }
+        }
+        EXPECT_EQ(mismatches, 0u) << "gamma " << gamma;
+    }
+}
+
 TEST(IspPipeline, ProcessesBayerToGray)
 {
     IspConfig cfg;

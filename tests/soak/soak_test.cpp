@@ -299,6 +299,86 @@ TEST(Soak, CiConfigChaosSameSeedReproducesModelOutcome)
     expectSameModelOutcome(a, b);
 }
 
+obs::TelemetryTotals
+journalAt(u64 frames, u64 bytes)
+{
+    obs::TelemetryTotals j;
+    j.frames = frames;
+    j.bytes_written = bytes;
+    return j;
+}
+
+fleet::FrameTotals
+ledgerAt(u64 frames, u64 bytes)
+{
+    fleet::FrameTotals l;
+    l.frames = frames;
+    l.bytes_written = bytes;
+    return l;
+}
+
+/**
+ * The mid-run journal/ledger bound on a ledger read bracketed by two
+ * journal reads, with 4 live streams (frame cap 4, byte cap 400). A
+ * frame is journaled before it reaches the ledger, so at the ledger read
+ * the journal leads by the frames in flight.
+ */
+TEST(Soak, CheckpointBoundHoldsAcrossFramesJournaledBetweenReads)
+{
+    constexpr u64 kCap = 4;
+    constexpr u64 kByteCap = 400;
+
+    // The interleaving a ledger-then-journal checkpoint misreads: two
+    // frames in flight at the ledger read (journal 102, ledger 100),
+    // then ten more frames journaled before the journal is read. One
+    // journal read after the ledger sees a lead of 12 and reports a
+    // violation that never happened; the read before bounds the lead.
+    const obs::TelemetryTotals before = journalAt(101, 10'100);
+    const fleet::FrameTotals ledger = ledgerAt(100, 10'000);
+    const obs::TelemetryTotals after = journalAt(112, 11'200);
+    EXPECT_EQ(soak::ledgerViolations("old", after, ledger, after, kCap,
+                                     kByteCap)
+                  .size(),
+              2u);
+    EXPECT_TRUE(soak::ledgerViolations("cp", before, ledger, after, kCap,
+                                       kByteCap)
+                    .empty());
+
+    // Frames journaled and counted between the first journal read and
+    // the ledger read leave `before` behind the ledger: no lead.
+    EXPECT_TRUE(soak::ledgerViolations("cp", journalAt(95, 9'500), ledger,
+                                       after, kCap, kByteCap)
+                    .empty());
+    // A lead of exactly the cap is in bounds; one more is a violation,
+    // on that field only.
+    EXPECT_TRUE(soak::ledgerViolations("cp", journalAt(104, 10'400), ledger,
+                                       after, kCap, kByteCap)
+                    .empty());
+    const std::vector<std::string> lead = soak::ledgerViolations(
+        "cp@1", journalAt(105, 10'400), ledger, after, kCap, kByteCap);
+    ASSERT_EQ(lead.size(), 1u);
+    EXPECT_NE(lead[0].find("cp@1: journal/ledger frames out of bounds"),
+              std::string::npos)
+        << lead[0];
+    EXPECT_EQ(soak::ledgerViolations("cp", journalAt(101, 10'401), ledger,
+                                     after, kCap, kByteCap)
+                  .size(),
+              1u);
+    // The ledger never leads the journal read after it.
+    EXPECT_EQ(soak::ledgerViolations("cp", before, ledger,
+                                     journalAt(99, 11'200), kCap, kByteCap)
+                  .size(),
+              1u);
+    // One read on both sides is the exact check of a quiesced fleet.
+    EXPECT_TRUE(soak::ledgerViolations("final", journalAt(100, 10'000),
+                                       ledger, journalAt(100, 10'000), 0, 0)
+                    .empty());
+    EXPECT_EQ(soak::ledgerViolations("final", journalAt(101, 10'000),
+                                     ledger, journalAt(101, 10'000), 0, 0)
+                  .size(),
+              1u);
+}
+
 TEST(Soak, RejectsBadOptions)
 {
     soak::SoakOptions o;
