@@ -33,9 +33,9 @@ resolveWorkers(u32 configured, u32 engines)
  * behavior, zero extra wakeups). Either way a nullopt means the queue is
  * closed and drained.
  */
-template <typename Queue>
 std::optional<FrameTask>
-popTask(Queue &q, std::atomic<u64> &beat, const guard::WatchdogConfig &wd)
+popTask(StageQueue &q, std::atomic<u64> &beat,
+        const guard::WatchdogConfig &wd)
 {
     if (!wd.enabled)
         return q.pop();
@@ -52,10 +52,6 @@ popTask(Queue &q, std::atomic<u64> &beat, const guard::WatchdogConfig &wd)
 
 FleetServer::FleetServer(const FleetConfig &config)
     : config_(config), obs_(std::make_unique<PipelineObs>(config.stream.obs)),
-      capture_q_(resolveMaxStreams(config)),
-      encode_q_(resolveMaxStreams(config)),
-      store_q_(resolveMaxStreams(config)),
-      decode_q_(resolveMaxStreams(config)),
       encode_engines_(config.encode_engines, "encode"),
       decode_engines_(config.decode_engines, "decode"),
       vision_(config.frame_sink),
@@ -354,8 +350,8 @@ FleetServer::makeTask(StreamEntry &entry, u32 id, u64 frame)
 void
 FleetServer::seedStream(StreamEntry &entry, u32 id)
 {
-    // Caller holds mutex_. The push cannot block: in-flight tasks never
-    // exceed live streams, and every queue holds max_streams of them.
+    // Caller holds mutex_, under which admission found the capture queue
+    // open; it closes only under mutex_ too (closeIfDrainedLocked).
     entry.seeded = true;
     entry.inflight_since = std::chrono::steady_clock::now();
     FrameTask task = makeTask(entry, id, entry.totals.frames);
@@ -423,7 +419,6 @@ FleetServer::finishFrame(FrameTask &task, bool errored)
     const u32 id = task.stream->id();
     StreamEntry *entry = nullptr;
     bool resubmit = false;
-    bool close = false;
     FleetStreamReport retired_report;
     u64 next = 0;
     // Retire under mutex_. A running stream_retired hook may still add a
@@ -433,7 +428,7 @@ FleetServer::finishFrame(FrameTask &task, bool errored)
         retired_report = retireLocked(id, *entry);
         if (config_.stream_retired)
             ++retire_hooks_running_;
-        close = live_ == 0 && retire_hooks_running_ == 0;
+        closeIfDrainedLocked();
     };
     {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -459,15 +454,20 @@ FleetServer::finishFrame(FrameTask &task, bool errored)
     }
 
     if (resubmit) {
+        // The stream is still live, so the capture queue is open.
+        std::optional<FrameTask> next_task;
         try {
-            capture_q_.push(makeTask(*entry, id, next));
-            return;
+            next_task = makeTask(*entry, id, next);
         } catch (const std::exception &) {
             // Scene source failed: frame n+1 is one errored frame, and
             // the stream retires with it.
             std::lock_guard<std::mutex> lock(mutex_);
             countFrameLocked(*entry, PipelineFrameResult{}, true);
             retire();
+        }
+        if (next_task) {
+            capture_q_.push(std::move(*next_task));
+            return;
         }
     }
     if (config_.stream_retired) {
@@ -476,9 +476,17 @@ FleetServer::finishFrame(FrameTask &task, bool errored)
         config_.stream_retired(retired_report);
         std::lock_guard<std::mutex> lock(mutex_);
         --retire_hooks_running_;
-        close = live_ == 0 && retire_hooks_running_ == 0;
+        closeIfDrainedLocked();
     }
-    if (close)
+}
+
+void
+FleetServer::closeIfDrainedLocked()
+{
+    // Closing in the critical section that finds the fleet empty keeps
+    // it atomic with admission: admitLocked() checks closed() under
+    // mutex_, so no stream is admitted into a queue about to close.
+    if (live_ == 0 && retire_hooks_running_ == 0)
         capture_q_.close();
 }
 
@@ -520,8 +528,7 @@ FleetServer::captureLoop()
             finishFrame(task, true);
             continue;
         }
-        if (!encode_q_.push(std::move(task)))
-            break; // shutting down
+        encode_q_.push(std::move(task));
     }
     if (capture_alive_.fetch_sub(1) == 1)
         encode_q_.close();
@@ -566,8 +573,7 @@ FleetServer::encodeLoop()
             finishFrame(task, true);
             continue;
         }
-        if (!store_q_.push(std::move(task)))
-            break;
+        store_q_.push(std::move(task));
     }
     if (encode_alive_.fetch_sub(1) == 1)
         store_q_.close();
@@ -745,7 +751,6 @@ FleetServer::run()
         if (watchdog)
             workers.push_back(pool.submit([this] { watchdogLoop(); }));
 
-        bool close_now = false;
         {
             std::lock_guard<std::mutex> lock(mutex_);
             for (auto &[id, entry] : streams_) {
@@ -758,10 +763,8 @@ FleetServer::run()
             }
             // Live streams are all in flight now; closure is theirs to
             // cascade. Only a completely empty fleet closes here.
-            close_now = live_ == 0;
+            closeIfDrainedLocked();
         }
-        if (close_now)
-            capture_q_.close();
 
         for (auto &f : workers)
             f.get();

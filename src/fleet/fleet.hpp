@@ -22,9 +22,10 @@
  * Invariant: at most ONE frame of each stream is inside the graph at any
  * time (frame n+1 is submitted by frame n's completion). Consequences:
  *  - per-stream frame order is trivially preserved;
- *  - total in-flight tasks <= active streams <= max_streams, and every
- *    queue has capacity max_streams, so the submit->capture->encode->
- *    store->decode->submit cycle can never deadlock on full queues;
+ *  - total in-flight tasks <= active streams <= max_streams, so no queue
+ *    ever holds more than max_streams tasks; the queues are unbounded,
+ *    a push never blocks, and the submit->capture->encode->store->
+ *    decode->submit cycle cannot deadlock;
  *  - fleet memory is bounded by the per-stream contexts plus at most one
  *    in-flight frame per stream.
  *
@@ -50,7 +51,6 @@
 #include "fleet/stages.hpp"
 #include "guard/guard.hpp"
 #include "obs/perf_registry.hpp"
-#include "stream/fifo.hpp"
 
 namespace rpx::fleet {
 
@@ -101,9 +101,10 @@ struct FleetConfig {
     /** Frames each stream must complete; must be >= 1. */
     u32 frames_per_stream = 1;
     /**
-     * Hard ceiling on concurrently active streams (initial + joined).
-     * Also sizes every inter-stage queue, which is what makes the stage
-     * cycle deadlock-free. 0 resolves to streams + 64.
+     * Hard ceiling on concurrently active streams (initial + joined): the
+     * admission cap. It also bounds every inter-stage queue's occupancy,
+     * since each stream has at most one frame in the graph. 0 resolves to
+     * streams + 64.
      */
     u32 max_streams = 0;
     /** Encoder / decoder engine counts (execution permits). */
@@ -208,10 +209,10 @@ struct FleetReport {
     // Engine and queue pressure.
     EnginePoolStats encode_engines;
     EnginePoolStats decode_engines;
-    MpmcQueueStats capture_queue;
-    MpmcQueueStats store_queue;
-    EdfQueueStats encode_queue;
-    EdfQueueStats decode_queue;
+    StageQueueStats capture_queue;
+    StageQueueStats store_queue;
+    StageQueueStats encode_queue;
+    StageQueueStats decode_queue;
     std::vector<FleetStreamReport> streams;
 };
 
@@ -321,6 +322,11 @@ class FleetServer
      * machine, then submit the stream's next frame or retire it.
      */
     void finishFrame(FrameTask &task, bool errored);
+    /**
+     * Close the capture queue once no stream is live and no retire hook
+     * runs; caller holds mutex_. The worker shutdown cascade follows.
+     */
+    void closeIfDrainedLocked();
     /** Count one frame outcome for a stream; caller holds mutex_. */
     void countFrameLocked(StreamEntry &entry, const PipelineFrameResult &r,
                           bool errored);
@@ -355,10 +361,10 @@ class FleetServer
     std::unique_ptr<PipelineObs> obs_;
     std::unique_ptr<fault::ChaosInjector> chaos_; //!< null when disabled
 
-    MpmcQueue<FrameTask> capture_q_;
-    EdfQueue encode_q_;
-    MpmcQueue<FrameTask> store_q_;
-    EdfQueue decode_q_;
+    StageQueue capture_q_{StageQueue::Order::Fifo};
+    StageQueue encode_q_{StageQueue::Order::Edf};
+    StageQueue store_q_{StageQueue::Order::Fifo};
+    StageQueue decode_q_{StageQueue::Order::Edf};
     EnginePool encode_engines_;
     EnginePool decode_engines_;
 

@@ -6,10 +6,10 @@
  * frame flows capture → encode → store → decode → vision and is accounted
  * in journal, registry, and fleet report. That is the right default, but
  * it has no defense against *overload*: addStream admits until the hard
- * cap, queues block indefinitely, and a frame that is already hopelessly
- * late still burns a full engine lease. rpx::guard supplies the three
- * defenses and the bookkeeping that keeps the conservation invariant
- * exact while they act:
+ * cap, a wedged worker holds its queue's frames indefinitely, and a frame
+ * that is already hopelessly late still burns a full engine lease.
+ * rpx::guard supplies the three defenses and the bookkeeping that keeps
+ * the conservation invariant exact while they act:
  *
  *  - **Admission control**: a capacity model (engine throughput × fps
  *    budget) that rejects streams the fleet cannot serve, with an

@@ -3,24 +3,15 @@
  * Bounded FIFO modelling the depth-16 AXI-stream buffers in the encoder and
  * the response FIFO of the decoder's sampling unit. Push/pop failures are
  * recorded as stall cycles so the timing claims of §6.3 can be checked.
- *
- * Two variants share the file:
- *  - Fifo<T>: single-threaded, non-blocking, stall-accounting — the
- *    hardware model (unchanged semantics since the seed).
- *  - MpmcQueue<T>: blocking, bounded, multi-producer/multi-consumer with
- *    close/drain semantics — the software inter-stage channel the fleet
- *    server's stage graph is built on.
+ * Fifo<T> is single-threaded and non-blocking: it models hardware
+ * back-pressure. The fleet's software hand-off between threads is
+ * fleet::StageQueue (fleet/scheduler.hpp).
  */
 
 #ifndef RPX_STREAM_FIFO_HPP
 #define RPX_STREAM_FIFO_HPP
 
-#include <chrono>
-#include <condition_variable>
-#include <deque>
-#include <mutex>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -137,234 +128,6 @@ class Fifo
     u64 push_stalls_ = 0;
     u64 pop_stalls_ = 0;
     size_t high_water_ = 0;
-};
-
-/** Occupancy/contention counters of one MpmcQueue. */
-struct MpmcQueueStats {
-    u64 pushes = 0;      //!< elements accepted
-    u64 pops = 0;        //!< elements handed out
-    u64 push_waits = 0;  //!< push() calls that blocked on a full queue
-    u64 pop_waits = 0;   //!< pop() calls that blocked on an empty queue
-    u64 rejected = 0;    //!< pushes refused because the queue was closed
-    size_t high_water = 0; //!< peak occupancy
-};
-
-/**
- * Blocking bounded multi-producer/multi-consumer queue.
- *
- * The cross-thread counterpart of Fifo: producers block while the queue is
- * full, consumers block while it is empty, and close() transitions the
- * queue into drain mode — no new elements are accepted, but consumers keep
- * receiving buffered elements until the queue is empty, after which pop()
- * returns nullopt. That shutdown contract lets a stage graph be torn down
- * front-to-back without losing in-flight work.
- *
- * All operations are linearizable under one internal mutex; the queue is
- * intended for frame-granularity work items (hundreds of thousands of ops
- * per second), not per-pixel traffic.
- */
-template <typename T>
-class MpmcQueue
-{
-  public:
-    /** @param capacity maximum buffered elements; must be positive. */
-    explicit MpmcQueue(size_t capacity) : capacity_(capacity)
-    {
-        RPX_ASSERT(capacity > 0, "MpmcQueue capacity must be positive");
-    }
-
-    MpmcQueue(const MpmcQueue &) = delete;
-    MpmcQueue &operator=(const MpmcQueue &) = delete;
-
-    size_t capacity() const { return capacity_; }
-
-    size_t
-    size() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return q_.size();
-    }
-
-    /**
-     * Block until space is available (or the queue closes), then enqueue.
-     * @return false iff the queue was closed before the element fit.
-     */
-    bool
-    push(T v)
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        if (q_.size() >= capacity_ && !closed_) {
-            ++stats_.push_waits;
-            not_full_.wait(lock, [&] {
-                return q_.size() < capacity_ || closed_;
-            });
-        }
-        if (closed_) {
-            ++stats_.rejected;
-            return false;
-        }
-        q_.push_back(std::move(v));
-        ++stats_.pushes;
-        if (q_.size() > stats_.high_water)
-            stats_.high_water = q_.size();
-        lock.unlock();
-        not_empty_.notify_one();
-        return true;
-    }
-
-    /**
-     * Like push(), but give up after @p timeout if no space opens. The
-     * element is returned-by-false in two distinct cases — closed queue
-     * (permanent, recorded in rejected) and timeout (transient, not
-     * recorded) — which callers can tell apart via closed().
-     */
-    bool
-    pushFor(T v, std::chrono::microseconds timeout)
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        if (q_.size() >= capacity_ && !closed_) {
-            ++stats_.push_waits;
-            if (!not_full_.wait_for(lock, timeout, [&] {
-                    return q_.size() < capacity_ || closed_;
-                }))
-                return false; // timed out, still full
-        }
-        if (closed_) {
-            ++stats_.rejected;
-            return false;
-        }
-        q_.push_back(std::move(v));
-        ++stats_.pushes;
-        if (q_.size() > stats_.high_water)
-            stats_.high_water = q_.size();
-        lock.unlock();
-        not_empty_.notify_one();
-        return true;
-    }
-
-    /** Non-blocking push; false when full or closed. */
-    bool
-    tryPush(T v)
-    {
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (closed_) {
-                ++stats_.rejected;
-                return false;
-            }
-            if (q_.size() >= capacity_)
-                return false;
-            q_.push_back(std::move(v));
-            ++stats_.pushes;
-            if (q_.size() > stats_.high_water)
-                stats_.high_water = q_.size();
-        }
-        not_empty_.notify_one();
-        return true;
-    }
-
-    /**
-     * Block until an element is available or the queue is closed *and*
-     * drained; nullopt signals the latter (the consumer should exit).
-     */
-    std::optional<T>
-    pop()
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        if (q_.empty() && !closed_) {
-            ++stats_.pop_waits;
-            not_empty_.wait(lock, [&] { return !q_.empty() || closed_; });
-        }
-        if (q_.empty())
-            return std::nullopt; // closed and drained
-        T v = std::move(q_.front());
-        q_.pop_front();
-        ++stats_.pops;
-        lock.unlock();
-        not_full_.notify_one();
-        return v;
-    }
-
-    /**
-     * Like pop(), but give up after @p timeout if nothing arrives. A
-     * nullopt therefore means either "closed and drained" (permanent) or
-     * "timed out" (transient); consumers running under a watchdog use the
-     * timeout as their heartbeat interval and re-check closed() to decide
-     * whether to exit or beat-and-retry.
-     */
-    std::optional<T>
-    popFor(std::chrono::microseconds timeout)
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        if (q_.empty() && !closed_) {
-            ++stats_.pop_waits;
-            if (!not_empty_.wait_for(lock, timeout, [&] {
-                    return !q_.empty() || closed_;
-                }))
-                return std::nullopt; // timed out, still empty
-        }
-        if (q_.empty())
-            return std::nullopt; // closed and drained
-        T v = std::move(q_.front());
-        q_.pop_front();
-        ++stats_.pops;
-        lock.unlock();
-        not_full_.notify_one();
-        return v;
-    }
-
-    /** Non-blocking pop; nullopt when nothing is buffered. */
-    std::optional<T>
-    tryPop()
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        if (q_.empty())
-            return std::nullopt;
-        T v = std::move(q_.front());
-        q_.pop_front();
-        ++stats_.pops;
-        lock.unlock();
-        not_full_.notify_one();
-        return v;
-    }
-
-    /**
-     * Stop accepting elements and wake every waiter. Idempotent. Buffered
-     * elements remain poppable (drain); blocked producers return false.
-     */
-    void
-    close()
-    {
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            closed_ = true;
-        }
-        not_full_.notify_all();
-        not_empty_.notify_all();
-    }
-
-    bool
-    closed() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return closed_;
-    }
-
-    MpmcQueueStats
-    stats() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return stats_;
-    }
-
-  private:
-    const size_t capacity_;
-    mutable std::mutex mutex_;
-    std::condition_variable not_full_;
-    std::condition_variable not_empty_;
-    std::deque<T> q_;
-    bool closed_ = false;
-    MpmcQueueStats stats_;
 };
 
 } // namespace rpx

@@ -19,6 +19,8 @@
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/crc32.hpp"
@@ -93,6 +95,26 @@ expectTotalsEqual(const obs::TelemetryTotals &a,
     EXPECT_EQ(a.deadline_misses, b.deadline_misses);
     EXPECT_EQ(a.transient_faults, b.transient_faults);
     EXPECT_DOUBLE_EQ(a.energy_total_nj, b.energy_total_nj);
+}
+
+/**
+ * After run(), every queue handed out each task it took, and none ever
+ * held more than max_streams tasks (resolved as FleetConfig documents):
+ * a stream has at most one frame in the graph.
+ */
+void
+expectQueuesDrainedWithinCap(const FleetReport &rep, const FleetConfig &fc)
+{
+    const u64 cap = fc.max_streams ? fc.max_streams : fc.streams + 64;
+    const std::pair<const char *, StageQueueStats> queues[] = {
+        {"capture", rep.capture_queue},
+        {"encode", rep.encode_queue},
+        {"store", rep.store_queue},
+        {"decode", rep.decode_queue}};
+    for (const auto &[name, q] : queues) {
+        EXPECT_EQ(q.pushes, q.pops) << name;
+        EXPECT_LE(q.high_water, cap) << name;
+    }
 }
 
 TEST(Fleet, OneStreamFleetMatchesLegacyPipelineByteIdentical)
@@ -251,6 +273,7 @@ TEST(Fleet, StreamsJoinAndLeaveMidRun)
     EXPECT_TRUE(by_id.at(join_id.load()).completed);
     EXPECT_EQ(by_id.at(0).totals.frames, 6u);
     EXPECT_EQ(rep.frames, 6u + 1u + 6u);
+    expectQueuesDrainedWithinCap(rep, fc);
     // Removing an already-finished stream is refused.
     EXPECT_FALSE(server.removeStream(1));
     EXPECT_FALSE(server.removeStream(999));
@@ -317,6 +340,7 @@ TEST(Fleet, ChurnUnderFaultInjectionConservesTelemetry)
     EXPECT_FALSE(by_id.at(1).completed);
     EXPECT_EQ(by_id.at(replacement_id.load()).totals.frames, 6u);
     EXPECT_EQ(rep.frames, 3u * 6u + 1u + 6u);
+    expectQueuesDrainedWithinCap(rep, fc);
 
     // Retirement hook fired once per stream with the final counts.
     ASSERT_EQ(retired.size(), 5u);
@@ -413,6 +437,40 @@ TEST(Fleet, SlowRetireHookStillAddsReplacement)
         by_id[s.id] = s;
     ASSERT_TRUE(by_id.count(replacement_id.load()));
     EXPECT_EQ(by_id.at(replacement_id.load()).totals.frames, 6u);
+}
+
+/**
+ * A stream admitted while the last live stream retires runs to
+ * completion. That needs the capture queue to close in the same critical
+ * section that finds the fleet empty: a tryAddStream() between that
+ * decision and the close would pass admission and seed its first frame,
+ * and the queue would then close under it, leaving the stream's next
+ * frame nowhere to go. The window is a few instructions wide, so two
+ * threads race admission against many short fleets; with a deferred
+ * close a stream was lost within the first 15 fleets.
+ */
+TEST(Fleet, StreamAdmittedDuringLastRetirementCompletes)
+{
+    constexpr int kRuns = 200;
+    for (int run = 0; run < kRuns; ++run) {
+        FleetConfig fc = smallFleet(1, 2);
+        fc.max_streams = 1;
+        fc.capture_workers = 1;
+        fc.encode_engines = 1;
+        fc.decode_engines = 1;
+        FleetServer server(fc);
+        std::vector<std::jthread> adders;
+        for (int i = 0; i < 2; ++i)
+            adders.emplace_back([&server](std::stop_token stop) {
+                while (!stop.stop_requested())
+                    (void)server.tryAddStream();
+            });
+        const FleetReport rep = server.run();
+        adders.clear(); // stop and join
+        ASSERT_EQ(rep.streams_completed, rep.streams_started)
+            << "run " << run << " lost an admitted stream";
+        ASSERT_EQ(rep.frames, 2u * rep.streams_started) << "run " << run;
+    }
 }
 
 /**
@@ -594,6 +652,7 @@ TEST_P(FleetConservation, PerStreamTotalsSumToRegistryCounters)
     const FleetReport rep = server.run();
     ASSERT_EQ(rep.frames, 20u);
     ASSERT_EQ(rep.errors, 0u);
+    expectQueuesDrainedWithinCap(rep, fc);
 
     const auto per_stream = sink.perStreamTotals();
     ASSERT_EQ(per_stream.size(), 4u);

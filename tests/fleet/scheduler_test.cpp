@@ -1,9 +1,10 @@
-/** @file Unit tests for the EDF frame queue. */
+/** @file Unit tests for the fleet's stage queue, in FIFO and EDF order. */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -11,6 +12,8 @@
 
 namespace rpx::fleet {
 namespace {
+
+using Order = StageQueue::Order;
 
 FrameTask
 taskWithDeadline(u64 index, std::chrono::milliseconds offset)
@@ -30,147 +33,304 @@ taskNoDeadline(u64 index)
     return t;
 }
 
-TEST(EdfQueue, PopsEarliestDeadlineFirst)
+TEST(StageQueue, FifoOrderAndStats)
 {
-    EdfQueue q(8);
-    ASSERT_TRUE(q.push(taskWithDeadline(0, std::chrono::milliseconds(30))));
-    ASSERT_TRUE(q.push(taskWithDeadline(1, std::chrono::milliseconds(10))));
-    ASSERT_TRUE(q.push(taskWithDeadline(2, std::chrono::milliseconds(20))));
-    EXPECT_EQ(q.pop()->index, 1);
+    StageQueue q(Order::Fifo);
+    q.push(taskNoDeadline(2));
+    q.push(taskNoDeadline(0));
+    q.push(taskNoDeadline(1));
+    EXPECT_EQ(q.size(), 3u);
+    // Arrival order, whatever the frame index says.
     EXPECT_EQ(q.pop()->index, 2);
     EXPECT_EQ(q.pop()->index, 0);
+    EXPECT_EQ(q.tryPop()->index, 1);
+    EXPECT_FALSE(q.tryPop().has_value());
+    const StageQueueStats s = q.stats();
+    EXPECT_EQ(s.pushes, 3u);
+    EXPECT_EQ(s.pops, 3u);
+    EXPECT_EQ(s.high_water, 3u);
 }
 
-TEST(EdfQueue, DeadlinelessTasksPopInFrameOrder)
+TEST(StageQueue, PopsEarliestDeadlineFirst)
 {
-    EdfQueue q(8);
-    ASSERT_TRUE(q.push(taskNoDeadline(2)));
-    ASSERT_TRUE(q.push(taskNoDeadline(0)));
-    ASSERT_TRUE(q.push(taskNoDeadline(1)));
+    StageQueue q(Order::Edf);
+    q.push(taskWithDeadline(0, std::chrono::milliseconds(30)));
+    q.push(taskWithDeadline(1, std::chrono::milliseconds(10)));
+    q.push(taskWithDeadline(2, std::chrono::milliseconds(20)));
+    EXPECT_EQ(q.pop()->index, 1);
+    EXPECT_EQ(q.pop()->index, 2);
+    EXPECT_EQ(q.tryPop()->index, 0);
+    EXPECT_EQ(q.stats().high_water, 3u);
+}
+
+TEST(StageQueue, DeadlinelessTasksPopInFrameOrder)
+{
+    StageQueue q(Order::Edf);
+    q.push(taskNoDeadline(2));
+    q.push(taskNoDeadline(0));
+    q.push(taskNoDeadline(1));
     EXPECT_EQ(q.pop()->index, 0);
     EXPECT_EQ(q.pop()->index, 1);
     EXPECT_EQ(q.pop()->index, 2);
 }
 
-TEST(EdfQueue, UrgentArrivalJumpsTheQueue)
+TEST(StageQueue, UrgentArrivalJumpsTheQueue)
 {
-    EdfQueue q(8);
-    ASSERT_TRUE(q.push(taskWithDeadline(0, std::chrono::milliseconds(50))));
-    ASSERT_TRUE(q.push(taskWithDeadline(1, std::chrono::milliseconds(40))));
+    StageQueue q(Order::Edf);
+    q.push(taskWithDeadline(0, std::chrono::milliseconds(50)));
+    q.push(taskWithDeadline(1, std::chrono::milliseconds(40)));
     EXPECT_EQ(q.pop()->index, 1);
     // A later push with a nearer deadline overtakes the buffered task.
-    ASSERT_TRUE(q.push(taskWithDeadline(2, std::chrono::milliseconds(5))));
+    q.push(taskWithDeadline(2, std::chrono::milliseconds(5)));
     EXPECT_EQ(q.pop()->index, 2);
     EXPECT_EQ(q.pop()->index, 0);
 }
 
-TEST(EdfQueue, ZeroCapacityRejected)
+/*
+ * Cases that hold in either order are written once, as a function of the
+ * order, and run once per order. They keep the suite names of the two
+ * queue types StageQueue replaced: MpmcQueue.* runs the FIFO order,
+ * EdfQueue.* the EDF order.
+ */
+
+void
+closeDrainsInOrderThenReturnsNullopt(Order order)
 {
-    EXPECT_THROW(EdfQueue(0), std::invalid_argument);
+    StageQueue q(order);
+    q.push(taskWithDeadline(0, std::chrono::milliseconds(9)));
+    q.push(taskWithDeadline(1, std::chrono::milliseconds(3)));
+    q.close();
+    EXPECT_TRUE(q.closed());
+    const bool edf = order == Order::Edf;
+    EXPECT_EQ(q.pop()->index, edf ? 1 : 0);
+    EXPECT_EQ(q.pop()->index, edf ? 0 : 1);
+    EXPECT_FALSE(q.pop().has_value());
+    EXPECT_FALSE(q.tryPop().has_value());
 }
 
-TEST(EdfQueue, TryPushRespectsCapacity)
+TEST(MpmcQueue, CloseDrainsBufferedElements)
 {
-    EdfQueue q(2);
-    FrameTask a = taskNoDeadline(0);
-    FrameTask b = taskNoDeadline(1);
-    FrameTask c = taskNoDeadline(2);
-    EXPECT_TRUE(q.tryPush(a));
-    EXPECT_TRUE(q.tryPush(b));
-    EXPECT_FALSE(q.tryPush(c));
-    EXPECT_EQ(q.size(), 2u);
-    EXPECT_EQ(q.stats().high_water, 2u);
+    closeDrainsInOrderThenReturnsNullopt(Order::Fifo);
 }
 
 TEST(EdfQueue, CloseDrainsThenReturnsNullopt)
 {
-    EdfQueue q(4);
-    ASSERT_TRUE(q.push(taskWithDeadline(0, std::chrono::milliseconds(9))));
-    ASSERT_TRUE(q.push(taskWithDeadline(1, std::chrono::milliseconds(3))));
+    closeDrainsInOrderThenReturnsNullopt(Order::Edf);
+}
+
+/**
+ * A queue closes only after every producer of it has exited, so a push
+ * into a closed queue is an invariant violation: it is refused with a
+ * throw and leaves the queue as it was.
+ */
+void
+pushRefusedAfterClose(Order order)
+{
+    StageQueue q(order);
+    q.push(taskNoDeadline(0));
     q.close();
-    EXPECT_TRUE(q.closed());
-    EXPECT_FALSE(q.push(taskNoDeadline(7)));
-    EXPECT_EQ(q.stats().rejected, 1u);
-    EXPECT_EQ(q.pop()->index, 1);
+    EXPECT_THROW(q.push(taskNoDeadline(1)), std::runtime_error);
+    EXPECT_EQ(q.size(), 1u);
+    EXPECT_EQ(q.stats().pushes, 1u);
     EXPECT_EQ(q.pop()->index, 0);
     EXPECT_FALSE(q.pop().has_value());
 }
 
-TEST(EdfQueue, CloseWakesBlockedConsumer)
+TEST(MpmcQueue, PushForRefusedAfterClose)
 {
-    EdfQueue q(2);
+    pushRefusedAfterClose(Order::Fifo);
+}
+
+TEST(EdfQueue, PushForRefusedAfterClose)
+{
+    pushRefusedAfterClose(Order::Edf);
+}
+
+TEST(StageQueue, CloseIsIdempotent)
+{
+    StageQueue q(Order::Fifo);
+    q.close();
+    q.close();
+    EXPECT_TRUE(q.closed());
+    EXPECT_FALSE(q.pop().has_value());
+}
+
+void
+closeWakesBlockedConsumer(Order order)
+{
+    StageQueue q(order);
     std::thread consumer([&q] { EXPECT_FALSE(q.pop().has_value()); });
     q.close();
     consumer.join();
 }
 
-TEST(EdfQueue, PopForTimesOutOnEmptyQueue)
+TEST(MpmcQueue, CloseWakesBlockedConsumer)
 {
-    EdfQueue q(2);
+    closeWakesBlockedConsumer(Order::Fifo);
+}
+
+TEST(EdfQueue, CloseWakesBlockedConsumer)
+{
+    closeWakesBlockedConsumer(Order::Edf);
+}
+
+void
+popForTimesOutOnEmptyQueue(Order order)
+{
+    StageQueue q(order);
     EXPECT_FALSE(q.popFor(std::chrono::microseconds(1000)).has_value());
     EXPECT_FALSE(q.closed());
 }
 
-TEST(EdfQueue, PopForStillPopsEarliestDeadlineFirst)
+TEST(MpmcQueue, PopForTimesOutOnEmptyQueue)
 {
-    EdfQueue q(4);
-    ASSERT_TRUE(q.push(taskWithDeadline(0, std::chrono::milliseconds(9))));
-    ASSERT_TRUE(q.push(taskWithDeadline(1, std::chrono::milliseconds(3))));
-    ASSERT_TRUE(q.push(taskWithDeadline(2, std::chrono::milliseconds(6))));
-    EXPECT_EQ(q.popFor(std::chrono::microseconds(1000))->index, 1);
-    EXPECT_EQ(q.popFor(std::chrono::microseconds(1000))->index, 2);
-    EXPECT_EQ(q.popFor(std::chrono::microseconds(1000))->index, 0);
+    popForTimesOutOnEmptyQueue(Order::Fifo);
 }
 
-TEST(EdfQueue, PopForDrainsAfterClose)
+TEST(EdfQueue, PopForTimesOutOnEmptyQueue)
 {
-    EdfQueue q(2);
-    ASSERT_TRUE(q.push(taskNoDeadline(5)));
+    popForTimesOutOnEmptyQueue(Order::Edf);
+}
+
+void
+popForPopsInQueueOrder(Order order)
+{
+    StageQueue q(order);
+    q.push(taskWithDeadline(0, std::chrono::milliseconds(9)));
+    q.push(taskWithDeadline(1, std::chrono::milliseconds(3)));
+    q.push(taskWithDeadline(2, std::chrono::milliseconds(6)));
+    const bool edf = order == Order::Edf;
+    for (const FrameIndex want : {edf ? 1 : 0, edf ? 2 : 1, edf ? 0 : 2})
+        EXPECT_EQ(q.popFor(std::chrono::microseconds(1000))->index, want);
+}
+
+TEST(MpmcQueue, PopForReturnsBufferedElement)
+{
+    popForPopsInQueueOrder(Order::Fifo);
+}
+
+TEST(EdfQueue, PopForStillPopsEarliestDeadlineFirst)
+{
+    popForPopsInQueueOrder(Order::Edf);
+}
+
+void
+popForDrainsAfterClose(Order order)
+{
+    StageQueue q(order);
+    q.push(taskNoDeadline(5));
     q.close();
     EXPECT_EQ(q.popFor(std::chrono::microseconds(1000))->index, 5);
     EXPECT_FALSE(q.popFor(std::chrono::microseconds(1000)).has_value());
 }
 
-TEST(EdfQueue, PushForTimesOutOnFullQueueAndRetries)
+TEST(MpmcQueue, PopForDrainsAfterClose)
 {
-    EdfQueue q(1);
-    ASSERT_TRUE(q.push(taskNoDeadline(0)));
-    EXPECT_FALSE(
-        q.pushFor(taskNoDeadline(1), std::chrono::microseconds(1000)));
-    EXPECT_EQ(q.stats().rejected, 0u);
-    EXPECT_EQ(q.pop()->index, 0);
-    EXPECT_TRUE(
-        q.pushFor(taskNoDeadline(1), std::chrono::microseconds(1000)));
-    EXPECT_EQ(q.pop()->index, 1);
+    popForDrainsAfterClose(Order::Fifo);
 }
 
-TEST(EdfQueue, PushForRefusedAfterClose)
+TEST(EdfQueue, PopForDrainsAfterClose)
 {
-    EdfQueue q(2);
-    q.close();
-    EXPECT_FALSE(
-        q.pushFor(taskNoDeadline(0), std::chrono::microseconds(1000)));
-    EXPECT_EQ(q.stats().rejected, 1u);
+    popForDrainsAfterClose(Order::Edf);
+}
+
+/** Every pushed index, sorted, must be exactly 0 .. n-1. */
+void
+expectEachIndexOnce(const std::vector<std::vector<u64>> &seen, size_t n)
+{
+    std::vector<u64> all;
+    for (const auto &part : seen)
+        all.insert(all.end(), part.begin(), part.end());
+    std::sort(all.begin(), all.end());
+    ASSERT_EQ(all.size(), n);
+    for (size_t i = 0; i < all.size(); ++i)
+        EXPECT_EQ(all[i], static_cast<u64>(i));
 }
 
 /**
- * Timed-op stress on the EDF queue: polling consumers (the watchdog
- * heartbeat pattern) against blocking producers; every task must arrive
- * exactly once. Run under TSan by the tsan CI job.
+ * Contention stress: several producers and blocking consumers share one
+ * queue, and every task must arrive exactly once. Run under TSan by the
+ * tsan CI job.
  */
-TEST(EdfQueue, TimedOpsContentionConservesTasks)
+TEST(StageQueue, ContentionStressConservesTasks)
 {
-    constexpr int kProducers = 2;
-    constexpr int kConsumers = 2;
-    constexpr int kPerProducer = 800;
-    EdfQueue q(4);
+    constexpr int kProducers = 4;
+    constexpr int kConsumers = 4;
+    constexpr int kPerProducer = 2000;
+    StageQueue q(Order::Fifo);
 
     std::vector<std::thread> producers;
     for (int p = 0; p < kProducers; ++p) {
         producers.emplace_back([&q, p] {
             for (int i = 0; i < kPerProducer; ++i)
-                ASSERT_TRUE(q.push(taskNoDeadline(
-                    static_cast<u64>(p * kPerProducer + i))));
+                q.push(taskNoDeadline(
+                    static_cast<u64>(p * kPerProducer + i)));
+        });
+    }
+
+    std::vector<std::vector<u64>> seen(kConsumers);
+    std::vector<std::thread> consumers;
+    for (int c = 0; c < kConsumers; ++c) {
+        consumers.emplace_back([&q, &seen, c] {
+            while (auto t = q.pop())
+                seen[static_cast<size_t>(c)].push_back(
+                    static_cast<u64>(t->index));
+        });
+    }
+
+    for (auto &t : producers)
+        t.join();
+    q.close();
+    for (auto &t : consumers)
+        t.join();
+
+    constexpr size_t kTotal = size_t{kProducers} * kPerProducer;
+    expectEachIndexOnce(seen, kTotal);
+    const StageQueueStats s = q.stats();
+    EXPECT_EQ(s.pushes, kTotal);
+    EXPECT_EQ(s.pops, kTotal);
+}
+
+/** A FIFO queue keeps one producer's order even under contention. */
+TEST(StageQueue, ContentionPreservesPerProducerOrder)
+{
+    StageQueue q(Order::Fifo);
+    constexpr int kCount = 5000;
+    std::thread producer([&q] {
+        for (int i = 0; i < kCount; ++i)
+            q.push(taskNoDeadline(static_cast<u64>(i)));
+        q.close();
+    });
+    FrameIndex prev = -1;
+    size_t popped = 0;
+    while (auto t = q.pop()) {
+        EXPECT_GT(t->index, prev);
+        prev = t->index;
+        ++popped;
+    }
+    producer.join();
+    EXPECT_EQ(popped, static_cast<size_t>(kCount));
+}
+
+/**
+ * Timed-op stress: polling consumers (the watchdog heartbeat pattern)
+ * against concurrent producers; every task must arrive exactly once.
+ * Run under TSan by the tsan CI job.
+ */
+void
+timedOpsContentionConservesTasks(Order order)
+{
+    constexpr int kProducers = 2;
+    constexpr int kConsumers = 2;
+    constexpr int kPerProducer = 800;
+    StageQueue q(order);
+
+    std::vector<std::thread> producers;
+    for (int p = 0; p < kProducers; ++p) {
+        producers.emplace_back([&q, p] {
+            for (int i = 0; i < kPerProducer; ++i)
+                q.push(taskNoDeadline(
+                    static_cast<u64>(p * kPerProducer + i)));
         });
     }
 
@@ -185,6 +345,9 @@ TEST(EdfQueue, TimedOpsContentionConservesTasks)
                         static_cast<u64>(t->index));
                     continue;
                 }
+                // The watchdog-worker exit contract: a timed pop that
+                // returns nothing only means "done" once the queue is
+                // closed AND drained.
                 if (q.closed() && q.size() == 0)
                     return;
             }
@@ -197,14 +360,17 @@ TEST(EdfQueue, TimedOpsContentionConservesTasks)
     for (auto &t : consumers)
         t.join();
 
-    std::vector<u64> all;
-    for (const auto &part : seen)
-        all.insert(all.end(), part.begin(), part.end());
-    std::sort(all.begin(), all.end());
-    ASSERT_EQ(all.size(),
-              static_cast<size_t>(kProducers * kPerProducer));
-    for (size_t i = 0; i < all.size(); ++i)
-        EXPECT_EQ(all[i], static_cast<u64>(i));
+    expectEachIndexOnce(seen, size_t{kProducers} * kPerProducer);
+}
+
+TEST(MpmcQueue, TimedOpsContentionConservesElements)
+{
+    timedOpsContentionConservesTasks(Order::Fifo);
+}
+
+TEST(EdfQueue, TimedOpsContentionConservesTasks)
+{
+    timedOpsContentionConservesTasks(Order::Edf);
 }
 
 } // namespace

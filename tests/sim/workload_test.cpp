@@ -63,6 +63,37 @@ TEST(SlamWorkload, TraceFeedsThroughputSimulator)
     EXPECT_LT(rp_result.kept_fraction, 1.0);
 }
 
+/**
+ * Differential check of the traffic model against the functional
+ * pipeline: replaying the run's own RP trace through ThroughputSimulator
+ * at the run's geometry must reproduce the DRAM traffic the pipeline
+ * measured, byte for byte. This pins 1 B/px: the pipeline stores 8-bit
+ * gray pixels, whereas the simulator's default (2 B/px) models a
+ * YUYV-class format. Metadata (mask + offsets) does not scale with
+ * bytes/px.
+ */
+TEST(SlamWorkload, SimulatorWriteTrafficMatchesPipelineAtOneBytePerPixel)
+{
+    WorkloadConfig rp;
+    rp.scheme = CaptureScheme::RP;
+    rp.cycle_length = 5;
+    const SlamRunResult run = runSlamWorkload(tinySlam(), rp);
+
+    ThroughputConfig tc;
+    tc.width = run.width;
+    tc.height = run.height;
+    tc.bytes_per_pixel = 1.0;
+    const ThroughputSimulator sim(tc);
+    const TrafficSummary model =
+        sim.evaluate(CaptureScheme::RP, run.trace).traffic;
+    const TrafficSummary &measured = run.pipeline_traffic;
+    ASSERT_EQ(measured.frames, 12u);
+    EXPECT_EQ(model.frames, measured.frames);
+    EXPECT_EQ(model.bytes_written, measured.bytes_written);
+    EXPECT_EQ(model.bytes_read, measured.bytes_read);
+    EXPECT_EQ(model.metadata_bytes, measured.metadata_bytes);
+}
+
 TEST(FaceWorkload, DetectsWithRegions)
 {
     FaceSequenceConfig seq;

@@ -2,12 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <memory>
-#include <numeric>
-#include <thread>
-#include <vector>
-
 #include "stream/fifo.hpp"
 
 namespace rpx {
@@ -82,261 +76,6 @@ TEST(Fifo, ResetStatsKeepsContents)
     EXPECT_EQ(f.pushStalls(), 0u);
     EXPECT_EQ(f.size(), 2u);
     EXPECT_EQ(f.front(), 1);
-}
-
-TEST(MpmcQueue, SingleThreadOrderAndStats)
-{
-    MpmcQueue<int> q(4);
-    EXPECT_TRUE(q.push(1));
-    EXPECT_TRUE(q.push(2));
-    EXPECT_TRUE(q.tryPush(3));
-    EXPECT_EQ(q.size(), 3u);
-    EXPECT_EQ(q.pop().value(), 1);
-    EXPECT_EQ(q.pop().value(), 2);
-    EXPECT_EQ(q.tryPop().value(), 3);
-    EXPECT_FALSE(q.tryPop().has_value());
-    const MpmcQueueStats s = q.stats();
-    EXPECT_EQ(s.pushes, 3u);
-    EXPECT_EQ(s.pops, 3u);
-    EXPECT_EQ(s.high_water, 3u);
-}
-
-TEST(MpmcQueue, TryPushRespectsCapacity)
-{
-    MpmcQueue<int> q(2);
-    EXPECT_TRUE(q.tryPush(1));
-    EXPECT_TRUE(q.tryPush(2));
-    EXPECT_FALSE(q.tryPush(3));
-    EXPECT_EQ(q.size(), 2u);
-}
-
-TEST(MpmcQueue, ZeroCapacityRejected)
-{
-    EXPECT_THROW(MpmcQueue<int>(0), std::runtime_error);
-}
-
-TEST(MpmcQueue, CloseDrainsBufferedElements)
-{
-    MpmcQueue<int> q(4);
-    EXPECT_TRUE(q.push(1));
-    EXPECT_TRUE(q.push(2));
-    q.close();
-    EXPECT_TRUE(q.closed());
-    // Closed: pushes refused, buffered elements still drain in order.
-    EXPECT_FALSE(q.push(3));
-    EXPECT_FALSE(q.tryPush(3));
-    EXPECT_EQ(q.pop().value(), 1);
-    EXPECT_EQ(q.pop().value(), 2);
-    EXPECT_FALSE(q.pop().has_value());
-    EXPECT_EQ(q.stats().rejected, 2u);
-}
-
-TEST(MpmcQueue, CloseIsIdempotent)
-{
-    MpmcQueue<int> q(2);
-    q.close();
-    q.close();
-    EXPECT_FALSE(q.pop().has_value());
-}
-
-TEST(MpmcQueue, CloseWakesBlockedConsumer)
-{
-    MpmcQueue<int> q(2);
-    std::thread consumer([&] { EXPECT_FALSE(q.pop().has_value()); });
-    q.close();
-    consumer.join();
-}
-
-TEST(MpmcQueue, CloseWakesBlockedProducer)
-{
-    MpmcQueue<int> q(1);
-    ASSERT_TRUE(q.push(1));
-    std::thread producer([&] { EXPECT_FALSE(q.push(2)); });
-    q.close();
-    producer.join();
-    EXPECT_EQ(q.pop().value(), 1);
-}
-
-TEST(MpmcQueue, MoveOnlyElements)
-{
-    MpmcQueue<std::unique_ptr<int>> q(2);
-    EXPECT_TRUE(q.push(std::make_unique<int>(7)));
-    auto v = q.pop();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(**v, 7);
-}
-
-/**
- * Contention stress: several producers and consumers hammer a small queue
- * (so both full-side and empty-side blocking paths are exercised) and the
- * element multiset must survive intact. Run under TSan by the tsan CI job.
- */
-TEST(MpmcQueue, ContentionStressConservesElements)
-{
-    constexpr int kProducers = 4;
-    constexpr int kConsumers = 4;
-    constexpr int kPerProducer = 2000;
-    MpmcQueue<int> q(8);
-
-    std::vector<std::thread> producers;
-    for (int p = 0; p < kProducers; ++p) {
-        producers.emplace_back([&q, p] {
-            for (int i = 0; i < kPerProducer; ++i)
-                ASSERT_TRUE(q.push(p * kPerProducer + i));
-        });
-    }
-
-    std::vector<std::vector<int>> seen(kConsumers);
-    std::vector<std::thread> consumers;
-    for (int c = 0; c < kConsumers; ++c) {
-        consumers.emplace_back([&q, &seen, c] {
-            while (auto v = q.pop())
-                seen[static_cast<size_t>(c)].push_back(*v);
-        });
-    }
-
-    for (auto &t : producers)
-        t.join();
-    q.close();
-    for (auto &t : consumers)
-        t.join();
-
-    std::vector<int> all;
-    for (const auto &part : seen)
-        all.insert(all.end(), part.begin(), part.end());
-    ASSERT_EQ(all.size(),
-              static_cast<size_t>(kProducers) * kPerProducer);
-    std::sort(all.begin(), all.end());
-    std::vector<int> expected(all.size());
-    std::iota(expected.begin(), expected.end(), 0);
-    EXPECT_EQ(all, expected);
-
-    const MpmcQueueStats s = q.stats();
-    EXPECT_EQ(s.pushes, all.size());
-    EXPECT_EQ(s.pops, all.size());
-    EXPECT_LE(s.high_water, q.capacity());
-}
-
-/** Per-producer FIFO order is preserved even under contention. */
-TEST(MpmcQueue, ContentionPreservesPerProducerOrder)
-{
-    MpmcQueue<int> q(4);
-    constexpr int kCount = 5000;
-    std::thread producer([&q] {
-        for (int i = 0; i < kCount; ++i)
-            ASSERT_TRUE(q.push(i));
-        q.close();
-    });
-    int prev = -1;
-    size_t popped = 0;
-    while (auto v = q.pop()) {
-        EXPECT_GT(*v, prev);
-        prev = *v;
-        ++popped;
-    }
-    producer.join();
-    EXPECT_EQ(popped, static_cast<size_t>(kCount));
-}
-
-TEST(MpmcQueue, PopForTimesOutOnEmptyQueue)
-{
-    MpmcQueue<int> q(2);
-    EXPECT_FALSE(q.popFor(std::chrono::microseconds(1000)).has_value());
-    EXPECT_FALSE(q.closed());
-}
-
-TEST(MpmcQueue, PopForReturnsBufferedElement)
-{
-    MpmcQueue<int> q(2);
-    ASSERT_TRUE(q.push(9));
-    const auto v = q.popFor(std::chrono::microseconds(1000));
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, 9);
-}
-
-TEST(MpmcQueue, PopForDrainsAfterClose)
-{
-    MpmcQueue<int> q(2);
-    ASSERT_TRUE(q.push(4));
-    q.close();
-    EXPECT_EQ(q.popFor(std::chrono::microseconds(1000)).value(), 4);
-    EXPECT_FALSE(q.popFor(std::chrono::microseconds(1000)).has_value());
-}
-
-TEST(MpmcQueue, PushForTimesOutOnFullQueue)
-{
-    MpmcQueue<int> q(1);
-    ASSERT_TRUE(q.push(1));
-    EXPECT_FALSE(q.pushFor(2, std::chrono::microseconds(1000)));
-    // A timeout is not a close reject: the element may be retried.
-    EXPECT_EQ(q.stats().rejected, 0u);
-    EXPECT_EQ(q.pop().value(), 1);
-    EXPECT_TRUE(q.pushFor(2, std::chrono::microseconds(1000)));
-    EXPECT_EQ(q.pop().value(), 2);
-}
-
-TEST(MpmcQueue, PushForRefusedAfterClose)
-{
-    MpmcQueue<int> q(2);
-    q.close();
-    EXPECT_FALSE(q.pushFor(5, std::chrono::microseconds(1000)));
-    EXPECT_EQ(q.stats().rejected, 1u);
-}
-
-/**
- * Timed-op contention stress: consumers poll with short timeouts (the
- * watchdog heartbeat pattern) while producers block-push. Every element
- * must still arrive exactly once. Run under TSan by the tsan CI job.
- */
-TEST(MpmcQueue, TimedOpsContentionConservesElements)
-{
-    constexpr int kProducers = 3;
-    constexpr int kConsumers = 3;
-    constexpr int kPerProducer = 1500;
-    MpmcQueue<int> q(8);
-
-    std::vector<std::thread> producers;
-    for (int p = 0; p < kProducers; ++p) {
-        producers.emplace_back([&q, p] {
-            for (int i = 0; i < kPerProducer; ++i)
-                ASSERT_TRUE(
-                    q.pushFor(p * kPerProducer + i,
-                              std::chrono::microseconds(100000)));
-        });
-    }
-
-    std::vector<std::vector<int>> seen(kConsumers);
-    std::vector<std::thread> consumers;
-    for (int c = 0; c < kConsumers; ++c) {
-        consumers.emplace_back([&q, &seen, c] {
-            for (;;) {
-                auto v = q.popFor(std::chrono::microseconds(200));
-                if (v) {
-                    seen[static_cast<size_t>(c)].push_back(*v);
-                    continue;
-                }
-                // The watchdog-worker exit contract: a timed pop that
-                // returns nothing only means "done" once the queue is
-                // closed AND drained.
-                if (q.closed() && q.size() == 0)
-                    return;
-            }
-        });
-    }
-
-    for (auto &t : producers)
-        t.join();
-    q.close();
-    for (auto &t : consumers)
-        t.join();
-
-    std::vector<int> all;
-    for (const auto &part : seen)
-        all.insert(all.end(), part.begin(), part.end());
-    std::sort(all.begin(), all.end());
-    std::vector<int> want(kProducers * kPerProducer);
-    std::iota(want.begin(), want.end(), 0);
-    EXPECT_EQ(all, want);
 }
 
 } // namespace
