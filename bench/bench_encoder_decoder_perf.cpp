@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -369,6 +370,50 @@ BENCHMARK(BM_SoftwareDecoderFoveatedSampled1080p)
     ->Unit(benchmark::kMillisecond);
 
 /**
+ * The foveated layout as a stream decodes it: frames alternate between
+ * sampling the periphery (even t) and skipping it (odd t), each decoded
+ * through the stream's DecodedFrameCache over the three frames before it,
+ * as DecodeStage does. One iteration is one frame; the odd frames refresh
+ * only the fovea rows. Frame t is a copy of frame t mod 2 re-indexed to t
+ * (the layout repeats every two frames), pushed into a FrameStore-like
+ * window outside the timed region.
+ */
+void
+BM_SoftwareDecoderFoveated1080pSequence(benchmark::State &state)
+{
+    const i32 w = 1920, h = 1080;
+    const std::vector<EncodedFrame> pattern =
+        encodeFrames(foveatedLabels(w, h), noiseFrame(w, h), 2);
+    std::deque<EncodedFrame> window; // newest first, stable addresses
+    std::vector<const EncodedFrame *> history;
+    const SoftwareDecoder sw;
+    DecodedFrameCache cache;
+    u64 history_read = 0;
+    FrameIndex t = 0;
+    for (auto _ : state) {
+        state.PauseTiming();
+        window.push_front(pattern[static_cast<size_t>(t % 2)]);
+        window.front().index = t++;
+        if (window.size() > 4)
+            window.pop_back();
+        history.clear();
+        for (size_t k = 1; k < window.size(); ++k)
+            history.push_back(&window[k]);
+        state.ResumeTiming();
+        sw.decodeInto(window.front(), history, cache);
+        benchmark::DoNotOptimize(cache.image().data().data());
+        benchmark::ClobberMemory();
+        history_read += sw.lastHistoryBytesRead();
+    }
+    state.SetBytesProcessed(state.iterations() * static_cast<i64>(w) * h);
+    state.counters["history_read_B/frame"] =
+        static_cast<double>(history_read) /
+        static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_SoftwareDecoderFoveated1080pSequence)
+    ->Unit(benchmark::kMillisecond);
+
+/**
  * SLAM-like decode: the 450 overlapping strided regions of
  * BM_EncoderStridedOverlap640x480 at t = 5, with history t = 4 .. 1 —
  * short R runs on nearly every row, the R-dense case.
@@ -609,6 +654,11 @@ addMicrobenchTrendMetrics(obs::BenchReport &report,
                              "BM_SoftwareDecoderFoveatedSampled1080p",
                              ".real_time_ns", v))
         report.setMetric("sw_decode_ms_foveated_sampled", v / 1e6, "ms",
+                         "lower", "wall");
+    if (benchutil::findGauge(samples,
+                             "BM_SoftwareDecoderFoveated1080pSequence",
+                             ".real_time_ns", v))
+        report.setMetric("sw_decode_ms_foveated_sequence", v / 1e6, "ms",
                          "lower", "wall");
     if (benchutil::findGauge(samples,
                              "BM_SoftwareDecoderStridedOverlap640x480/450",

@@ -41,6 +41,7 @@ struct KernelTable {
     u32 (*expand)(const u8 *, size_t, u32, const u8 *, size_t, u32 *,
                   u8 *);
     u32 (*fast_row)(const u8 *, size_t, u32, u32, int, int, u32 *);
+    RefreshCounts (*refresh)(const u8 *, const u8 *, size_t, u8, u8 *);
 };
 
 constexpr KernelTable kScalarKernels = {
@@ -49,6 +50,7 @@ constexpr KernelTable kScalarKernels = {
     detail::hammingRow256Scalar,
     detail::expandSourcesScalar,
     detail::fastRowScalar,
+    detail::refreshRowScalar,
 };
 
 #if defined(__x86_64__)
@@ -58,6 +60,7 @@ constexpr KernelTable kSse4Kernels = {
     detail::hammingRow256Sse4,
     detail::expandSourcesSse4,
     detail::fastRowSse4,
+    detail::refreshRowSse4,
 };
 #endif
 
@@ -68,6 +71,7 @@ constexpr KernelTable kNeonKernels = {
     detail::hammingRow256Scalar,
     detail::expandSourcesScalar,
     detail::fastRowScalar,
+    detail::refreshRowScalar,
 };
 #endif
 
@@ -243,6 +247,13 @@ expandSources(const u8 *codes, size_t count, u32 first, const u8 *payload,
                              offset, value);
 }
 
+RefreshCounts
+refreshRow(const u8 *codes, const u8 *value, size_t count, u8 black,
+           u8 *out)
+{
+    return kernels()->refresh(codes, value, count, black, out);
+}
+
 u32
 fastRow(const u8 *row, size_t stride, u32 x_begin, u32 x_end, int threshold,
         int arc, u32 *cols)
@@ -390,6 +401,49 @@ fastRowScalar(const u8 *row, size_t stride, u32 x_begin, u32 x_end,
             cols[n++] = x;
     }
     return n;
+}
+
+RefreshCounts
+refreshRowScalar(const u8 *codes, const u8 *value, size_t count, u8 black,
+                 u8 *out)
+{
+    // Eight columns per 64-bit word: s and n hold 1 in each sampled and
+    // each N byte, and * 0xff widens them to byte select masks.
+    constexpr u64 kLsbs = 0x0101010101010101ULL;
+    const u64 black8 = kLsbs * black;
+    RefreshCounts done;
+    size_t i = 0;
+    for (; i + 8 <= count; i += 8) {
+        u64 c, v, o;
+        std::memcpy(&c, codes + i, 8);
+        const u64 s = c & kLsbs;
+        const u64 n = ~(c | (c >> 1)) & kLsbs;
+        if ((s | n) == 0)
+            continue;
+        std::memcpy(&v, value + i, 8);
+        if (s == kLsbs) {
+            std::memcpy(out + i, &v, 8);
+            done.sampled += 8;
+            continue;
+        }
+        std::memcpy(&o, out + i, 8);
+        const u64 sel_s = s * 0xff;
+        const u64 sel_n = n * 0xff;
+        o = (o & ~(sel_s | sel_n)) | (v & sel_s) | (black8 & sel_n);
+        std::memcpy(out + i, &o, 8);
+        done.sampled += static_cast<u32>(std::popcount(s));
+        done.n += static_cast<u32>(std::popcount(n));
+    }
+    for (; i < count; ++i) {
+        if ((codes[i] & 1) != 0) {
+            out[i] = value[i];
+            ++done.sampled;
+        } else if (codes[i] == 0) {
+            out[i] = black;
+            ++done.n;
+        }
+    }
+    return done;
 }
 
 } // namespace detail

@@ -4,8 +4,9 @@
  *
  * Kernels here are the integer-exact inner loops the decoders and the
  * ORB front end lean on: 2-bit mask-code expansion, packed R-code
- * population counts, the R-prefix source expansion, 256-bit Hamming
- * distance rows and the FAST segment test over one image row. Every
+ * population counts, the R-prefix source expansion, the refresh of a
+ * cached decoded row, 256-bit Hamming distance rows and the FAST segment
+ * test over one image row. Every
  * kernel has a pure-scalar reference implementation plus SSE4.2 (x86)
  * and, where it pays, NEON (aarch64) variants that produce
  * **bit-identical output** — they only reorganise integer loads/shuffles,
@@ -103,6 +104,21 @@ u32 expandSources(const u8 *codes, size_t count, u32 first,
                   const u8 *payload, size_t payload_size, u32 *offset,
                   u8 *value);
 
+/** What refreshRow wrote. */
+struct RefreshCounts {
+    u32 sampled = 0; //!< columns that took their carried value
+    u32 n = 0;       //!< N columns, now black
+};
+
+/**
+ * Refresh `count` columns of a cached decoded row from the current
+ * frame (DESIGN.md §10): a column whose unpacked code has bit 0 set (R
+ * or St) takes value[i], an N column (code 0) takes `black`, and an Sk
+ * column keeps out[i].
+ */
+RefreshCounts refreshRow(const u8 *codes, const u8 *value, size_t count,
+                         u8 black, u8 *out);
+
 /** The radius-3 Bresenham ring fastRow tests, {dx, dy} clockwise from
  *  12 o'clock. */
 inline constexpr int kFastRing[16][2] = {
@@ -139,6 +155,8 @@ u32 expandSourcesScalar(const u8 *codes, size_t count, u32 first,
                         u32 *offset, u8 *value);
 u32 fastRowScalar(const u8 *row, size_t stride, u32 x_begin, u32 x_end,
                   int threshold, int arc, u32 *cols);
+RefreshCounts refreshRowScalar(const u8 *codes, const u8 *value,
+                               size_t count, u8 black, u8 *out);
 
 #if defined(__x86_64__)
 void unpackMask2bppSse4(const u8 *packed, size_t first, size_t count,
@@ -150,6 +168,8 @@ u32 expandSourcesSse4(const u8 *codes, size_t count, u32 first,
                       u8 *value);
 u32 fastRowSse4(const u8 *row, size_t stride, u32 x_begin, u32 x_end,
                 int threshold, int arc, u32 *cols);
+RefreshCounts refreshRowSse4(const u8 *codes, const u8 *value, size_t count,
+                             u8 black, u8 *out);
 #endif
 
 #if defined(__aarch64__)
@@ -157,8 +177,8 @@ void unpackMask2bppNeon(const u8 *packed, size_t first, size_t count,
                         u8 *out);
 u32 countR2bppNeon(const u8 *packed, size_t first, size_t count);
 // The Neon level reuses hammingRow256Scalar: std::popcount on aarch64
-// already compiles to cnt. It reuses expandSourcesScalar and
-// fastRowScalar as well.
+// already compiles to cnt. It reuses expandSourcesScalar, fastRowScalar
+// and refreshRowScalar as well.
 #endif
 
 } // namespace detail

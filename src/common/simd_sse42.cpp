@@ -277,6 +277,48 @@ fastRowSse4(const u8 *row, size_t stride, u32 x_begin, u32 x_end,
     return n;
 }
 
+RefreshCounts
+refreshRowSse4(const u8 *codes, const u8 *value, size_t count, u8 black,
+               u8 *out)
+{
+    const __m128i one = _mm_set1_epi8(1);
+    const __m128i zero = _mm_setzero_si128();
+    const __m128i black16 = _mm_set1_epi8(static_cast<char>(black));
+    RefreshCounts done;
+    size_t i = 0;
+    for (; i + 16 <= count; i += 16) {
+        const __m128i c = _mm_loadu_si128(
+            reinterpret_cast<const __m128i *>(codes + i));
+        const __m128i s = _mm_cmpeq_epi8(_mm_and_si128(c, one), one);
+        const __m128i n = _mm_cmpeq_epi8(c, zero);
+        const unsigned s_bits =
+            static_cast<unsigned>(_mm_movemask_epi8(s));
+        const unsigned n_bits =
+            static_cast<unsigned>(_mm_movemask_epi8(n));
+        if ((s_bits | n_bits) == 0)
+            continue;
+        const __m128i v = _mm_loadu_si128(
+            reinterpret_cast<const __m128i *>(value + i));
+        __m128i *dst = reinterpret_cast<__m128i *>(out + i);
+        if (s_bits == 0xffff) {
+            _mm_storeu_si128(dst, v);
+            done.sampled += 16;
+            continue;
+        }
+        __m128i o = _mm_loadu_si128(dst);
+        o = _mm_blendv_epi8(o, v, s);
+        o = _mm_blendv_epi8(o, black16, n);
+        _mm_storeu_si128(dst, o);
+        done.sampled += static_cast<u32>(std::popcount(s_bits));
+        done.n += static_cast<u32>(std::popcount(n_bits));
+    }
+    const RefreshCounts tail =
+        refreshRowScalar(codes + i, value + i, count - i, black, out + i);
+    done.sampled += tail.sampled;
+    done.n += tail.n;
+    return done;
+}
+
 } // namespace rpx::simd::detail
 
 #endif // x86

@@ -43,7 +43,7 @@ EncodedFrame::computeMetadataCrc() const
 }
 
 bool
-EncodedFrame::validate(std::string *reason, bool check_payload) const
+EncodedFrame::validate(const char **reason, bool check_payload) const
 {
     const auto fail = [&](const char *why) {
         if (reason)

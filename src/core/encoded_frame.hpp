@@ -8,7 +8,6 @@
 #ifndef RPX_CORE_ENCODED_FRAME_HPP
 #define RPX_CORE_ENCODED_FRAME_HPP
 
-#include <string>
 #include <vector>
 
 #include "common/types.hpp"
@@ -83,9 +82,10 @@ struct EncodedFrame {
      * mask-derived column prefix (the hardened decode paths do).
      *
      * @param reason  when non-null, receives a description on failure
+     *                (a static string)
      * @return true when the frame is safe to decode
      */
-    bool validate(std::string *reason = nullptr,
+    bool validate(const char **reason = nullptr,
                   bool check_payload = true) const;
 
     /** Throws std::runtime_error when the invariants do not hold. */

@@ -51,44 +51,57 @@ ParallelDecoder::partition(i32 rows, int bands, i32 min_band_rows)
 }
 
 void
-ParallelDecoder::decodeValidatedInto(
-    const EncodedFrame &current,
-    const std::vector<const EncodedFrame *> &history, Image &out)
+ParallelDecoder::decodeBands(const EncodedFrame &current,
+                             const std::vector<const EncodedFrame *> &history,
+                             Image &out, DecodedRowState *rows,
+                             PlaneState plane)
 {
-    out.reinit(current.width, current.height, PixelFormat::Gray8,
-               config_.decoder.black_value);
-    const auto ranges =
-        partition(current.height, threads_, config_.min_band_rows);
-    while (band_.size() < ranges.size())
-        band_.push_back(std::make_unique<SoftwareDecoder>(config_.decoder));
+    size_t bands = 1;
+    if (threads_ <= 1) {
+        band_[0]->decodeRows(current, history, 0, current.height, out, rows,
+                             plane);
+    } else {
+        const auto ranges =
+            partition(current.height, threads_, config_.min_band_rows);
+        bands = ranges.size();
+        while (band_.size() < bands)
+            band_.push_back(
+                std::make_unique<SoftwareDecoder>(config_.decoder));
 
-    std::vector<std::future<void>> pending;
-    pending.reserve(ranges.size());
-    for (size_t b = 0; b < ranges.size(); ++b) {
-        pending.push_back(
-            pool_->submit([this, &current, &history, &out, b, &ranges] {
-                band_[b]->decodeBandInto(current, history, ranges[b].first,
-                                         ranges[b].second, out);
+        std::vector<std::future<void>> pending;
+        pending.reserve(bands);
+        for (size_t b = 0; b < bands; ++b) {
+            pending.push_back(pool_->submit([&, b] {
+                band_[b]->decodeRows(current, history, ranges[b].first,
+                                     ranges[b].second, out, rows, plane);
             }));
+        }
+        for (auto &f : pending)
+            f.get(); // propagates worker exceptions
     }
-    for (auto &f : pending)
-        f.get(); // propagates worker exceptions
 
     last_history_fills_ = 0;
     last_black_ = 0;
-    for (size_t b = 0; b < ranges.size(); ++b) {
+    last_current_read_ = 0;
+    last_history_read_ = 0;
+    for (size_t b = 0; b < bands; ++b) {
         last_history_fills_ += band_[b]->lastHistoryFills();
         last_black_ += band_[b]->lastBlackPixels();
+        last_current_read_ += band_[b]->lastCurrentBytesRead();
+        last_history_read_ += band_[b]->lastHistoryBytesRead();
     }
 }
 
-Image
-ParallelDecoder::decode(const EncodedFrame &current,
-                        const std::vector<const EncodedFrame *> &history)
+void
+ParallelDecoder::decodeCached(const EncodedFrame &current,
+                              const std::vector<const EncodedFrame *> &history,
+                              bool history_complete,
+                              DecodedFrameCache &cache)
 {
-    Image out;
-    decodeInto(current, history, out);
-    return out;
+    const PlaneState plane =
+        cache.prepare(current, history, history_complete, config_.decoder);
+    decodeBands(current, history, cache.plane_, cache.rows_.data(), plane);
+    cache.commit(current, history);
 }
 
 void
@@ -96,20 +109,19 @@ ParallelDecoder::decodeInto(const EncodedFrame &current,
                             const std::vector<const EncodedFrame *> &history,
                             Image &out)
 {
-    if (threads_ <= 1) {
-        band_[0]->decodeInto(current, history, out);
-        last_history_fills_ = band_[0]->lastHistoryFills();
-        last_black_ = band_[0]->lastBlackPixels();
-        return;
-    }
-    // Match the serial entry checks before any worker touches the frame.
-    current.checkConsistency();
-    for (const EncodedFrame *f : history) {
-        RPX_ASSERT(f != nullptr, "null history frame");
-        RPX_ASSERT(f->width == current.width && f->height == current.height,
-                   "history frame geometry mismatch");
-    }
-    decodeValidatedInto(current, history, out);
+    SoftwareDecoder::checkInputs(current, history);
+    out.reinit(current.width, current.height, PixelFormat::Gray8,
+               config_.decoder.black_value);
+    decodeBands(current, history, out, nullptr, PlaneState::Black);
+}
+
+void
+ParallelDecoder::decodeInto(const EncodedFrame &current,
+                            const std::vector<const EncodedFrame *> &history,
+                            DecodedFrameCache &cache)
+{
+    SoftwareDecoder::checkInputs(current, history);
+    decodeCached(current, history, /*history_complete=*/true, cache);
 }
 
 SwDecodeStatus
@@ -117,25 +129,25 @@ ParallelDecoder::tryDecode(const EncodedFrame &current,
                            const std::vector<const EncodedFrame *> &history,
                            Image &out)
 {
-    if (threads_ <= 1) {
-        SwDecodeStatus status =
-            band_[0]->tryDecode(current, history, out);
-        last_history_fills_ = band_[0]->lastHistoryFills();
-        last_black_ = band_[0]->lastBlackPixels();
-        return status;
-    }
     SwDecodeStatus status;
-    std::string why;
-    if (!current.validate(&why)) {
-        status.ok = false;
-        status.quarantined = true;
-        status.reason = std::move(why);
+    if (!band_[0]->validateInputs(current, history, status))
         return status;
-    }
-    usable_.clear();
-    SoftwareDecoder::filterUsableHistory(current, history, usable_,
-                                         status.history_skipped);
-    decodeValidatedInto(current, usable_, out);
+    out.reinit(current.width, current.height, PixelFormat::Gray8,
+               config_.decoder.black_value);
+    decodeBands(current, band_[0]->usable_, out, nullptr,
+                PlaneState::Black);
+    return status;
+}
+
+SwDecodeStatus
+ParallelDecoder::tryDecode(const EncodedFrame &current,
+                           const std::vector<const EncodedFrame *> &history,
+                           DecodedFrameCache &cache)
+{
+    SwDecodeStatus status;
+    if (band_[0]->validateInputs(current, history, status))
+        decodeCached(current, band_[0]->usable_,
+                     status.history_skipped == 0, cache);
     return status;
 }
 

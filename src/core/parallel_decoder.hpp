@@ -16,7 +16,10 @@
  *    max_upscan rows above the band,
  *  - each band writes a disjoint row range of the output image.
  * The per-band history-fill / black-pixel tallies are additive per pixel,
- * so summing them reproduces the serial counters exactly.
+ * so summing them reproduces the serial counters exactly. A cached decode
+ * (DecodedFrameCache) decides once per frame whether the cache's rows may
+ * be reused; its per-row state lives with each row, so bands that write
+ * disjoint rows keep byte identity across thread counts.
  */
 
 #ifndef RPX_CORE_PARALLEL_DECODER_HPP
@@ -64,20 +67,26 @@ class ParallelDecoder
     /** The band-0 serial decoder (configuration reference). */
     const SoftwareDecoder &serial() const { return *band_[0]; }
 
-    /** See SoftwareDecoder::decode. Byte-equal for the same inputs. */
-    Image decode(const EncodedFrame &current,
-                 const std::vector<const EncodedFrame *> &history = {});
-
     /** See SoftwareDecoder::decodeInto. */
     void decodeInto(const EncodedFrame &current,
                     const std::vector<const EncodedFrame *> &history,
                     Image &out);
+
+    /** See SoftwareDecoder::decodeInto through a cache. */
+    void decodeInto(const EncodedFrame &current,
+                    const std::vector<const EncodedFrame *> &history,
+                    DecodedFrameCache &cache);
 
     /** See SoftwareDecoder::tryDecode (validation happens once, up
      *  front; bands decode the pre-filtered history). */
     SwDecodeStatus tryDecode(const EncodedFrame &current,
                              const std::vector<const EncodedFrame *> &history,
                              Image &out);
+
+    /** See SoftwareDecoder::tryDecode through a cache. */
+    SwDecodeStatus tryDecode(const EncodedFrame &current,
+                             const std::vector<const EncodedFrame *> &history,
+                             DecodedFrameCache &cache);
 
     /** Sum of the band decoders' history-fill tallies for the last
      *  decode — equals the serial decoder's count for the same inputs. */
@@ -86,16 +95,32 @@ class ParallelDecoder
     /** Sum of the band decoders' black-pixel tallies for the last decode. */
     u64 lastBlackPixels() const { return last_black_; }
 
+    /** Sum of the band decoders' current-frame reads (each band's carry
+     *  also reads the max_upscan rows above it). */
+    u64 lastCurrentBytesRead() const { return last_current_read_; }
+
+    /** Sum of the band decoders' history-frame reads. */
+    u64 lastHistoryBytesRead() const { return last_history_read_; }
+
     /** Band row ranges for a frame of `rows` rows (exposed for tests):
      *  an even split rounded up to 4 rows, floored at min_band_rows. */
     static std::vector<std::pair<i32, i32>> partition(i32 rows, int bands,
                                                       i32 min_band_rows);
 
   private:
-    /** Fan the pre-validated decode out across the pool. */
-    void decodeValidatedInto(const EncodedFrame &current,
-                             const std::vector<const EncodedFrame *> &history,
-                             Image &out);
+    /**
+     * Fan the pre-validated decode out across the pool (inline with one
+     * thread); `out`, `rows` and `plane` as for SoftwareDecoder's
+     * decodeRows.
+     */
+    void decodeBands(const EncodedFrame &current,
+                     const std::vector<const EncodedFrame *> &history,
+                     Image &out, DecodedRowState *rows, PlaneState plane);
+
+    /** decodeBands over the whole frame through `cache`. */
+    void decodeCached(const EncodedFrame &current,
+                      const std::vector<const EncodedFrame *> &history,
+                      bool history_complete, DecodedFrameCache &cache);
 
     Config config_;
     int threads_;
@@ -103,10 +128,10 @@ class ParallelDecoder
     std::vector<std::unique_ptr<SoftwareDecoder>> band_;
     /** Null when threads_ == 1. */
     std::unique_ptr<ThreadPool> pool_;
-    /** Pooled history filter for tryDecode. */
-    std::vector<const EncodedFrame *> usable_;
     u64 last_history_fills_ = 0;
     u64 last_black_ = 0;
+    u64 last_current_read_ = 0;
+    u64 last_history_read_ = 0;
 };
 
 } // namespace rpx

@@ -54,6 +54,11 @@ struct SourceCarry {
     i32 next_row = 0; //!< first row not yet swept
     bool with_values = false;
     /**
+     * Bytes of `frame` the sweeps since bind() read: each swept row's
+     * mask bits and offset entry, and (with values) its R payload bytes.
+     */
+    u64 bytes_read = 0;
+    /**
      * Some swept row's R codes reach past the payload end (a mask that
      * disagrees with its row offsets). Only then can a carried offset
      * fall outside the payload; value[] is 0 at such columns.
@@ -76,6 +81,7 @@ struct SourceCarry {
         next_row = 0;
         with_values = values;
         overrun = false;
+        bytes_read = 0;
         const size_t w = static_cast<size_t>(f.width);
         codes.resize(w);
         offset.resize(w);
@@ -106,6 +112,8 @@ struct SourceCarry {
         const u8 *packed = frame->mask.bytes().data();
         for (i32 r = std::max(next_row, from); r <= y; ++r) {
             const size_t start = static_cast<size_t>(r) * w;
+            const u32 base = frame->offsets.offsetOf(r);
+            bytes_read += rowMetadataBytes(r);
             const size_t first_r = firstR(start, w);
             // A row with no R changes no source; only the last row's
             // codes are ever read.
@@ -120,7 +128,6 @@ struct SourceCarry {
             // latest R at or left of it, payload entry offsetOf(r) + (R
             // codes up to it) - 1; columns before it keep the carry from
             // the rows above.
-            const u32 base = frame->offsets.offsetOf(r);
             while (!steps.empty() && steps.back().x >= first_r)
                 steps.pop_back();
             steps.push_back({static_cast<u32>(first_r), r});
@@ -147,11 +154,67 @@ struct SourceCarry {
                     value[x] = offset[x] < limit ? frame->pixels[offset[x]]
                                                  : 0;
             }
+            // The last column sources from the row's last R, so the row's
+            // in-range payload ends at its offset + 1.
+            if (with_values)
+                bytes_read +=
+                    std::min<u64>(u64{offset[w - 1]} + 1, limit) - base;
         }
         next_row = std::max(next_row, y + 1);
     }
 
+    /**
+     * Sweep row y, the next row, when every code in it is Sk: such a row
+     * holds no R, so it changes no source and its codes need no unpacking.
+     * Returns false, sweeping nothing, when any code of the row is N, St
+     * or R (or, for a frame whose offsets disagree with its mask, when
+     * the row's offsets give it payload).
+     */
+    bool
+    sweepIfAllSkipped(i32 y)
+    {
+        if (next_row != y ||
+            frame->offsets.offsetOf(y + 1) != frame->offsets.offsetOf(y))
+            return false;
+        constexpr u64 kSkWord = 0xAAAAAAAAAAAAAAAAULL; // Sk = 0b10 codes
+        const std::vector<u8> &bytes = frame->mask.bytes();
+        const size_t w = codes.size();
+        size_t code = static_cast<size_t>(y) * w;
+        const size_t end = code + w;
+        const auto isSk = [&bytes](size_t c) {
+            return ((bytes[c / 4] >> (2 * (c % 4))) & 0b11) == 0b10;
+        };
+        for (; code < end && code % 4 != 0; ++code)
+            if (!isSk(code))
+                return false;
+        size_t b = code / 4;
+        for (; b + 8 <= end / 4; b += 8) {
+            u64 v;
+            std::memcpy(&v, bytes.data() + b, sizeof(v));
+            if (v != kSkWord)
+                return false;
+        }
+        for (; b < end / 4; ++b)
+            if (bytes[b] != 0xAA)
+                return false;
+        for (code = std::max(code, b * 4); code < end; ++code)
+            if (!isSk(code))
+                return false;
+        bytes_read += rowMetadataBytes(y);
+        next_row = y + 1;
+        return true;
+    }
+
   private:
+    /** Mask bytes holding row r's codes, plus its 4-byte offset entry. */
+    u64
+    rowMetadataBytes(i32 r) const
+    {
+        const u64 first_bit = 2 * static_cast<u64>(r) * codes.size();
+        const u64 end_bit = first_bit + 2 * codes.size();
+        return (end_bit - 1) / 8 - first_bit / 8 + 1 + sizeof(u32);
+    }
+
     /**
      * Column of the first R among the `count` codes from code index
      * `start` (count when there is none), read 32 packed codes at a time.

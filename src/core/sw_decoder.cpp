@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "common/error.hpp"
+#include "common/simd.hpp"
 
 namespace rpx {
 
@@ -77,15 +78,20 @@ resolveRow(const SourceCarry &carry, i32 min_row, u8 *todo, u8 *out)
     size_t x = carry.threshold(min_row);
     if (!carry.overrun) {
         // Eight columns per word: m holds 1 in each resolving byte, and
-        // m * 0xff widens it to a byte select mask.
+        // m * 0xff widens it to a byte select mask. A word that resolves
+        // whole is stored without reading the output back.
         for (; x + 8 <= w; x += 8) {
             const u64 t = load8(todo + x);
             const u64 m = t & load8(codes + x);
             if (m == 0)
                 continue;
-            const u64 sel = m * 0xff;
-            store8(out + x,
-                   (load8(out + x) & ~sel) | (load8(value + x) & sel));
+            if (m == kByteLsbs) {
+                store8(out + x, load8(value + x));
+            } else {
+                const u64 sel = m * 0xff;
+                store8(out + x,
+                       (load8(out + x) & ~sel) | (load8(value + x) & sel));
+            }
             store8(todo + x, t & ~m);
             resolved += byteSum(m);
         }
@@ -101,13 +107,54 @@ resolveRow(const SourceCarry &carry, i32 min_row, u8 *todo, u8 *out)
     return resolved;
 }
 
+/**
+ * The resolver for a kept cache row, in one pass with no todo row: a
+ * pixel the frame resolves under resolveRow's rule takes the carried
+ * byte, an N pixel turns black, and every other pixel keeps its cached
+ * value.
+ */
+simd::RefreshCounts
+refreshKeptRow(const SourceCarry &carry, i32 min_row, u8 black, u8 *out)
+{
+    const size_t w = carry.codes.size();
+    const u8 *codes = carry.codes.data();
+    const u8 *value = carry.value.data();
+    const size_t first = carry.threshold(min_row);
+    simd::RefreshCounts done;
+    // Left of `first` no source is in range, so only N pixels change.
+    for (size_t x = 0; x < first; ++x) {
+        if (codes[x] == 0) {
+            out[x] = black;
+            ++done.n;
+        }
+    }
+    if (!carry.overrun) {
+        const simd::RefreshCounts rest = simd::refreshRow(
+            codes + first, value + first, w - first, black, out + first);
+        done.sampled += rest.sampled;
+        done.n += rest.n;
+        return done;
+    }
+    const size_t limit = carry.frame->pixels.size();
+    for (size_t x = first; x < w; ++x) {
+        if (codes[x] == 0) {
+            out[x] = black;
+            ++done.n;
+        } else if ((codes[x] & 1) != 0 && carry.offset[x] < limit) {
+            out[x] = value[x];
+            ++done.sampled;
+        }
+    }
+    return done;
+}
+
 } // namespace
 
 void
-SoftwareDecoder::decodeCoreInto(
-    const EncodedFrame &current,
-    const std::vector<const EncodedFrame *> &history, i32 y0, i32 y1,
-    Image &out) const
+SoftwareDecoder::decodeRows(const EncodedFrame &current,
+                            const std::vector<const EncodedFrame *> &history,
+                            i32 y0, i32 y1, Image &out,
+                            DecodedRowState *rows, PlaneState plane) const
 {
     cur_carry_.bind(current, /*values=*/true);
     while (hist_carries_.size() < history.size())
@@ -116,6 +163,7 @@ SoftwareDecoder::decodeCoreInto(
         hist_carries_[k].bind(*history[k], /*values=*/true);
 
     const size_t w = static_cast<size_t>(current.width);
+    const u8 black_value = config_.black_value;
     todo_.resize(w);
     u64 fills = 0;
     u64 black = 0;
@@ -125,26 +173,72 @@ SoftwareDecoder::decodeCoreInto(
         // catch up from there, which also primes the first row of a band.
         const i32 min_row = minSourceRow(y, config_.max_upscan);
         u8 *row = out.row(y);
+        // A cached row is kept when it held no black pixel and its oldest
+        // source is still in the window: then every pixel the current
+        // frame leaves pending keeps its cached value (DecodedFrameCache).
+        DecodedRowState *state = rows ? rows + y : nullptr;
+        const bool keep = plane == PlaneState::Cached && state->clean &&
+                          state->age < history.size();
+        cur_carry_.advanceTo(y - 1, min_row);
+        if (keep && cur_carry_.sweepIfAllSkipped(y)) {
+            fills += w; // the frame refreshed nothing in this row
+            ++state->age;
+            continue;
+        }
         cur_carry_.advanceTo(y, min_row);
+        if (keep) {
+            const simd::RefreshCounts done =
+                refreshKeptRow(cur_carry_, min_row, black_value, row);
+            const u32 kept = static_cast<u32>(w) - done.sampled - done.n;
+            black += done.n;
+            fills += kept;
+            *state = {done.n == 0, kept > 0 ? state->age + 1 : 0};
+            continue;
+        }
         u32 pending = markPending(cur_carry_.codes.data(), w, todo_.data());
-        black += w - pending; // N pixels stay black
+        const u32 n_pixels = static_cast<u32>(w) - pending;
+        black += n_pixels; // N pixels stay black
+        if (plane != PlaneState::Black)
+            std::memset(row, black_value, w); // the plane holds old rows
 
         // The current frame, then history most recent first, each under
         // the same rule. A history carry advances only for rows with
         // pixels left when its turn comes.
         if (pending > 0)
             pending -= resolveRow(cur_carry_, min_row, todo_.data(), row);
+        u32 oldest = 0;
         for (size_t k = 0; k < history.size() && pending > 0; ++k) {
             SourceCarry &past = hist_carries_[k];
             past.advanceTo(y, min_row);
             const u32 got = resolveRow(past, min_row, todo_.data(), row);
+            if (got > 0)
+                oldest = static_cast<u32>(k) + 1;
             fills += got;
             pending -= got;
         }
         black += pending;
+        if (state)
+            *state = {n_pixels == 0 && pending == 0, oldest};
     }
     last_history_fills_ = fills;
     last_black_ = black;
+    last_current_read_ = cur_carry_.bytes_read;
+    last_history_read_ = 0;
+    for (size_t k = 0; k < history.size(); ++k)
+        last_history_read_ += hist_carries_[k].bytes_read;
+}
+
+void
+SoftwareDecoder::decodeCached(const EncodedFrame &current,
+                              const std::vector<const EncodedFrame *> &history,
+                              bool history_complete,
+                              DecodedFrameCache &cache) const
+{
+    const PlaneState plane =
+        cache.prepare(current, history, history_complete, config_);
+    decodeRows(current, history, 0, current.height, cache.plane_,
+               cache.rows_.data(), plane);
+    cache.commit(current, history);
 }
 
 Image
@@ -158,9 +252,8 @@ SoftwareDecoder::decode(
 }
 
 void
-SoftwareDecoder::decodeInto(
-    const EncodedFrame &current,
-    const std::vector<const EncodedFrame *> &history, Image &out) const
+SoftwareDecoder::checkInputs(const EncodedFrame &current,
+                             const std::vector<const EncodedFrame *> &history)
 {
     current.checkConsistency();
     for (const EncodedFrame *f : history) {
@@ -168,24 +261,28 @@ SoftwareDecoder::decodeInto(
         RPX_ASSERT(f->width == current.width && f->height == current.height,
                    "history frame geometry mismatch");
     }
-    out.reinit(current.width, current.height, PixelFormat::Gray8,
-               config_.black_value);
-    decodeCoreInto(current, history, 0, current.height, out);
 }
 
 void
-SoftwareDecoder::decodeBandInto(
+SoftwareDecoder::decodeInto(
     const EncodedFrame &current,
-    const std::vector<const EncodedFrame *> &history, i32 y0, i32 y1,
-    Image &out) const
+    const std::vector<const EncodedFrame *> &history, Image &out) const
 {
-    RPX_ASSERT(out.width() == current.width &&
-                   out.height() == current.height &&
-                   out.format() == PixelFormat::Gray8,
-               "decodeBandInto output geometry mismatch");
-    RPX_ASSERT(y0 >= 0 && y0 <= y1 && y1 <= current.height,
-               "decodeBandInto band out of range");
-    decodeCoreInto(current, history, y0, y1, out);
+    checkInputs(current, history);
+    out.reinit(current.width, current.height, PixelFormat::Gray8,
+               config_.black_value);
+    decodeRows(current, history, 0, current.height, out, nullptr,
+               PlaneState::Black);
+}
+
+void
+SoftwareDecoder::decodeInto(
+    const EncodedFrame &current,
+    const std::vector<const EncodedFrame *> &history,
+    DecodedFrameCache &cache) const
+{
+    checkInputs(current, history);
+    decodeCached(current, history, /*history_complete=*/true, cache);
 }
 
 void
@@ -203,27 +300,85 @@ SoftwareDecoder::filterUsableHistory(
     }
 }
 
+bool
+SoftwareDecoder::validateInputs(
+    const EncodedFrame &current,
+    const std::vector<const EncodedFrame *> &history,
+    SwDecodeStatus &status) const
+{
+    if (!current.validate(&status.reason)) {
+        status.ok = false;
+        status.quarantined = true;
+        return false;
+    }
+    usable_.clear();
+    if (usable_.capacity() < history.size())
+        usable_.reserve(history.size());
+    filterUsableHistory(current, history, usable_, status.history_skipped);
+    return true;
+}
+
 SwDecodeStatus
 SoftwareDecoder::tryDecode(const EncodedFrame &current,
                            const std::vector<const EncodedFrame *> &history,
                            Image &out) const
 {
     SwDecodeStatus status;
-    std::string why;
-    if (!current.validate(&why)) {
-        status.ok = false;
-        status.quarantined = true;
-        status.reason = std::move(why);
+    if (!validateInputs(current, history, status))
         return status;
-    }
-    usable_.clear();
-    if (usable_.capacity() < history.size())
-        usable_.reserve(history.size());
-    filterUsableHistory(current, history, usable_, status.history_skipped);
     out.reinit(current.width, current.height, PixelFormat::Gray8,
                config_.black_value);
-    decodeCoreInto(current, usable_, 0, current.height, out);
+    decodeRows(current, usable_, 0, current.height, out, nullptr,
+               PlaneState::Black);
     return status;
+}
+
+SwDecodeStatus
+SoftwareDecoder::tryDecode(const EncodedFrame &current,
+                           const std::vector<const EncodedFrame *> &history,
+                           DecodedFrameCache &cache) const
+{
+    SwDecodeStatus status;
+    if (validateInputs(current, history, status))
+        decodeCached(current, usable_, status.history_skipped == 0, cache);
+    return status;
+}
+
+PlaneState
+DecodedFrameCache::prepare(const EncodedFrame &current,
+                           const std::vector<const EncodedFrame *> &history,
+                           bool history_complete,
+                           const SoftwareDecoder::Config &config)
+{
+    const bool same_layout = plane_.width() == current.width &&
+                            plane_.height() == current.height &&
+                            config.black_value == config_.black_value &&
+                            config.max_upscan == config_.max_upscan;
+    bool reuse = same_layout && history_complete && !history.empty() &&
+                 history.size() <= chain_.size();
+    for (size_t k = 0; reuse && k < history.size(); ++k)
+        reuse = chain_[k].frame == history[k] &&
+                chain_[k].index == history[k]->index;
+    if (!same_layout) {
+        plane_.reinit(current.width, current.height, PixelFormat::Gray8,
+                      config.black_value);
+        rows_.assign(static_cast<size_t>(current.height), DecodedRowState{});
+        config_ = config;
+    }
+    // Cleared until commit(), so a decode that throws leaves no frame.
+    chain_.clear();
+    if (!same_layout)
+        return PlaneState::Black;
+    return reuse ? PlaneState::Cached : PlaneState::Stale;
+}
+
+void
+DecodedFrameCache::commit(const EncodedFrame &current,
+                          const std::vector<const EncodedFrame *> &history)
+{
+    chain_.push_back({&current, current.index});
+    for (const EncodedFrame *f : history)
+        chain_.push_back({f, f->index});
 }
 
 } // namespace rpx

@@ -52,6 +52,10 @@ popTask(StageQueue &q, std::atomic<u64> &beat,
 
 FleetServer::FleetServer(const FleetConfig &config)
     : config_(config), obs_(std::make_unique<PipelineObs>(config.stream.obs)),
+      capture_q_(StageQueue::Order::Fifo, resolveMaxStreams(config)),
+      encode_q_(StageQueue::Order::Edf, resolveMaxStreams(config)),
+      store_q_(StageQueue::Order::Fifo, resolveMaxStreams(config)),
+      decode_q_(StageQueue::Order::Edf, resolveMaxStreams(config)),
       encode_engines_(config.encode_engines, "encode"),
       decode_engines_(config.decode_engines, "decode"),
       vision_(config.frame_sink),

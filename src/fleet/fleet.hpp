@@ -23,9 +23,9 @@
  * time (frame n+1 is submitted by frame n's completion). Consequences:
  *  - per-stream frame order is trivially preserved;
  *  - total in-flight tasks <= active streams <= max_streams, so no queue
- *    ever holds more than max_streams tasks; the queues are unbounded,
- *    a push never blocks, and the submit->capture->encode->store->
- *    decode->submit cycle cannot deadlock;
+ *    ever holds more than max_streams tasks; each queue is sized once to
+ *    max_streams, a push never blocks, and the submit->capture->encode->
+ *    store->decode->submit cycle cannot deadlock;
  *  - fleet memory is bounded by the per-stream contexts plus at most one
  *    in-flight frame per stream.
  *
@@ -361,10 +361,11 @@ class FleetServer
     std::unique_ptr<PipelineObs> obs_;
     std::unique_ptr<fault::ChaosInjector> chaos_; //!< null when disabled
 
-    StageQueue capture_q_{StageQueue::Order::Fifo};
-    StageQueue encode_q_{StageQueue::Order::Edf};
-    StageQueue store_q_{StageQueue::Order::Fifo};
-    StageQueue decode_q_{StageQueue::Order::Edf};
+    // Sized to max_streams: one frame in flight per live stream.
+    StageQueue capture_q_;
+    StageQueue encode_q_;
+    StageQueue store_q_;
+    StageQueue decode_q_;
     EnginePool encode_engines_;
     EnginePool decode_engines_;
 

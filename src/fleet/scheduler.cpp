@@ -6,6 +6,16 @@
 
 namespace rpx::fleet {
 
+StageQueue::StageQueue(Order order, size_t capacity)
+    : order_(order), capacity_(capacity)
+{
+    RPX_ASSERT(capacity > 0, "a stage queue needs a positive capacity");
+    if (order == Order::Fifo)
+        ring_.resize(capacity);
+    else
+        heap_.reserve(capacity);
+}
+
 bool
 StageQueue::laterThan(const FrameTask &a, const FrameTask &b)
 {
@@ -32,8 +42,10 @@ StageQueue::push(FrameTask task)
     {
         std::lock_guard<std::mutex> lock(mutex_);
         RPX_ASSERT(!closed_, "push into a closed stage queue");
+        RPX_ASSERT(sizeLocked() < capacity_, "push into a full stage queue");
         if (order_ == Order::Fifo) {
-            fifo_.push_back(std::move(task));
+            ring_[(ring_head_ + ring_count_) % capacity_] = std::move(task);
+            ++ring_count_;
         } else {
             heap_.push_back(std::move(task));
             std::push_heap(heap_.begin(), heap_.end(), laterThan);
@@ -49,8 +61,9 @@ StageQueue::takeLocked()
 {
     ++stats_.pops;
     if (order_ == Order::Fifo) {
-        FrameTask task = std::move(fifo_.front());
-        fifo_.pop_front();
+        FrameTask task = std::move(ring_[ring_head_]);
+        ring_head_ = (ring_head_ + 1) % capacity_;
+        --ring_count_;
         return task;
     }
     std::pop_heap(heap_.begin(), heap_.end(), laterThan);

@@ -9,15 +9,18 @@
  * That lets the stage graph shut down front to back without losing
  * in-flight work.
  *
- * The queue is unbounded and push() never blocks. It needs no bound: each
- * stream has at most one frame inside the graph, so no queue ever holds
- * more tasks than there are live streams (<= max_streams), and a push
- * that cannot block cannot deadlock the stage cycle. Pushing into a
- * closed queue is an invariant violation, not a shutdown signal: a
- * stage's queue closes only after every producer of it has exited.
+ * push() never blocks, and the queue's storage is sized once, at
+ * construction, for `capacity` tasks. Each stream has at most one frame
+ * inside the graph, so no queue ever holds more tasks than there are live
+ * streams (<= max_streams, the fleet's capacity), and a push that cannot
+ * block cannot deadlock the stage cycle. Pushing into a full or a closed
+ * queue is an invariant violation, not back-pressure or a shutdown
+ * signal: a stage's queue closes only after every producer of it has
+ * exited. With storage that never grows, a steady-state push or pop
+ * allocates nothing.
  *
  * Only the pop order differs between queues:
- *  - Fifo: arrival order (capture and store);
+ *  - Fifo: arrival order (capture and store), a ring over the storage;
  *  - Edf: earliest deadline first (encode and decode), so when streams
  *    outnumber engines the engines always serve the frames closest to
  *    missing their deadlines — classic EDF, optimal for a single
@@ -31,7 +34,6 @@
 
 #include <chrono>
 #include <condition_variable>
-#include <deque>
 #include <mutex>
 #include <optional>
 #include <vector>
@@ -47,19 +49,20 @@ struct StageQueueStats {
     u64 high_water = 0; //!< peak occupancy
 };
 
-/** Blocking, unbounded FrameTask queue between two fleet stages. */
+/** Blocking FrameTask queue of fixed capacity between two fleet stages. */
 class StageQueue
 {
   public:
     /** Pop order of a queue. */
     enum class Order { Fifo, Edf };
 
-    explicit StageQueue(Order order) : order_(order) {}
+    /** A queue that holds at most `capacity` (>= 1) tasks. */
+    StageQueue(Order order, size_t capacity);
 
     StageQueue(const StageQueue &) = delete;
     StageQueue &operator=(const StageQueue &) = delete;
 
-    /** Enqueue without blocking; the queue must still be open. */
+    /** Enqueue without blocking; the queue must be open and not full. */
     void push(FrameTask task);
 
     /**
@@ -88,15 +91,17 @@ class StageQueue
     /** True when a should run *after* b (max-heap comparator → EDF pop). */
     static bool laterThan(const FrameTask &a, const FrameTask &b);
     FrameTask takeLocked();
-    size_t sizeLocked() const { return fifo_.size() + heap_.size(); }
+    size_t sizeLocked() const { return ring_count_ + heap_.size(); }
 
     const Order order_;
+    const size_t capacity_;
     mutable std::mutex mutex_;
     std::condition_variable not_empty_;
-    // One of the two holds the tasks, by order_. The EDF heap is a vector:
-    // it allocates nothing once grown, where a deque would allocate a node
-    // per push (a FrameTask fills a node on its own).
-    std::deque<FrameTask> fifo_;
+    // One of the two holds the tasks, by order_: a ring of capacity_
+    // slots (the next pop at ring_head_) or a heap reserved to capacity_.
+    std::vector<FrameTask> ring_;
+    size_t ring_head_ = 0;
+    size_t ring_count_ = 0;
     std::vector<FrameTask> heap_;
     bool closed_ = false;
     StageQueueStats stats_;

@@ -186,11 +186,13 @@ DecodeStage::run(FrameTask &task) const
     PipelineFrameResult &result = task.result;
 
     // 4. Decode the full frame for the application with the software
-    //    decoder. The PMMU transaction decoder (RhythmicDecoder) is not a
-    //    fleet stage: VisionPipeline builds one over the stream's frame
-    //    store for per-transaction requests. The graceful path validates
-    //    the stored frame and, when it is quarantined, serves the last
-    //    good image (or black before any good frame exists).
+    //    decoder, refreshing the stream's decoded-frame cache in place
+    //    and copying it out. The PMMU transaction decoder
+    //    (RhythmicDecoder) is not a fleet stage: VisionPipeline builds
+    //    one over the stream's frame store for per-transaction requests.
+    //    The graceful path validates the stored frame and, when it is
+    //    quarantined, serves the last good image (or black before any
+    //    good frame exists).
     std::vector<const EncodedFrame *> history;
     for (size_t k = 1; k < s.store().size(); ++k)
         history.push_back(s.store().recent(k));
@@ -199,19 +201,18 @@ DecodeStage::run(FrameTask &task) const
                                    "decode", "pipeline",
                                    obs::TraceLane::Decoder, task.index,
                                    tele ? &task.lat_decode : nullptr);
-        if (cfg.fault.graceful) {
-            SwDecodeStatus st = s.swDecoder().tryDecode(
-                *s.store().recent(0), history, result.decoded);
-            if (st.quarantined) {
-                result.quarantined = true;
-                holdLastGood(task);
-            } else {
-                s.setLastGood(result.decoded);
-            }
-        } else {
-            result.decoded =
-                s.swDecoder().decode(*s.store().recent(0), history);
-        }
+        DecodedFrameCache &cache = s.decodedFrame();
+        if (cfg.fault.graceful)
+            result.quarantined =
+                s.swDecoder()
+                    .tryDecode(*s.store().recent(0), history, cache)
+                    .quarantined;
+        else
+            s.swDecoder().decodeInto(*s.store().recent(0), history, cache);
+        if (result.quarantined)
+            holdLastGood(task);
+        else
+            result.decoded = cache.image();
     }
 
     // 4b. Deadline verdict: a real wall-clock overrun (per-pipeline
@@ -240,10 +241,11 @@ holdLastGood(FrameTask &task)
 {
     StreamContext &s = *task.stream;
     const PipelineConfig &cfg = s.config();
+    const DecodedFrameCache &cache = s.decodedFrame();
     task.result.held_last_good = true;
     task.result.decoded =
-        s.haveLastGood()
-            ? s.lastGood()
+        cache.holdsFrame()
+            ? cache.image()
             : Image(cfg.width, cfg.height, PixelFormat::Gray8, 0);
 }
 

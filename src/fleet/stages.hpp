@@ -128,8 +128,9 @@ class DecodeStage
 };
 
 /**
- * Serve the hold-last-good image as the frame's result: the last frame
- * that decoded cleanly, or black before there is one.
+ * Serve the hold-last-good image as the frame's result: the stream's
+ * decoded-frame cache, which holds the last frame that decoded cleanly,
+ * or black before there is one.
  */
 void holdLastGood(FrameTask &task);
 

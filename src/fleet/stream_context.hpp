@@ -6,8 +6,8 @@
  * DRAM→decoder chain into one class. The fleet refactor splits that into
  *  - StreamContext: everything a camera stream *owns* — its sensor/ISP
  *    models, region registers and runtime, rhythm state, framebuffer ring
- *    shard (FrameStore + DramModel), software decoder, traffic/energy
- *    accounting, resilience ladder, and telemetry label; and
+ *    shard (FrameStore + DramModel), software decoder and its decoded-
+ *    frame cache, traffic/energy accounting, resilience ladder, and telemetry label; and
  *  - the stage objects in stages.hpp, which are stateless and operate on
  *    any StreamContext, so a bounded pool of engine workers can time-share
  *    them across thousands of streams (fleet.hpp).
@@ -271,14 +271,11 @@ class StreamContext
     PipelineObs *sharedObs() { return shared_; }
     obs::TelemetrySink *telemetry() { return config_.telemetry; }
 
-    /** Hold-last-good fallback image state (graceful decode path). */
-    Image &lastGood() { return last_good_; }
-    bool haveLastGood() const { return have_last_good_; }
-    void setLastGood(const Image &img)
-    {
-        last_good_ = img;
-        have_last_good_ = true;
-    }
+    /**
+     * The stream's decoded frame: the decode stage refreshes it in place
+     * and copies it out, and hold-last-good serves it.
+     */
+    DecodedFrameCache &decodedFrame() { return decoded_; }
 
   private:
     PipelineConfig config_;
@@ -295,14 +292,13 @@ class StreamContext
     std::unique_ptr<RhythmicEncoder> encoder_;
     std::unique_ptr<FrameStore> store_;
     std::unique_ptr<ParallelDecoder> sw_decoder_;
+    DecodedFrameCache decoded_;
     TrafficSummary traffic_;
     FrameIndex next_frame_ = 0;
 
     // Resilience machinery; null unless enabled.
     std::unique_ptr<fault::FaultInjector> injector_;
     std::unique_ptr<fault::DegradationController> degrade_;
-    Image last_good_;
-    bool have_last_good_ = false;
 
     PipelineObs *shared_ = nullptr;
 };

@@ -226,6 +226,62 @@ TEST(Simd, HammingRowMatchesReferenceAtEveryLevel)
  * lengths, and a payload that ends exactly at the row's last R, so a
  * 16-byte payload load past its end would read out of bounds.
  */
+/**
+ * The cached-row refresh at every level against a per-column spelling of
+ * its rule: R and St take the value, N turns black, Sk keeps the old
+ * byte. Runs of one code (all sampled, all Sk) take the kernels' whole-
+ * vector shortcuts; the byte past `count` must stay untouched.
+ */
+TEST(Simd, RefreshRowMatchesRuleAtEveryLevel)
+{
+    Rng rng(66);
+    for (const size_t count : {size_t{0}, size_t{1}, size_t{7}, size_t{8},
+                               size_t{15}, size_t{16}, size_t{17},
+                               size_t{33}, size_t{1920}}) {
+        for (const int mix : {0, 1, 2, 3}) {
+            // 0: random codes; 1: all St/R; 2: all Sk; 3: runs of 16.
+            std::vector<u8> codes(count);
+            for (size_t i = 0; i < count; ++i) {
+                const int run = static_cast<int>(i / 16) % 4;
+                codes[i] = mix == 0   ? static_cast<u8>(rng.uniformInt(0, 3))
+                           : mix == 1 ? static_cast<u8>(rng.uniformInt(0, 1) * 2 + 1)
+                           : mix == 2 ? u8{2}
+                                      : static_cast<u8>(run);
+            }
+            std::vector<u8> value(count), before(count + 1);
+            for (u8 &b : value)
+                b = static_cast<u8>(rng.uniformInt(0, 255));
+            for (u8 &b : before)
+                b = static_cast<u8>(rng.uniformInt(0, 255));
+            const u8 black = 9;
+            std::vector<u8> want = before;
+            RefreshCounts want_counts;
+            for (size_t i = 0; i < count; ++i) {
+                if ((codes[i] & 1) != 0) {
+                    want[i] = value[i];
+                    ++want_counts.sampled;
+                } else if (codes[i] == 0) {
+                    want[i] = black;
+                    ++want_counts.n;
+                }
+            }
+            for (const Level level : supportedLevels()) {
+                ScopedLevel guard(level);
+                ASSERT_TRUE(guard.ok()) << levelName(level);
+                const std::string where = std::string(levelName(level)) +
+                                          " count=" + std::to_string(count) +
+                                          " mix=" + std::to_string(mix);
+                std::vector<u8> out = before;
+                const RefreshCounts got = refreshRow(
+                    codes.data(), value.data(), count, black, out.data());
+                EXPECT_EQ(out, want) << where;
+                EXPECT_EQ(got.sampled, want_counts.sampled) << where;
+                EXPECT_EQ(got.n, want_counts.n) << where;
+            }
+        }
+    }
+}
+
 TEST(Simd, ExpandSourcesMatchesScalarAtEveryLevel)
 {
     Rng rng(55);

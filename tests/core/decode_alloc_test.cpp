@@ -7,8 +7,8 @@
  * scratch (source carries, the RhythmicDecoder's scratchpad slots and
  * frame arena) — repeated decodes of same-geometry frames perform ZERO heap
  * allocations: SoftwareDecoder::decodeInto, ParallelDecoder (threads=1,
- * and the band decodes of threads=2), and
- * RhythmicDecoder::requestPixelsInto alike.
+ * and the band decodes of threads=2), cached decodes through a
+ * DecodedFrameCache, and RhythmicDecoder::requestPixelsInto alike.
  *
  * The hooks are process-global, which is exactly why this suite lives in
  * its own binary: no other test sees the counting allocator, and gtest's
@@ -195,6 +195,82 @@ TEST(DecodeAlloc, FoveatedHistoryDecodeAllocatesNothingWarm)
     decodeRound();
     EXPECT_EQ(workerAllocationCount() - before, 0u)
         << "warm foveated band decodes must not touch the heap";
+}
+
+/**
+ * Cached decodes (DecodedFrameCache) of a same-geometry foveated
+ * sequence, each frame over the three frames before it as a FrameStore
+ * would hand them out: the first decode sizes the cache, the carries and
+ * the scratch, and every later one allocates nothing — serial, through
+ * ParallelDecoder's serial path, and in the band decodes of threads = 2
+ * (whose fan-out allocates on the submitting thread only). The graceful
+ * path is covered too: a quarantined frame, the hold-last-good copy of
+ * the cache into a warm image, and the fallback decode after it.
+ */
+TEST(DecodeAlloc, CachedSequenceDecodeAllocatesNothingAfterFirstFrame)
+{
+    const i32 w = 96, h = 72;
+    RhythmicEncoder enc(w, h);
+    std::vector<RegionLabel> labels = {{0, 0, w, h, 4, 2, 0},
+                                       {24, 16, 32, 24, 1, 1, 0}};
+    sortRegionsByY(labels);
+    enc.setRegionLabels(labels);
+    std::vector<EncodedFrame> frames;
+    for (FrameIndex t = 0; t < 12; ++t)
+        frames.push_back(enc.encodeFrame(noiseFrame(w, h, 61 + t), t));
+    frames[9].pixels.pop_back(); // quarantined: payload disagrees
+
+    std::vector<const EncodedFrame *> history;
+    history.reserve(3);
+    const auto historyOf = [&](size_t newest) {
+        history.clear();
+        for (size_t k = 1; k <= 3; ++k)
+            history.push_back(&frames[newest - k]);
+    };
+
+    t_counts_as_main = true;
+    const SoftwareDecoder serial;
+    ParallelDecoder inline_dec; // threads = 1
+    ParallelDecoder::Config pcfg;
+    pcfg.threads = 2;
+    pcfg.min_band_rows = 4;
+    ParallelDecoder banded(pcfg);
+    DecodedFrameCache serial_cache, inline_cache, banded_cache;
+    Image held(w, h);
+
+    historyOf(3); // the first frame: sizes everything
+    serial.decodeInto(frames[3], history, serial_cache);
+    inline_dec.decodeInto(frames[3], history, inline_cache);
+    banded.decodeInto(frames[3], history, banded_cache);
+
+    const unsigned long long worker_before = workerAllocationCount();
+    for (size_t t = 4; t < frames.size(); ++t) {
+        historyOf(t);
+        const SwDecodeStatus st =
+            serial.tryDecode(frames[t], history, serial_cache);
+        EXPECT_EQ(st.quarantined, t == 9);
+        inline_dec.tryDecode(frames[t], history, inline_cache);
+        banded.tryDecode(frames[t], history, banded_cache);
+        held = serial_cache.image(); // the copy-out / hold-last-good
+    }
+    EXPECT_EQ(workerAllocationCount() - worker_before, 0u)
+        << "warm cached band decodes must not touch the heap";
+    EXPECT_EQ(held, banded_cache.image());
+
+    // The serial paths alone, measured on the main thread.
+    historyOf(3);
+    serial.decodeInto(frames[3], history, serial_cache);
+    inline_dec.decodeInto(frames[3], history, inline_cache);
+    const unsigned long long before = allocationCount();
+    for (size_t t = 4; t < frames.size(); ++t) {
+        historyOf(t);
+        serial.tryDecode(frames[t], history, serial_cache);
+        inline_dec.tryDecode(frames[t], history, inline_cache);
+        held = inline_cache.image();
+    }
+    EXPECT_EQ(allocationCount() - before, 0u)
+        << "warm cached serial decodes must not touch the heap";
+    EXPECT_EQ(held, serial_cache.image());
 }
 
 TEST(DecodeAlloc, RhythmicDecoderTransactionsAllocateNothingWarm)

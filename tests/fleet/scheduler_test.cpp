@@ -8,12 +8,16 @@
 #include <thread>
 #include <vector>
 
+#include "../common/counting_allocator.hpp"
 #include "fleet/scheduler.hpp"
 
 namespace rpx::fleet {
 namespace {
 
 using Order = StageQueue::Order;
+
+/** Capacity of the queues that hold a handful of tasks. */
+constexpr size_t kSmall = 16;
 
 FrameTask
 taskWithDeadline(u64 index, std::chrono::milliseconds offset)
@@ -35,7 +39,7 @@ taskNoDeadline(u64 index)
 
 TEST(StageQueue, FifoOrderAndStats)
 {
-    StageQueue q(Order::Fifo);
+    StageQueue q(Order::Fifo, kSmall);
     q.push(taskNoDeadline(2));
     q.push(taskNoDeadline(0));
     q.push(taskNoDeadline(1));
@@ -53,7 +57,7 @@ TEST(StageQueue, FifoOrderAndStats)
 
 TEST(StageQueue, PopsEarliestDeadlineFirst)
 {
-    StageQueue q(Order::Edf);
+    StageQueue q(Order::Edf, kSmall);
     q.push(taskWithDeadline(0, std::chrono::milliseconds(30)));
     q.push(taskWithDeadline(1, std::chrono::milliseconds(10)));
     q.push(taskWithDeadline(2, std::chrono::milliseconds(20)));
@@ -65,7 +69,7 @@ TEST(StageQueue, PopsEarliestDeadlineFirst)
 
 TEST(StageQueue, DeadlinelessTasksPopInFrameOrder)
 {
-    StageQueue q(Order::Edf);
+    StageQueue q(Order::Edf, kSmall);
     q.push(taskNoDeadline(2));
     q.push(taskNoDeadline(0));
     q.push(taskNoDeadline(1));
@@ -76,7 +80,7 @@ TEST(StageQueue, DeadlinelessTasksPopInFrameOrder)
 
 TEST(StageQueue, UrgentArrivalJumpsTheQueue)
 {
-    StageQueue q(Order::Edf);
+    StageQueue q(Order::Edf, kSmall);
     q.push(taskWithDeadline(0, std::chrono::milliseconds(50)));
     q.push(taskWithDeadline(1, std::chrono::milliseconds(40)));
     EXPECT_EQ(q.pop()->index, 1);
@@ -96,7 +100,7 @@ TEST(StageQueue, UrgentArrivalJumpsTheQueue)
 void
 closeDrainsInOrderThenReturnsNullopt(Order order)
 {
-    StageQueue q(order);
+    StageQueue q(order, kSmall);
     q.push(taskWithDeadline(0, std::chrono::milliseconds(9)));
     q.push(taskWithDeadline(1, std::chrono::milliseconds(3)));
     q.close();
@@ -126,7 +130,7 @@ TEST(EdfQueue, CloseDrainsThenReturnsNullopt)
 void
 pushRefusedAfterClose(Order order)
 {
-    StageQueue q(order);
+    StageQueue q(order, kSmall);
     q.push(taskNoDeadline(0));
     q.close();
     EXPECT_THROW(q.push(taskNoDeadline(1)), std::runtime_error);
@@ -134,6 +138,37 @@ pushRefusedAfterClose(Order order)
     EXPECT_EQ(q.stats().pushes, 1u);
     EXPECT_EQ(q.pop()->index, 0);
     EXPECT_FALSE(q.pop().has_value());
+}
+
+/**
+ * A queue is sized to the tasks that can be in flight, so a push into a
+ * full queue is an invariant violation too: refused, queue unchanged.
+ * The ring wraps around its storage in arrival order.
+ */
+void
+pushRefusedWhenFull(Order order)
+{
+    StageQueue q(order, 3);
+    for (u64 i = 0; i < 3; ++i)
+        q.push(taskNoDeadline(i));
+    EXPECT_THROW(q.push(taskNoDeadline(3)), std::runtime_error);
+    EXPECT_EQ(q.size(), 3u);
+    for (u64 i = 3; i < 8; ++i) { // wrap: pop one, push one
+        EXPECT_EQ(q.pop()->index, static_cast<FrameIndex>(i - 3));
+        q.push(taskNoDeadline(i));
+    }
+    for (u64 i = 5; i < 8; ++i)
+        EXPECT_EQ(q.pop()->index, static_cast<FrameIndex>(i));
+}
+
+TEST(MpmcQueue, PushRefusedWhenFull)
+{
+    pushRefusedWhenFull(Order::Fifo);
+}
+
+TEST(EdfQueue, PushRefusedWhenFull)
+{
+    pushRefusedWhenFull(Order::Edf);
 }
 
 TEST(MpmcQueue, PushForRefusedAfterClose)
@@ -148,7 +183,7 @@ TEST(EdfQueue, PushForRefusedAfterClose)
 
 TEST(StageQueue, CloseIsIdempotent)
 {
-    StageQueue q(Order::Fifo);
+    StageQueue q(Order::Fifo, kSmall);
     q.close();
     q.close();
     EXPECT_TRUE(q.closed());
@@ -158,7 +193,7 @@ TEST(StageQueue, CloseIsIdempotent)
 void
 closeWakesBlockedConsumer(Order order)
 {
-    StageQueue q(order);
+    StageQueue q(order, kSmall);
     std::thread consumer([&q] { EXPECT_FALSE(q.pop().has_value()); });
     q.close();
     consumer.join();
@@ -177,7 +212,7 @@ TEST(EdfQueue, CloseWakesBlockedConsumer)
 void
 popForTimesOutOnEmptyQueue(Order order)
 {
-    StageQueue q(order);
+    StageQueue q(order, kSmall);
     EXPECT_FALSE(q.popFor(std::chrono::microseconds(1000)).has_value());
     EXPECT_FALSE(q.closed());
 }
@@ -195,7 +230,7 @@ TEST(EdfQueue, PopForTimesOutOnEmptyQueue)
 void
 popForPopsInQueueOrder(Order order)
 {
-    StageQueue q(order);
+    StageQueue q(order, kSmall);
     q.push(taskWithDeadline(0, std::chrono::milliseconds(9)));
     q.push(taskWithDeadline(1, std::chrono::milliseconds(3)));
     q.push(taskWithDeadline(2, std::chrono::milliseconds(6)));
@@ -217,7 +252,7 @@ TEST(EdfQueue, PopForStillPopsEarliestDeadlineFirst)
 void
 popForDrainsAfterClose(Order order)
 {
-    StageQueue q(order);
+    StageQueue q(order, kSmall);
     q.push(taskNoDeadline(5));
     q.close();
     EXPECT_EQ(q.popFor(std::chrono::microseconds(1000))->index, 5);
@@ -257,7 +292,7 @@ TEST(StageQueue, ContentionStressConservesTasks)
     constexpr int kProducers = 4;
     constexpr int kConsumers = 4;
     constexpr int kPerProducer = 2000;
-    StageQueue q(Order::Fifo);
+    StageQueue q(Order::Fifo, size_t{kProducers} * kPerProducer);
 
     std::vector<std::thread> producers;
     for (int p = 0; p < kProducers; ++p) {
@@ -294,8 +329,8 @@ TEST(StageQueue, ContentionStressConservesTasks)
 /** A FIFO queue keeps one producer's order even under contention. */
 TEST(StageQueue, ContentionPreservesPerProducerOrder)
 {
-    StageQueue q(Order::Fifo);
     constexpr int kCount = 5000;
+    StageQueue q(Order::Fifo, kCount);
     std::thread producer([&q] {
         for (int i = 0; i < kCount; ++i)
             q.push(taskNoDeadline(static_cast<u64>(i)));
@@ -323,7 +358,7 @@ timedOpsContentionConservesTasks(Order order)
     constexpr int kProducers = 2;
     constexpr int kConsumers = 2;
     constexpr int kPerProducer = 800;
-    StageQueue q(order);
+    StageQueue q(order, size_t{kProducers} * kPerProducer);
 
     std::vector<std::thread> producers;
     for (int p = 0; p < kProducers; ++p) {
@@ -371,6 +406,48 @@ TEST(MpmcQueue, TimedOpsContentionConservesElements)
 TEST(EdfQueue, TimedOpsContentionConservesTasks)
 {
     timedOpsContentionConservesTasks(Order::Edf);
+}
+
+/**
+ * The queue's storage is sized once: after a first round has moved real
+ * buffers through the slots, steady-state pushes and pops allocate
+ * nothing, in either order (the counting allocator is linked into this
+ * binary).
+ */
+void
+steadyStatePushPopAllocatesNothing(Order order)
+{
+    StageQueue q(order, 8);
+    const auto round = [&q](u64 base) {
+        for (u64 i = 0; i < 6; ++i)
+            q.push(taskNoDeadline(base + i));
+        for (u64 i = 0; i < 6; ++i)
+            ASSERT_TRUE(q.tryPop().has_value());
+    };
+    round(0);
+    std::vector<FrameTask> tasks(6);
+    for (u64 i = 0; i < tasks.size(); ++i)
+        tasks[i] = taskNoDeadline(100 + i);
+    const unsigned long long before = test::allocationCount();
+    for (FrameTask &t : tasks)
+        q.push(std::move(t));
+    for (size_t i = 0; i < tasks.size(); ++i) {
+        std::optional<FrameTask> t = q.pop();
+        ASSERT_TRUE(t.has_value());
+        tasks[i] = std::move(*t);
+    }
+    round(200);
+    EXPECT_EQ(test::allocationCount() - before, 0u);
+}
+
+TEST(MpmcQueue, SteadyStatePushPopAllocatesNothing)
+{
+    steadyStatePushPopAllocatesNothing(Order::Fifo);
+}
+
+TEST(EdfQueue, SteadyStatePushPopAllocatesNothing)
+{
+    steadyStatePushPopAllocatesNothing(Order::Edf);
 }
 
 } // namespace

@@ -74,6 +74,41 @@ TEST(Pipeline, TemporalSkipServedFromHistory)
     EXPECT_EQ(f1.decoded, scene);
 }
 
+/**
+ * Measured decode reads on the hd_foveated layout (a stride-1 fovea over
+ * a stride-4, skip-2 periphery at 1080p): once the stream's decoded-frame
+ * cache is warm, a decode reads no history frame, and what it reads of
+ * the current frame — payload, mask and row offsets — is exactly the
+ * read side the traffic ledger books: bytes_read plus the one metadata
+ * copy of the decode (traffic.metadata_bytes books the store's copy and
+ * the decode's).
+ */
+TEST(Pipeline, HdFoveatedDecodeReadsOnlyTheLedgersBytes)
+{
+    PipelineConfig pc;
+    pc.width = 1920;
+    pc.height = 1080;
+    VisionPipeline pipeline(pc);
+    std::vector<RegionLabel> labels = {{0, 0, 1920, 1080, 4, 2, 0},
+                                       {720, 404, 480, 272, 1, 1, 0}};
+    sortRegionsByY(labels);
+    pipeline.runtime().setRegionLabels(labels);
+    const ParallelDecoder &dec = pipeline.streamContext().swDecoder();
+    for (int t = 0; t < 6; ++t) {
+        const auto r = pipeline.processFrame(
+            testScene(1920, 1080, 40 + static_cast<u64>(t)));
+        const Bytes metadata = pipeline.frameStore().recent(0)->metadataBytes();
+        EXPECT_EQ(r.traffic.metadata_bytes, 2 * metadata) << "t=" << t;
+        EXPECT_EQ(dec.lastCurrentBytesRead(),
+                  r.traffic.bytes_read + metadata)
+            << "t=" << t;
+        if (t > 0) {
+            EXPECT_EQ(dec.lastHistoryBytesRead(), 0u) << "t=" << t;
+        }
+        EXPECT_EQ(dec.lastHistoryFills() > 0, t % 2 == 1) << "t=" << t;
+    }
+}
+
 TEST(Pipeline, TrafficSummaryAccumulates)
 {
     VisionPipeline pipeline(smallPipeline());

@@ -1,10 +1,11 @@
 /**
  * @file
- * End-to-end checks of the shipped rpx_cli binary. Each case runs the CLI
- * as a child process in its own output directory, then parses what it
- * wrote with rpx::json and obs::readJournalFile: the telemetry journal
- * must reconcile with the metrics snapshot and the fleet report, and a
- * malformed command line must be rejected rather than ignored.
+ * End-to-end checks of the shipped rpx_cli and rpx_soak binaries. Each
+ * case runs one as a child process in its own output directory, then
+ * parses what it wrote with rpx::json and obs::readJournalFile: the
+ * telemetry journal must reconcile with the metrics snapshot and the
+ * fleet report, a malformed command line must be rejected rather than
+ * ignored, and a soak report must land where asked or fail up front.
  */
 
 #include <gtest/gtest.h>
@@ -40,16 +41,22 @@ freshOutDir()
 }
 
 /**
- * Run `rpx_cli <args>` with `dir` as the working directory, capturing
+ * Run `<binary> <args>` with `dir` as the working directory, capturing
  * stdout and stderr in dir/cli.log. Returns the exit status.
  */
 int
-runCli(const fs::path &dir, const std::string &args)
+runTool(const char *binary, const fs::path &dir, const std::string &args)
 {
-    const std::string cmd = "cd '" + dir.string() + "' && '" RPX_CLI_PATH
+    const std::string cmd = "cd '" + dir.string() + "' && '" + binary +
                             "' " + args + " > cli.log 2>&1";
     const int status = std::system(cmd.c_str());
     return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+int
+runCli(const fs::path &dir, const std::string &args)
+{
+    return runTool(RPX_CLI_PATH, dir, args);
 }
 
 std::string
@@ -188,6 +195,34 @@ TEST(Smoke, CliRejectsDanglingFlag)
     EXPECT_NE(readFile(dir / "cli.log")
                   .find("flag --journal-out needs a value"),
               std::string::npos);
+}
+
+/** A short soak: 4 streams for 0.2 simulated seconds. */
+const std::string kShortSoak = "--streams 4 --duration 0.2 --fps 30 ";
+
+TEST(Smoke, SoakReportCreatesMissingDirectory)
+{
+    const fs::path dir = freshOutDir();
+    EXPECT_EQ(runTool(RPX_SOAK_PATH, dir,
+                      kShortSoak + "--out-dir D --report D/r.json"),
+              0)
+        << readFile(dir / "cli.log");
+    const json::Value report = readJson(dir / "D" / "r.json");
+    EXPECT_TRUE(report.at("ok").boolean());
+}
+
+TEST(Smoke, SoakUnwritableReportFailsBeforeRunning)
+{
+    const fs::path dir = freshOutDir();
+    std::ofstream(dir / "file") << "not a directory";
+    EXPECT_EQ(runTool(RPX_SOAK_PATH, dir, kShortSoak + "--report file/r.json"),
+              1);
+    const std::string log = readFile(dir / "cli.log");
+    EXPECT_NE(log.find("error: cannot write report: file/r.json"),
+              std::string::npos)
+        << log;
+    EXPECT_EQ(log.find("rpx_soak:"), std::string::npos)
+        << "the soak must not run: " << log;
 }
 
 } // namespace

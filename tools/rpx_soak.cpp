@@ -16,16 +16,19 @@
  *
  * --duration is *simulated* seconds per stream slot (frames = duration *
  * fps), replayed as fast as the host allows. --out-dir writes the report
- * as DIR/BENCH_soak.json, the name trend_compare scans for. The same
+ * as DIR/BENCH_soak.json, the name trend_compare scans for. The report's
+ * directory is created and the report opened before the soak runs, so an
+ * unwritable report fails at once instead of after the soak. The same
  * --seed reproduces the same model quantities (frames, faults, churn
  * schedule) on every run and platform.
  *
- * Exit status: 0 = soak passed, 1 = invariant violation or stream
- * errors, 2 = usage/setup error.
+ * Exit status: 0 = soak passed, 1 = invariant violation, stream errors
+ * or an unwritable report, 2 = usage/setup error.
  */
 
-#include <iostream>
+#include <filesystem>
 #include <fstream>
+#include <iostream>
 #include <string>
 
 #include "obs/bench_report.hpp"
@@ -105,6 +108,27 @@ main(int argc, char **argv)
             usage();
     }
 
+    std::ofstream report;
+    if (!report_path.empty() || !out_dir.empty()) {
+        try {
+            if (report_path.empty())
+                report_path = rpx::obs::benchReportPath(out_dir, "soak");
+            const std::filesystem::path parent =
+                std::filesystem::path(report_path).parent_path();
+            if (!parent.empty())
+                std::filesystem::create_directories(parent);
+            report.open(report_path);
+        } catch (const std::filesystem::filesystem_error &) {
+            // Reported below, as an unopened report.
+        }
+        if (!report.is_open()) {
+            std::cerr << "error: cannot write report: "
+                      << (report_path.empty() ? out_dir : report_path)
+                      << "\n";
+            return 1;
+        }
+    }
+
     try {
         const rpx::soak::SoakResult res = rpx::soak::runSoak(opts);
 
@@ -133,16 +157,14 @@ main(int argc, char **argv)
         for (const std::string &v : res.violations)
             std::cout << "  VIOLATION: " << v << "\n";
 
-        if (!out_dir.empty() && report_path.empty())
-            report_path = rpx::obs::benchReportPath(out_dir, "soak");
-        if (!report_path.empty()) {
-            std::ofstream os(report_path);
-            if (!os) {
+        if (report.is_open()) {
+            report << rpx::soak::toJson(res);
+            report.close();
+            if (!report) {
                 std::cerr << "error: cannot write report: " << report_path
                           << "\n";
-                return 2;
+                return 1;
             }
-            os << rpx::soak::toJson(res);
             std::cout << "  report: " << report_path << "\n";
         }
 
