@@ -28,6 +28,7 @@
 #include "fleet/fleet.hpp"
 #include "frame/draw.hpp"
 #include "sim/pipeline.hpp"
+#include "../obs/outcome_metrics.hpp"
 
 namespace rpx::fleet {
 namespace {
@@ -387,6 +388,10 @@ TEST(Fleet, ChurnUnderFaultInjectionConservesTelemetry)
               static_cast<u64>(meta));
     EXPECT_EQ(rep.quarantined, quarantined);
     EXPECT_EQ(rep.transient_faults, transients);
+    // Every outcome counter, energy gauge and degrade.* outcome counter
+    // reconciles with the journal under faults and churn.
+    expectOutcomeMetricsMatchJournal(registryLookup(obs.registry()),
+                                     sink.frames(), /*ladder=*/true);
 }
 
 /**
@@ -704,6 +709,10 @@ TEST_P(FleetConservation, PerStreamTotalsSumToRegistryCounters)
     EXPECT_EQ(rep.bytes_written, sum.bytes_written);
     EXPECT_EQ(rep.bytes_read, sum.bytes_read);
     EXPECT_EQ(rep.metadata_bytes, sum.metadata_bytes);
+    // Every outcome counter and energy gauge, record by record; without
+    // deadlines or faults no stream builds a ladder.
+    expectOutcomeMetricsMatchJournal(registryLookup(r), sink.frames(),
+                                     /*ladder=*/false);
 }
 
 INSTANTIATE_TEST_SUITE_P(SerialAndParallel, FleetConservation,

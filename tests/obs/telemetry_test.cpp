@@ -26,6 +26,7 @@
 #include "frame/draw.hpp"
 #include "obs/obs.hpp"
 #include "obs/telemetry.hpp"
+#include "outcome_metrics.hpp"
 #include "sim/pipeline.hpp"
 
 namespace rpx {
@@ -145,8 +146,8 @@ TEST(PipelineTelemetry, RegionSumsAndRegistryReconcile)
                     1e-9);
     }
 
-    // Sink totals reconcile with the PerfRegistry counters the pipeline
-    // maintains independently of the telemetry path.
+    // Sink totals reconcile with the PerfRegistry counters, which are
+    // published from the pipeline's frame ledger after every frame.
     const obs::TelemetryTotals totals = sink.totals();
     const auto counter = [&](const char *name) {
         return static_cast<u64>(ctx.registry().counter(name).value());
@@ -163,6 +164,10 @@ TEST(PipelineTelemetry, RegionSumsAndRegistryReconcile)
     EXPECT_NEAR(totals.energy_total_nj,
                 ctx.registry().gauge("pipeline.energy_total_nj").value(),
                 1e-6 * (1.0 + totals.energy_total_nj));
+    // Every outcome counter and energy gauge, record by record; no
+    // ladder is built, so no degrade.* outcome counter exists.
+    expectOutcomeMetricsMatchJournal(registryLookup(ctx.registry()), frames,
+                                     /*ladder=*/false);
 }
 
 TEST(PipelineTelemetry, JournalRoundTripsThroughJsonl)
@@ -381,6 +386,10 @@ TEST(PipelineTelemetry, FaultInjectionFramesStayAttributed)
         EXPECT_EQ(kept, ft.pixels_kept) << "frame " << ft.index;
     }
     EXPECT_EQ(recorded_quarantined, quarantined);
+    // Fault tallies, energy and the ladder's degrade.* outcome counters
+    // all agree with the journal.
+    expectOutcomeMetricsMatchJournal(registryLookup(ctx.registry()),
+                                     sink.frames(), /*ladder=*/true);
 }
 
 } // namespace

@@ -22,6 +22,7 @@
 
 #include "common/json.hpp"
 #include "obs/telemetry.hpp"
+#include "../obs/outcome_metrics.hpp"
 
 namespace rpx {
 namespace {
@@ -81,6 +82,18 @@ metric(const json::Value &snapshot, const std::string &name)
     return snapshot.at("metrics").at(name).at("value").number();
 }
 
+/** Look metrics up in a --metrics-out JSON snapshot. */
+MetricLookup
+snapshotLookup(const json::Value &snapshot)
+{
+    return [&snapshot](const std::string &name) -> std::optional<double> {
+        const json::Value *m = snapshot.at("metrics").find(name);
+        if (!m)
+            return std::nullopt;
+        return m->at("value").number();
+    };
+}
+
 /** Journal byte sums equal the registry's pipeline.* byte counters. */
 void
 expectBytesReconcile(const obs::TelemetryTotals &journal,
@@ -124,6 +137,8 @@ TEST(Smoke, CliSingleStreamExportsReconcile)
     expectBytesReconcile(totals, metrics);
     const double energy = metric(metrics, "pipeline.energy_total_nj");
     EXPECT_NEAR(totals.energy_total_nj, energy, 1e-6 * energy);
+    expectOutcomeMetricsMatchJournal(snapshotLookup(metrics), journal,
+                                     /*ladder=*/false);
 }
 
 TEST(Smoke, CliFleetJournalReconcilesPerStream)
@@ -161,6 +176,9 @@ TEST(Smoke, CliFleetJournalReconcilesPerStream)
     EXPECT_EQ(report.at("streams_completed").number(), 64.0);
     EXPECT_EQ(report.at("bytes_written").number(),
               metric(metrics, "pipeline.bytes_written"));
+    // Fleet streams run under deadlines, so each builds a ladder.
+    expectOutcomeMetricsMatchJournal(snapshotLookup(metrics), journal,
+                                     /*ladder=*/true);
 }
 
 TEST(Smoke, CliThreadedDecode)
