@@ -25,25 +25,7 @@ DegradationController::DegradationController(const DegradationConfig &config)
 void
 DegradationController::onFrame(const FrameHealth &health)
 {
-    ++stats_.frames;
-    stats_.transient_faults += health.transient_faults;
-    hold_ = false;
-
-    if (health.decode_quarantined) {
-        ++stats_.quarantines;
-        ++stats_.held_frames;
-        hold_ = true;
-        if (obs_quarantines_) {
-            obs_quarantines_->inc();
-            obs_held_->inc();
-        }
-    }
-    if (health.deadline_missed) {
-        ++stats_.deadline_misses;
-        if (obs_misses_)
-            obs_misses_->inc();
-    }
-
+    hold_ = health.decode_quarantined;
     const bool clean =
         !health.deadline_missed && !health.decode_quarantined;
     if (clean) {
@@ -91,17 +73,13 @@ void
 DegradationController::attachObs(obs::ObsContext *ctx)
 {
     if (!ctx) {
-        obs_escalations_ = obs_recoveries_ = obs_quarantines_ = nullptr;
-        obs_held_ = obs_misses_ = nullptr;
+        obs_escalations_ = obs_recoveries_ = nullptr;
         obs_level_ = nullptr;
         return;
     }
     obs::PerfRegistry &r = ctx->registry();
     obs_escalations_ = &r.counter("degrade.escalations");
     obs_recoveries_ = &r.counter("degrade.recoveries");
-    obs_quarantines_ = &r.counter("degrade.quarantined_frames");
-    obs_held_ = &r.counter("degrade.held_frames");
-    obs_misses_ = &r.counter("degrade.deadline_misses");
     obs_level_ = &r.gauge("degrade.level");
 }
 

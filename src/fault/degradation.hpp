@@ -9,7 +9,7 @@
  * an escalation ladder driven by per-frame health reports:
  *
  *   - transient DMA failures are retried at the source (DmaWriter) with a
- *     bounded retry budget; the controller only records them;
+ *     bounded retry budget and never reach the ladder;
  *   - a quarantined decode (corrupt metadata caught by CRC/validate)
  *     holds the last good frame instead of emitting garbage;
  *   - consecutive frame-deadline misses escalate the degradation level,
@@ -47,16 +47,13 @@ struct DegradationConfig {
 struct FrameHealth {
     bool deadline_missed = false;    //!< frame exceeded its deadline
     bool decode_quarantined = false; //!< decode rejected the frame
-    u32 transient_faults = 0;        //!< retried/contained faults observed
 };
 
-/** Lifetime action counters. */
+/**
+ * Lifetime ladder actions. Frame outcomes are counted by the pipeline's
+ * ledger (fleet::FrameTotals), not here.
+ */
 struct DegradationStats {
-    u64 frames = 0;
-    u64 deadline_misses = 0;
-    u64 quarantines = 0;
-    u64 held_frames = 0;     //!< frames served as hold-last-good
-    u64 transient_faults = 0;
     u64 escalations = 0;
     u64 recoveries = 0;
 };
@@ -90,12 +87,10 @@ class DegradationController
 
     const DegradationStats &stats() const { return stats_; }
 
-    /** Consecutive clean frames so far (recovery progress). */
-    int cleanStreak() const { return clean_streak_; }
-
     /**
-     * Attach an observability context: "degrade.*" counters plus a
-     * "degrade.level" gauge mirror every ladder action. Null detaches.
+     * Attach an observability context: "degrade.escalations" and
+     * "degrade.recoveries" counters plus a "degrade.level" gauge mirror
+     * every ladder action. Null detaches.
      */
     void attachObs(obs::ObsContext *ctx);
 
@@ -109,9 +104,6 @@ class DegradationController
 
     obs::Counter *obs_escalations_ = nullptr;
     obs::Counter *obs_recoveries_ = nullptr;
-    obs::Counter *obs_quarantines_ = nullptr;
-    obs::Counter *obs_held_ = nullptr;
-    obs::Counter *obs_misses_ = nullptr;
     obs::Gauge *obs_level_ = nullptr;
 };
 

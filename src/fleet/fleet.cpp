@@ -1,6 +1,7 @@
 #include "fleet/fleet.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <optional>
 #include <sstream>
 #include <thread>
@@ -228,29 +229,36 @@ FrameTotals
 FleetServer::totalsLocked() const
 {
     FrameTotals sum;
-    std::vector<double> kept;
-    kept.reserve(streams_.size());
     for (const auto &[id, entry] : streams_) {
         const FrameTotals &t = entry.totals;
         sum.frames += t.frames;
         sum.errors += t.errors;
         sum.deadline_misses += t.deadline_misses;
         sum.quarantined += t.quarantined;
-        sum.shed += t.shed;
+        sum.shed_frames += t.shed_frames;
         sum.transient_faults += t.transient_faults;
         sum.dma_retries += t.dma_retries;
         sum.dma_dropped_bursts += t.dma_dropped_bursts;
         sum.bytes_written += t.bytes_written;
         sum.bytes_read += t.bytes_read;
         sum.metadata_bytes += t.metadata_bytes;
-        kept.push_back(t.kept_sum);
     }
     // Under churn, which stream gets which id depends on timing; adding
-    // the per-stream kept sums in value order instead of id order makes
-    // the floating-point total reproducible.
-    std::sort(kept.begin(), kept.end());
-    for (const double k : kept)
-        sum.kept_sum += k;
+    // the per-stream sums in value order instead of id order makes the
+    // floating-point totals reproducible.
+    std::vector<double> v;
+    v.reserve(streams_.size());
+    const auto orderedSum = [&](double FrameTotals::*field) {
+        v.clear();
+        for (const auto &[id, entry] : streams_)
+            v.push_back(entry.totals.*field);
+        std::sort(v.begin(), v.end());
+        return std::accumulate(v.begin(), v.end(), 0.0);
+    };
+    sum.kept_sum = orderedSum(&FrameTotals::kept_sum);
+    sum.energy_sense_nj = orderedSum(&FrameTotals::energy_sense_nj);
+    sum.energy_csi_nj = orderedSum(&FrameTotals::energy_csi_nj);
+    sum.energy_dram_nj = orderedSum(&FrameTotals::energy_dram_nj);
     return sum;
 }
 
@@ -372,26 +380,6 @@ FleetServer::runStage(const Stage &stage, FrameTask &task)
     } catch (const std::exception &) {
         return false;
     }
-}
-
-void
-FrameTotals::add(const PipelineFrameResult &r, bool errored)
-{
-    ++frames;
-    if (errored) {
-        ++errors;
-        return;
-    }
-    deadline_misses += r.deadline_missed ? 1 : 0;
-    quarantined += r.quarantined ? 1 : 0;
-    shed += r.shed ? 1 : 0;
-    transient_faults += r.transient_faults;
-    dma_retries += r.dma_retries;
-    dma_dropped_bursts += r.dma_dropped_bursts;
-    bytes_written += r.traffic.bytes_written;
-    bytes_read += r.traffic.bytes_read;
-    metadata_bytes += r.traffic.metadata_bytes;
-    kept_sum += r.kept_fraction;
 }
 
 void
@@ -779,22 +767,12 @@ FleetServer::run()
     running_ = false;
 
     FleetReport rep;
+    static_cast<FrameTotals &>(rep) = totalsLocked();
+    obs_->publish(rep);
     rep.streams_started = static_cast<u32>(streams_.size());
-    const FrameTotals t = totalsLocked();
-    rep.frames = t.frames;
-    rep.errors = t.errors;
-    rep.deadline_misses = t.deadline_misses;
-    rep.quarantined = t.quarantined;
-    rep.shed_frames = t.shed;
-    rep.transient_faults = t.transient_faults;
-    rep.dma_retries = t.dma_retries;
-    rep.dma_dropped_bursts = t.dma_dropped_bursts;
-    rep.bytes_written = t.bytes_written;
-    rep.bytes_read = t.bytes_read;
-    rep.metadata_bytes = t.metadata_bytes;
-    const u64 ok_frames = t.frames - t.errors;
+    const u64 ok_frames = rep.frames - rep.errors;
     rep.kept_fraction_mean =
-        ok_frames ? t.kept_sum / static_cast<double>(ok_frames) : 0.0;
+        ok_frames ? rep.kept_sum / static_cast<double>(ok_frames) : 0.0;
     for (const auto &[id, entry] : streams_) {
         FleetStreamReport sr = streamReportLocked(id, entry);
         if (sr.completed)
@@ -897,7 +875,7 @@ toJson(const FleetReport &r)
            << ", \"frames\": " << s.totals.frames
            << ", \"deadline_misses\": " << s.totals.deadline_misses
            << ", \"quarantined\": " << s.totals.quarantined
-           << ", \"shed\": " << s.totals.shed
+           << ", \"shed\": " << s.totals.shed_frames
            << ", \"dma_retries\": " << s.totals.dma_retries
            << ", \"dma_dropped_bursts\": " << s.totals.dma_dropped_bursts
            << ", \"errors\": " << s.totals.errors

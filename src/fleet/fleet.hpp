@@ -54,29 +54,6 @@
 
 namespace rpx::fleet {
 
-/**
- * Frame outcomes, each frame counted once by FleetServer::finishFrame():
- * the fleet's ledger. Every frame report (per stream and fleet-wide) is a
- * view of these counts.
- */
-struct FrameTotals {
-    u64 frames = 0; //!< every outcome: delivered, shed and errored
-    u64 errors = 0; //!< errored frames carry no result and no journal line
-    u64 deadline_misses = 0;
-    u64 quarantined = 0;
-    u64 shed = 0;
-    u64 transient_faults = 0;
-    u64 dma_retries = 0;
-    u64 dma_dropped_bursts = 0;
-    Bytes bytes_written = 0;
-    Bytes bytes_read = 0;
-    Bytes metadata_bytes = 0;
-    double kept_sum = 0.0; //!< over frames that did not error
-
-    /** Count one frame; an errored frame carries no result. */
-    void add(const PipelineFrameResult &r, bool errored);
-};
-
 /** Per-stream outcome in a FleetReport. */
 struct FleetStreamReport {
     u32 id = 0;
@@ -148,7 +125,7 @@ struct FleetConfig {
      * target, was removed and its in-flight frame finished, or was
      * removed before ever being seeded. Called outside fleet locks from
      * the retiring thread, and always *after* the stream's last frame
-     * has been fully accounted (journal + registry), so conservation
+     * has been fully accounted (journal + ledger), so conservation
      * checks from this hook are exact for the departed stream. The hook
      * may call addStream() to replace the departed stream (soak churn
      * does); the fleet re-checks the shutdown condition after the hook
@@ -168,18 +145,10 @@ struct FleetConfig {
     fault::ChaosConfig chaos;
 };
 
-/** Aggregate outcome of one FleetServer::run(). */
-struct FleetReport {
+/** Aggregate outcome of one FleetServer::run(), ledger sums first. */
+struct FleetReport : FrameTotals {
     u32 streams_started = 0;
     u32 streams_completed = 0;
-    u64 frames = 0;
-    u64 errors = 0;
-    u64 deadline_misses = 0;
-    u64 quarantined = 0;
-    u64 shed_frames = 0; //!< frames shed by the guard (delivered held-good)
-    u64 transient_faults = 0;
-    u64 dma_retries = 0;
-    u64 dma_dropped_bursts = 0;
     // Guard layer outcome.
     u64 admission_rejects = 0;
     u64 watchdog_warns = 0;
@@ -190,10 +159,6 @@ struct FleetReport {
     // Chaos injection outcome (wall-clock only).
     u64 chaos_hits = 0;
     u64 chaos_slept_us = 0;
-    // Deterministic model aggregates (sum over frames).
-    Bytes bytes_written = 0;
-    Bytes bytes_read = 0;
-    Bytes metadata_bytes = 0;
     double kept_fraction_mean = 0.0;
     // Wall-clock (noisy on loaded hosts; model fields above are the
     // source of truth for regression gating).
@@ -285,10 +250,10 @@ class FleetServer
      * The ledger: every stream's frame totals, live and retired, summed
      * under the fleet mutex (thread-safe, callable during run()). A
      * frame is journaled before it is counted here, so totals read
-     * before TelemetrySink::totals() never lead the journal's.
+     * before TelemetrySink::totals() never lead the journal's. run()
+     * publishes the pipeline.* outcome metrics from it as it returns.
      */
     FrameTotals totals() const;
-    PipelineObs &obs() { return *obs_; }
 
   private:
     struct StreamEntry {

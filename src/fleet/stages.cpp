@@ -21,7 +21,7 @@ sceneOf(const FrameTask &task)
 obs::ObsContext *
 obsOf(const StreamContext &s)
 {
-    PipelineObs *po = const_cast<StreamContext &>(s).sharedObs();
+    const PipelineObs *po = s.sharedObs();
     return po ? po->context() : nullptr;
 }
 
@@ -256,7 +256,6 @@ accountFrame(FrameTask &task, bool decoded, bool stored)
     const PipelineConfig &cfg = s.config();
     PipelineObs *po = s.sharedObs();
     obs::ObsContext *ctx = obsOf(s);
-    const bool tele = s.telemetry() != nullptr;
     const FrameIndex t = task.index;
     PipelineFrameResult &result = task.result;
 
@@ -281,8 +280,6 @@ accountFrame(FrameTask &task, bool decoded, bool stored)
         fault::FrameHealth health;
         health.deadline_missed = result.deadline_missed || !decoded;
         health.decode_quarantined = result.quarantined;
-        health.transient_faults =
-            static_cast<u32>(result.transient_faults);
         degrade->onFrame(health);
         result.degradation_level = degrade->level();
     }
@@ -297,14 +294,11 @@ accountFrame(FrameTask &task, bool decoded, bool stored)
         (stored ? task.metadata_bytes : 0) +
         (decoded ? task.metadata_bytes : 0);
     result.traffic.footprint = s.store().totalFootprint();
-    s.traffic().add(result.traffic);
 
     // 7. Energy attribution (first-order model, Appendix A.2): sensing and
     //    CSI scale with dense pixels in; everything DRAM-side scales with
     //    kept pixels — a DDR crossing plus the array write for the store,
-    //    and another crossing plus the array read for the decode. Computed
-    //    only when someone is listening, so the bare pipeline stays at
-    //    seed cost.
+    //    and another crossing plus the array read for the decode.
     const u64 pixels_in = task.pixels_in;
     const u64 kept_pixels = static_cast<u64>(payload); // 1 B per pixel
     const EnergyConstants ec;
@@ -312,29 +306,14 @@ accountFrame(FrameTask &task, bool decoded, bool stored)
         ((stored ? ec.ddr_comm_crossing_pj + ec.dram_write_pj : 0.0) +
          (decoded ? ec.ddr_comm_crossing_pj + ec.dram_read_pj : 0.0)) /
         1e3;
-    double e_sense_nj = 0.0, e_csi_nj = 0.0, e_dram_nj = 0.0;
-    if (tele || (po && po->attached())) {
-        e_sense_nj = ec.sense_pj * static_cast<double>(pixels_in) / 1e3;
-        e_csi_nj = ec.csi_pj * static_cast<double>(pixels_in) / 1e3;
-        e_dram_nj = dram_nj_per_px * static_cast<double>(kept_pixels);
-        if (po)
-            po->addEnergy(e_sense_nj, e_csi_nj, e_dram_nj);
-    }
+    result.energy_sense_nj =
+        ec.sense_pj * static_cast<double>(pixels_in) / 1e3;
+    result.energy_csi_nj = ec.csi_pj * static_cast<double>(pixels_in) / 1e3;
+    result.energy_dram_nj = dram_nj_per_px * static_cast<double>(kept_pixels);
 
-    if (po && po->attached()) {
-        po->frames->inc();
-        po->bytes_written->add(result.traffic.bytes_written);
-        po->bytes_read->add(result.traffic.bytes_read);
-        po->metadata_bytes->add(result.traffic.metadata_bytes);
-        if (result.quarantined)
-            po->quarantined->inc();
-        if (result.deadline_missed)
-            po->deadline_misses->inc();
-        if (result.shed)
-            po->shed_frames->inc();
-        po->transient_faults->add(result.transient_faults);
-        po->dma_retries->add(result.dma_retries);
-        po->dma_dropped_bursts->add(result.dma_dropped_bursts);
+    // The outcome counters are the ledger's to publish; only the
+    // last-value gauges follow the frame.
+    if (po && po->kept_fraction) {
         po->kept_fraction->set(result.kept_fraction);
         po->footprint->set(
             static_cast<double>(result.traffic.footprint));
@@ -386,10 +365,11 @@ accountFrame(FrameTask &task, bool decoded, bool stored)
         ft.dma_dropped_bursts = result.dma_dropped_bursts;
         ft.degradation_level = result.degradation_level;
 
-        ft.energy_sense_nj = e_sense_nj;
-        ft.energy_csi_nj = e_csi_nj;
-        ft.energy_dram_nj = e_dram_nj;
-        ft.energy_total_nj = e_sense_nj + e_csi_nj + e_dram_nj;
+        ft.energy_sense_nj = result.energy_sense_nj;
+        ft.energy_csi_nj = result.energy_csi_nj;
+        ft.energy_dram_nj = result.energy_dram_nj;
+        ft.energy_total_nj = result.energy_sense_nj + result.energy_csi_nj +
+                             result.energy_dram_nj;
 
         // Per-region attribution exists once the frame was stored: the
         // encoder's label list for this frame (post-degradation; one frame

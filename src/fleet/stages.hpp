@@ -22,11 +22,12 @@
  * Every frame that leaves the graph with a result — decoded, quarantined
  * or shed by the fleet guard — is accounted by one function,
  * accountFrame(): fault sums and the degradation ladder, traffic and
- * energy, the pipeline.* registry counters, the telemetry record, the
- * frame span. What differs between outcomes follows from two facts —
- * whether the frame was decoded and whether it reached the store — so a
- * shed frame cannot drift from a decoded one. (Errored frames have no
- * result and reach neither the registry nor the journal.)
+ * energy on the result, the telemetry record, the frame span. What
+ * differs between outcomes follows from two facts — whether the frame
+ * was decoded and whether it reached the store — so a shed frame cannot
+ * drift from a decoded one. The caller counts the result once in its
+ * FrameTotals ledger. (Errored frames have no result: the ledger counts
+ * them as errors and the journal never sees them.)
  *
  * Stages are stateless and const: every mutable datum lives in the
  * StreamContext (per-stream state) or the FrameTask (per-frame state), so
@@ -137,8 +138,9 @@ void holdLastGood(FrameTask &task);
 /**
  * Terminal accounting for a frame that leaves the graph with a result:
  * fault sums and the degradation ladder, traffic and its energy split
- * (Appendix A.2), the pipeline.* counters, the FrameTelemetry record with
- * per-region attribution, the frame span and the frame histogram.
+ * (Appendix A.2) on the result, the two last-value pipeline gauges, the
+ * FrameTelemetry record with per-region attribution, the frame span and
+ * the frame histogram.
  *
  * @param decoded the decode stage ran. Otherwise the frame is shed: its
  *                result is marked shed with kept fraction 0, and the

@@ -1,5 +1,8 @@
 #include "fleet/stream_context.hpp"
 
+#include <algorithm>
+#include <iterator>
+
 #include "common/error.hpp"
 
 namespace rpx::fleet {
@@ -17,29 +20,33 @@ sensorConfigFor(const PipelineConfig &config)
     return sc;
 }
 
+/** Registry names of PipelineObs's counters, in publish() order. */
+constexpr const char *kCounterNames[] = {
+    "pipeline.frames", "pipeline.bytes_written", "pipeline.bytes_read",
+    "pipeline.metadata_bytes", "pipeline.quarantined_frames",
+    "pipeline.deadline_misses", "pipeline.transient_faults",
+    "pipeline.shed_frames", "pipeline.dma_retries",
+    "pipeline.dma_dropped_bursts", "degrade.quarantined_frames",
+    "degrade.held_frames", "degrade.deadline_misses"};
+
+constexpr const char *kEnergyNames[] = {
+    "pipeline.energy_sense_nj", "pipeline.energy_csi_nj",
+    "pipeline.energy_dram_nj", "pipeline.energy_total_nj"};
+
 } // namespace
 
 PipelineObs::PipelineObs(obs::ObsContext *ctx) : ctx_(ctx)
 {
+    static_assert(std::size(kCounterNames) == kCounters);
     if (!ctx_)
         return;
     obs::PerfRegistry &r = ctx_->registry();
-    frames = &r.counter("pipeline.frames");
-    bytes_written = &r.counter("pipeline.bytes_written");
-    bytes_read = &r.counter("pipeline.bytes_read");
-    metadata_bytes = &r.counter("pipeline.metadata_bytes");
-    quarantined = &r.counter("pipeline.quarantined_frames");
-    deadline_misses = &r.counter("pipeline.deadline_misses");
-    transient_faults = &r.counter("pipeline.transient_faults");
-    shed_frames = &r.counter("pipeline.shed_frames");
-    dma_retries = &r.counter("pipeline.dma_retries");
-    dma_dropped_bursts = &r.counter("pipeline.dma_dropped_bursts");
+    for (size_t i = 0; i < kCounters - kLadderCounters; ++i)
+        counters_[i] = &r.counter(kCounterNames[i]);
+    for (size_t i = 0; i < energy_.size(); ++i)
+        energy_[i] = &r.gauge(kEnergyNames[i]);
     kept_fraction = &r.gauge("pipeline.kept_fraction");
     footprint = &r.gauge("pipeline.footprint_bytes");
-    energy_sense_ = &r.gauge("pipeline.energy_sense_nj");
-    energy_csi_ = &r.gauge("pipeline.energy_csi_nj");
-    energy_dram_ = &r.gauge("pipeline.energy_dram_nj");
-    energy_total_ = &r.gauge("pipeline.energy_total_nj");
     h_sensor = &r.histogram("pipeline.stage.sensor_readout.latency_us");
     h_isp = &r.histogram("pipeline.stage.isp.latency_us");
     h_encode = &r.histogram("pipeline.stage.encode.latency_us");
@@ -49,19 +56,62 @@ PipelineObs::PipelineObs(obs::ObsContext *ctx) : ctx_(ctx)
 }
 
 void
-PipelineObs::addEnergy(double sense_nj, double csi_nj, double dram_nj)
+PipelineObs::attachLadder()
 {
-    if (!energy_total_)
+    if (!ctx_)
         return;
-    std::lock_guard<std::mutex> lock(energy_mutex_);
-    energy_sense_nj_ += sense_nj;
-    energy_csi_nj_ += csi_nj;
-    energy_dram_nj_ += dram_nj;
-    energy_sense_->set(energy_sense_nj_);
-    energy_csi_->set(energy_csi_nj_);
-    energy_dram_->set(energy_dram_nj_);
-    energy_total_->set(energy_sense_nj_ + energy_csi_nj_ +
-                       energy_dram_nj_);
+    for (size_t i = kCounters - kLadderCounters; i < kCounters; ++i)
+        counters_[i] = &ctx_->registry().counter(kCounterNames[i]);
+}
+
+void
+PipelineObs::publish(const FrameTotals &t)
+{
+    if (!ctx_)
+        return;
+    // pipeline.frames counts the frames that carry a result, as the
+    // journal does; the ladder sees a shed frame as a missed one.
+    const std::array<u64, kCounters> now = {
+        t.frames - t.errors, t.bytes_written, t.bytes_read,
+        t.metadata_bytes, t.quarantined, t.deadline_misses,
+        t.transient_faults, t.shed_frames, t.dma_retries, t.dma_dropped_bursts,
+        t.quarantined, t.quarantined, t.deadline_misses + t.shed_frames};
+    for (size_t i = 0; i < kCounters; ++i)
+        if (counters_[i])
+            counters_[i]->add(now[i] - published_[i]);
+    published_ = now;
+    const double energy[] = {
+        t.energy_sense_nj, t.energy_csi_nj, t.energy_dram_nj,
+        t.energy_sense_nj + t.energy_csi_nj + t.energy_dram_nj};
+    for (size_t i = 0; i < energy_.size(); ++i)
+        energy_[i]->set(energy[i]);
+}
+
+void
+FrameTotals::add(const PipelineFrameResult &r, bool errored)
+{
+    ++frames;
+    if (errored) {
+        ++errors;
+        return;
+    }
+    deadline_misses += r.deadline_missed ? 1 : 0;
+    quarantined += r.quarantined ? 1 : 0;
+    shed_frames += r.shed ? 1 : 0;
+    transient_faults += r.transient_faults;
+    dma_retries += r.dma_retries;
+    dma_dropped_bursts += r.dma_dropped_bursts;
+    bytes_written += r.traffic.bytes_written;
+    bytes_read += r.traffic.bytes_read;
+    metadata_bytes += r.traffic.metadata_bytes;
+    kept_sum += r.kept_fraction;
+    energy_sense_nj += r.energy_sense_nj;
+    energy_csi_nj += r.energy_csi_nj;
+    energy_dram_nj += r.energy_dram_nj;
+    footprint_peak = std::max(footprint_peak, r.traffic.footprint);
+    footprint_mean +=
+        (static_cast<double>(r.traffic.footprint) - footprint_mean) /
+        static_cast<double>(frames - errors);
 }
 
 StreamContext::StreamContext(const PipelineConfig &config,
@@ -99,6 +149,8 @@ StreamContext::StreamContext(const PipelineConfig &config,
         store_->enableMetadataCrc(config.fault.crc_metadata);
         degrade_ = std::make_unique<fault::DegradationController>(
             config.fault.degradation);
+        if (shared_)
+            shared_->attachLadder();
     }
 
     if (config.telemetry) {

@@ -7,7 +7,7 @@
  *  - StreamContext: everything a camera stream *owns* — its sensor/ISP
  *    models, region registers and runtime, rhythm state, framebuffer ring
  *    shard (FrameStore + DramModel), software decoder and its decoded-
- *    frame cache, traffic/energy accounting, resilience ladder, and telemetry label; and
+ *    frame cache, resilience ladder, and telemetry label; and
  *  - the stage objects in stages.hpp, which are stateless and operate on
  *    any StreamContext, so a bounded pool of engine workers can time-share
  *    them across thousands of streams (fleet.hpp).
@@ -20,8 +20,8 @@
 #ifndef RPX_FLEET_STREAM_CONTEXT_HPP
 #define RPX_FLEET_STREAM_CONTEXT_HPP
 
+#include <array>
 #include <memory>
-#include <mutex>
 #include <string>
 
 #include "baseline/frame_based.hpp"
@@ -152,20 +152,54 @@ struct PipelineFrameResult {
     u64 transient_faults = 0;      //!< contained faults (DMA retries etc.)
     u64 dma_retries = 0;           //!< DMA bursts retried during store
     u64 dma_dropped_bursts = 0;    //!< DMA bursts dropped during store
+    // First-order energy split (Appendix A.2), nanojoules.
+    double energy_sense_nj = 0.0;
+    double energy_csi_nj = 0.0;
+    double energy_dram_nj = 0.0;
 };
 
 namespace fleet {
 
 /**
- * Shared pipeline-level observability handles and cumulative energy
- * accounting. One instance serves *all* streams of a fleet (or the single
- * stream of a VisionPipeline), so the "pipeline.*" registry counters stay
- * aggregates across streams — the invariant the telemetry reconciliation
- * tests pin down: sum over per-stream journal totals == registry counters,
- * serial and parallel alike.
- *
- * All counter handles are thread-safe atomics; the energy accumulators are
- * guarded by a mutex because gauges publish cumulative doubles.
+ * The ledger: frame outcomes summed as each frame retires, counted once.
+ * FleetServer keeps one per stream and VisionPipeline one for its
+ * stream; every frame report, the pipeline.* registry metrics and
+ * VisionPipeline::traffic() are views of it.
+ */
+struct FrameTotals {
+    u64 frames = 0; //!< every outcome: delivered, shed and errored
+    u64 errors = 0; //!< errored frames carry no result and no journal line
+    u64 deadline_misses = 0;
+    u64 quarantined = 0;
+    u64 shed_frames = 0; //!< shed by the guard (delivered held-good)
+    u64 transient_faults = 0;
+    u64 dma_retries = 0;
+    u64 dma_dropped_bursts = 0;
+    Bytes bytes_written = 0;
+    Bytes bytes_read = 0;
+    Bytes metadata_bytes = 0;
+    // Sums over frames that did not error.
+    double kept_sum = 0.0;
+    double energy_sense_nj = 0.0;
+    double energy_csi_nj = 0.0;
+    double energy_dram_nj = 0.0;
+    /**
+     * One stream's framebuffer footprint: peak and running mean over
+     * those frames. A fleet-wide sum leaves both zero.
+     */
+    Bytes footprint_peak = 0;
+    double footprint_mean = 0.0;
+
+    /** Count one frame; an errored frame carries no result. */
+    void add(const PipelineFrameResult &r, bool errored);
+};
+
+/**
+ * The pipeline-level registry handles. One instance serves *all* streams
+ * of a fleet (or the single stream of a VisionPipeline). The "pipeline.*"
+ * outcome counters, the energy gauges and the "degrade.*" outcome
+ * counters are views of a ledger, written only by publish(); the stage
+ * histograms and the two last-value gauges are fed per frame.
  */
 class PipelineObs
 {
@@ -173,26 +207,22 @@ class PipelineObs
     /** Register the pipeline.* handles; null ctx leaves them all null. */
     explicit PipelineObs(obs::ObsContext *ctx);
 
-    obs::ObsContext *context() { return ctx_; }
-    bool attached() const { return frames != nullptr; }
+    obs::ObsContext *context() const { return ctx_; }
 
     /**
-     * Fold one frame's energy split into the cumulative gauges.
-     * Thread-safe; no-op when detached.
+     * A stream built a degradation ladder: register the degrade.*
+     * outcome counters, which publish() then writes too. Idempotent.
      */
-    void addEnergy(double sense_nj, double csi_nj, double dram_nj);
+    void attachLadder();
 
-    // Aggregate counters (null when detached).
-    obs::Counter *frames = nullptr;
-    obs::Counter *bytes_written = nullptr;
-    obs::Counter *bytes_read = nullptr;
-    obs::Counter *metadata_bytes = nullptr;
-    obs::Counter *quarantined = nullptr;
-    obs::Counter *deadline_misses = nullptr;
-    obs::Counter *transient_faults = nullptr;
-    obs::Counter *shed_frames = nullptr;
-    obs::Counter *dma_retries = nullptr;
-    obs::Counter *dma_dropped_bursts = nullptr;
+    /**
+     * Bring the outcome counters and energy gauges to `ledger`, a sum
+     * that only grows: counters advance by what it gained since the last
+     * publish. No-op when detached. Callers serialise publishes.
+     */
+    void publish(const FrameTotals &ledger);
+
+    // Last-value gauges, set from each frame's result (null when detached).
     obs::Gauge *kept_fraction = nullptr;
     obs::Gauge *footprint = nullptr;
     // Per-stage latency histograms (microseconds), shared across streams.
@@ -204,15 +234,16 @@ class PipelineObs
     obs::Histogram *h_frame = nullptr;
 
   private:
+    /** The pipeline.* outcome counters, then the ladder's degrade.* ones. */
+    static constexpr size_t kCounters = 13;
+    static constexpr size_t kLadderCounters = 3;
+
     obs::ObsContext *ctx_ = nullptr;
-    std::mutex energy_mutex_;
-    double energy_sense_nj_ = 0.0;
-    double energy_csi_nj_ = 0.0;
-    double energy_dram_nj_ = 0.0;
-    obs::Gauge *energy_sense_ = nullptr;
-    obs::Gauge *energy_csi_ = nullptr;
-    obs::Gauge *energy_dram_ = nullptr;
-    obs::Gauge *energy_total_ = nullptr;
+    // In the order publish() computes them; the degrade.* ones stay null
+    // until attachLadder().
+    std::array<obs::Counter *, kCounters> counters_{};
+    std::array<u64, kCounters> published_{};
+    std::array<obs::Gauge *, 4> energy_{}; //!< sense, CSI, DRAM, total
 };
 
 /**
@@ -247,28 +278,19 @@ class StreamContext
     const FrameStore &store() const { return *store_; }
     ParallelDecoder &swDecoder() { return *sw_decoder_; }
     DramModel &dram() { return *dram_; }
-    const DramModel &dram() const { return *dram_; }
     SensorModel &sensor() { return sensor_; }
     Csi2Link &csi() { return csi_; }
-    const Csi2Link &csi() const { return csi_; }
     IspPipeline &isp() { return isp_; }
-
-    TrafficSummary &traffic() { return traffic_; }
-    const TrafficSummary &traffic() const { return traffic_; }
 
     /** Claim the next frame index of this stream (capture stage). */
     FrameIndex acquireFrameIndex() { return next_frame_++; }
     FrameIndex frameIndex() const { return next_frame_; }
 
     fault::FaultInjector *injector() { return injector_.get(); }
-    const fault::FaultInjector *injector() const { return injector_.get(); }
     fault::DegradationController *degradation() { return degrade_.get(); }
-    const fault::DegradationController *degradation() const
-    {
-        return degrade_.get();
-    }
 
     PipelineObs *sharedObs() { return shared_; }
+    const PipelineObs *sharedObs() const { return shared_; }
     obs::TelemetrySink *telemetry() { return config_.telemetry; }
 
     /**
@@ -293,7 +315,6 @@ class StreamContext
     std::unique_ptr<FrameStore> store_;
     std::unique_ptr<ParallelDecoder> sw_decoder_;
     DecodedFrameCache decoded_;
-    TrafficSummary traffic_;
     FrameIndex next_frame_ = 0;
 
     // Resilience machinery; null unless enabled.

@@ -216,18 +216,6 @@ PerfRegistry::size() const
     return entries_.size();
 }
 
-void
-PerfRegistry::resetCounters()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (auto &[name, e] : entries_) {
-        if (e.counter)
-            e.counter->reset();
-        if (e.gauge)
-            e.gauge->reset();
-    }
-}
-
 std::vector<MetricSample>
 PerfRegistry::snapshot() const
 {

@@ -17,7 +17,17 @@ VisionPipeline::processFrame(const Image &scene)
     task.stream = ctx_.get();
     task.scene_ref = &scene;
     fleet::runFrameInline(task);
+    totals_.add(task.result, /*errored=*/false);
+    obs_->publish(totals_);
     return std::move(task.result);
+}
+
+TrafficSummary
+VisionPipeline::traffic() const
+{
+    const fleet::FrameTotals &t = totals_;
+    return {t.bytes_written,  t.bytes_read,     t.metadata_bytes,
+            t.footprint_peak, t.footprint_mean, t.frames};
 }
 
 } // namespace rpx

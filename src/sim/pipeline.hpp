@@ -45,12 +45,12 @@ class VisionPipeline
     RhythmicDecoder &decoder() { return *decoder_; }
     const FrameStore &frameStore() const { return ctx_->store(); }
     const DramModel &dram() const { return ctx_->dram(); }
-    const TrafficSummary &traffic() const { return ctx_->traffic(); }
+    /** The ledger: every frame this pipeline processed, counted once. */
+    const fleet::FrameTotals &totals() const { return totals_; }
+    /** Traffic and footprint summary: a view of the ledger. */
+    TrafficSummary traffic() const;
     const Csi2Link &csi() const { return ctx_->csi(); }
     FrameIndex frameIndex() const { return ctx_->frameIndex(); }
-
-    /** Observability context the pipeline reports into (may be null). */
-    obs::ObsContext *obsContext() { return obs_ ? obs_->context() : nullptr; }
 
     /** The fault injector (null when no plan was configured). */
     const fault::FaultInjector *faultInjector() const
@@ -71,6 +71,7 @@ class VisionPipeline
     std::unique_ptr<fleet::PipelineObs> obs_;
     std::unique_ptr<fleet::StreamContext> ctx_;
     std::unique_ptr<RhythmicDecoder> decoder_;
+    fleet::FrameTotals totals_;
 };
 
 } // namespace rpx

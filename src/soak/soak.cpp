@@ -75,7 +75,7 @@ constexpr LedgerField kLedgerFields[] = {
      true},
     {"transient_faults", &Journal::transient_faults,
      &Ledger::transient_faults, false},
-    {"shed_frames", &Journal::shed_frames, &Ledger::shed, true},
+    {"shed_frames", &Journal::shed_frames, &Ledger::shed_frames, true},
     {"dma_retries", &Journal::dma_retries, &Ledger::dma_retries, false},
     {"dma_dropped_bursts", &Journal::dma_dropped_bursts,
      &Ledger::dma_dropped_bursts, false},

@@ -17,8 +17,8 @@ using fault::DegradationController;
 using fault::FrameHealth;
 
 constexpr FrameHealth kClean{};
-constexpr FrameHealth kMissed{true, false, 0};
-constexpr FrameHealth kQuarantined{false, true, 0};
+constexpr FrameHealth kMissed{true, false};
+constexpr FrameHealth kQuarantined{false, true};
 
 DegradationConfig
 testConfig()
@@ -69,8 +69,6 @@ TEST(Degradation, QuarantineHoldsLastGoodWithoutEscalating)
     ctl.onFrame(kQuarantined);
     EXPECT_TRUE(ctl.holdLastGood());
     EXPECT_EQ(ctl.level(), 0); // quarantine alone does not escalate
-    EXPECT_EQ(ctl.stats().quarantines, 1u);
-    EXPECT_EQ(ctl.stats().held_frames, 1u);
 
     ctl.onFrame(kClean);
     EXPECT_FALSE(ctl.holdLastGood());
@@ -120,18 +118,6 @@ TEST(Degradation, ClampsAtMaxLevel)
     EXPECT_DOUBLE_EQ(ctl.regionBudgetScale(), 0.125);
     EXPECT_EQ(ctl.skipBoost(), 3);
     EXPECT_EQ(ctl.stats().escalations, 3u); // clamped, not counted past max
-}
-
-TEST(Degradation, TransientFaultsAreCountedNotEscalated)
-{
-    DegradationController ctl(testConfig());
-    FrameHealth h;
-    h.transient_faults = 5;
-    for (int i = 0; i < 10; ++i)
-        ctl.onFrame(h);
-    EXPECT_EQ(ctl.level(), 0);
-    EXPECT_EQ(ctl.stats().transient_faults, 50u);
-    EXPECT_EQ(ctl.stats().frames, 10u);
 }
 
 TEST(Degradation, InvalidConfigRejected)

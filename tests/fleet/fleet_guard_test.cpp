@@ -200,11 +200,11 @@ TEST(FleetGuard, ShedAllFramesKeepsAccountingExact)
 
     u64 per_stream_shed = 0;
     for (const FleetStreamReport &s : rep.streams) {
-        EXPECT_EQ(s.totals.shed, s.totals.frames);
+        EXPECT_EQ(s.totals.shed_frames, s.totals.frames);
         EXPECT_TRUE(s.completed);
         // All-shed streams sit in Degraded (dirty but decoding fine).
         EXPECT_EQ(s.health, guard::HealthState::Degraded);
-        per_stream_shed += s.totals.shed;
+        per_stream_shed += s.totals.shed_frames;
     }
     EXPECT_EQ(per_stream_shed, rep.shed_frames);
 }
@@ -273,7 +273,7 @@ TEST(FleetGuard, DecodePointShedPaysWriteSideOnly)
               rep.shed_frames);
     u64 per_stream_shed = 0;
     for (const FleetStreamReport &s : rep.streams)
-        per_stream_shed += s.totals.shed;
+        per_stream_shed += s.totals.shed_frames;
     EXPECT_EQ(per_stream_shed, rep.shed_frames);
 }
 

@@ -508,7 +508,7 @@ TEST(Fleet, SceneSourceFailureCountsOneErroredFrame)
     for (const FleetStreamReport &s : rep.streams) {
         delivered_total += delivered[s.id];
         EXPECT_EQ(s.totals.frames,
-                  delivered[s.id] + s.totals.shed + s.totals.errors)
+                  delivered[s.id] + s.totals.shed_frames + s.totals.errors)
             << "stream " << s.id;
         if (s.id == kFailStream) {
             EXPECT_EQ(s.totals.frames, kFailFrame + 1);
@@ -578,7 +578,7 @@ TEST(Fleet, TotalsMatchReportAndJournal)
     EXPECT_EQ(l.errors, rep.errors);
     EXPECT_EQ(l.deadline_misses, rep.deadline_misses);
     EXPECT_EQ(l.quarantined, rep.quarantined);
-    EXPECT_EQ(l.shed, rep.shed_frames);
+    EXPECT_EQ(l.shed_frames, rep.shed_frames);
     EXPECT_EQ(l.transient_faults, rep.transient_faults);
     EXPECT_EQ(l.dma_retries, rep.dma_retries);
     EXPECT_EQ(l.dma_dropped_bursts, rep.dma_dropped_bursts);
@@ -592,7 +592,7 @@ TEST(Fleet, TotalsMatchReportAndJournal)
     EXPECT_EQ(l.frames - l.errors, j.frames);
     EXPECT_EQ(l.deadline_misses, j.deadline_misses);
     EXPECT_EQ(l.quarantined, j.quarantined_frames);
-    EXPECT_EQ(l.shed, j.shed_frames);
+    EXPECT_EQ(l.shed_frames, j.shed_frames);
     EXPECT_EQ(l.transient_faults, j.transient_faults);
     EXPECT_EQ(l.dma_retries, j.dma_retries);
     EXPECT_EQ(l.dma_dropped_bursts, j.dma_dropped_bursts);

@@ -8,7 +8,7 @@
  *    aggregate stats;
  *  - pipeline FrameTelemetry region entries sum to the frame fields, and
  *    TelemetrySink totals reconcile with the PerfRegistry counters the
- *    pipeline maintains independently;
+ *    pipeline publishes from its frame ledger;
  *  - the JSONL journal round-trips losslessly (write -> parse -> equal),
  *    including under fault injection where quarantined frames must still
  *    be attributed rather than dropped.

@@ -109,9 +109,8 @@ TEST(PipelineFault, MetadataCorruptionQuarantinesAndHoldsLastGood)
     }
     EXPECT_GT(quarantined, 0);
     EXPECT_GT(clean, 0);
-    const auto *deg = pipeline.degradation();
-    ASSERT_NE(deg, nullptr);
-    EXPECT_EQ(deg->stats().quarantines, static_cast<u64>(quarantined));
+    ASSERT_NE(pipeline.degradation(), nullptr);
+    EXPECT_EQ(pipeline.totals().quarantined, static_cast<u64>(quarantined));
     EXPECT_GT(pipeline.frameStore().lifetimeReport().meta_bytes_corrupted,
               0u);
 }
