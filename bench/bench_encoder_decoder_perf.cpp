@@ -32,7 +32,6 @@
 #include "core/decoder.hpp"
 #include "core/encoder.hpp"
 #include "core/frame_store.hpp"
-#include "core/parallel_decoder.hpp"
 #include "core/sw_decoder.hpp"
 #include "frame/draw.hpp"
 #include "isp/isp_pipeline.hpp"
@@ -428,35 +427,6 @@ BM_SoftwareDecoderStridedOverlap640x480(benchmark::State &state)
         5);
 }
 BENCHMARK(BM_SoftwareDecoderStridedOverlap640x480)->Arg(450)
-    ->Unit(benchmark::kMillisecond);
-
-/**
- * Band-parallel software decode of the 30%-regional 1080p frame across
- * worker counts (threads = 1 is the serial path). Output is byte-equal
- * across all settings, so this isolates the thread-pool scaling.
- */
-void
-BM_ParallelDecoder1080p(benchmark::State &state)
-{
-    const i32 w = 1920, h = 1080;
-    const i32 side = static_cast<i32>(
-        std::sqrt(0.3 * static_cast<double>(w) * h));
-    RhythmicEncoder enc(w, h);
-    enc.setRegionLabels({{0, 0, std::min(side, w), std::min(side, h),
-                          1, 1, 0}});
-    const EncodedFrame encoded = enc.encodeFrame(noiseFrame(w, h), 0);
-    ParallelDecoder::Config pc;
-    pc.threads = static_cast<int>(state.range(0));
-    ParallelDecoder dec(pc);
-    Image out;
-    for (auto _ : state) {
-        dec.decodeInto(encoded, {}, out);
-        benchmark::DoNotOptimize(out.data().data());
-    }
-    state.SetBytesProcessed(state.iterations() *
-                            static_cast<i64>(w) * h);
-}
-BENCHMARK(BM_ParallelDecoder1080p)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
 /**

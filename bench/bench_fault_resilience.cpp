@@ -126,10 +126,7 @@ runSweep(double rate, int frames, const std::vector<Image> &reference)
         pipeline.runtime().setRegionLabels(labelsAt(t));
         const PipelineFrameResult r = pipeline.processFrame(sceneAt(t));
 
-        row.quarantined += r.quarantined;
-        row.held += r.held_last_good;
-        row.deadline_misses += r.deadline_missed;
-        row.transients += r.transient_faults;
+        row.held += r.held_last_good; // not in the frame ledger
 
         const double p = psnr(reference[static_cast<size_t>(t)],
                               r.decoded);
@@ -147,6 +144,10 @@ runSweep(double rate, int frames, const std::vector<Image> &reference)
             disturbance_age = -1;
         }
     }
+    const fleet::FrameTotals &totals = pipeline.totals();
+    row.quarantined = totals.quarantined;
+    row.deadline_misses = totals.deadline_misses;
+    row.transients = totals.transient_faults;
     if (const auto *deg = pipeline.degradation()) {
         row.escalations = deg->stats().escalations;
         row.recoveries = deg->stats().recoveries;

@@ -8,7 +8,7 @@
  *
  * Usage:
  *   rpx_cli run   --task slam|face|pose --scheme FCH|FCL|RP|MULTIROI
- *                 [--cycle N] [--frames N] [--decoder-threads N]
+ *                 [--cycle N] [--frames N]
  *                 [--region-trace-out FILE]
  *                 [--trace-out FILE] [--metrics-out FILE]
  *                 [--journal-out FILE]
@@ -64,7 +64,7 @@ usage()
         << "usage:\n"
         << "  rpx_cli run    --task slam|face|pose --scheme "
            "FCH|FCL|RP|MULTIROI [--cycle N]\n"
-        << "                 [--frames N] [--decoder-threads N]\n"
+        << "                 [--frames N]\n"
         << "                 [--region-trace-out FILE]\n"
         << "                 [--trace-out FILE] [--metrics-out FILE]\n"
         << "                 [--journal-out FILE]\n"
@@ -82,10 +82,9 @@ usage()
 
 /** The flags each command reads; anything else is a usage error. */
 const std::set<std::string> kRunFlags = {
-    "task", "scheme", "cycle", "frames", "decoder-threads",
-    "region-trace-out", "trace-out", "metrics-out",
-    "journal-out", "streams", "fleet-report", "admission", "watchdog-ms",
-    "shed-slack-ms", "log-level"};
+    "task", "scheme", "cycle", "frames", "region-trace-out", "trace-out",
+    "metrics-out", "journal-out", "streams", "fleet-report", "admission",
+    "watchdog-ms", "shed-slack-ms", "log-level"};
 const std::set<std::string> kReplayFlags = {
     "trace", "scheme", "width", "height", "fps", "trace-out", "metrics-out",
     "log-level"};
@@ -314,10 +313,6 @@ runCommand(const std::map<std::string, std::string> &flags)
         flags.count("scheme") ? flags.at("scheme") : "RP");
     wc.cycle_length =
         flags.count("cycle") ? std::stoi(flags.at("cycle")) : 10;
-    // 1 = serial decode (default); 0 = one worker per hardware thread.
-    wc.decoder_threads = flags.count("decoder-threads")
-                             ? std::stoi(flags.at("decoder-threads"))
-                             : 1;
     wc.obs = &obs_ctx;
     wc.telemetry = journal.get();
     const int frames =

@@ -15,7 +15,7 @@
  * out stay valid for the arena's lifetime. Buffers only ever grow; a slot
  * re-leased with a smaller size keeps its capacity.
  *
- * Not thread-safe: one arena per owner (each band decoder owns its own).
+ * Not thread-safe: one arena per owner (each decoder owns its own).
  */
 
 #ifndef RPX_COMMON_ARENA_HPP

@@ -151,10 +151,10 @@ refreshKeptRow(const SourceCarry &carry, i32 min_row, u8 black, u8 *out)
 } // namespace
 
 void
-SoftwareDecoder::decodeRows(const EncodedFrame &current,
-                            const std::vector<const EncodedFrame *> &history,
-                            i32 y0, i32 y1, Image &out,
-                            DecodedRowState *rows, PlaneState plane) const
+SoftwareDecoder::decodeFrame(const EncodedFrame &current,
+                             const std::vector<const EncodedFrame *> &history,
+                             Image &out, DecodedRowState *rows,
+                             PlaneState plane) const
 {
     cur_carry_.bind(current, /*values=*/true);
     while (hist_carries_.size() < history.size())
@@ -163,14 +163,15 @@ SoftwareDecoder::decodeRows(const EncodedFrame &current,
         hist_carries_[k].bind(*history[k], /*values=*/true);
 
     const size_t w = static_cast<size_t>(current.width);
+    const i32 h = current.height;
     const u8 black_value = config_.black_value;
     todo_.resize(w);
     u64 fills = 0;
     u64 black = 0;
 
-    for (i32 y = y0; y < y1; ++y) {
+    for (i32 y = 0; y < h; ++y) {
         // A source counts only within max_upscan rows above y; carries
-        // catch up from there, which also primes the first row of a band.
+        // catch up from there.
         const i32 min_row = minSourceRow(y, config_.max_upscan);
         u8 *row = out.row(y);
         // A cached row is kept when it held no black pixel and its oldest
@@ -236,8 +237,7 @@ SoftwareDecoder::decodeCached(const EncodedFrame &current,
 {
     const PlaneState plane =
         cache.prepare(current, history, history_complete, config_);
-    decodeRows(current, history, 0, current.height, cache.plane_,
-               cache.rows_.data(), plane);
+    decodeFrame(current, history, cache.plane_, cache.rows_.data(), plane);
     cache.commit(current, history);
 }
 
@@ -271,8 +271,7 @@ SoftwareDecoder::decodeInto(
     checkInputs(current, history);
     out.reinit(current.width, current.height, PixelFormat::Gray8,
                config_.black_value);
-    decodeRows(current, history, 0, current.height, out, nullptr,
-               PlaneState::Black);
+    decodeFrame(current, history, out, nullptr, PlaneState::Black);
 }
 
 void
@@ -283,21 +282,6 @@ SoftwareDecoder::decodeInto(
 {
     checkInputs(current, history);
     decodeCached(current, history, /*history_complete=*/true, cache);
-}
-
-void
-SoftwareDecoder::filterUsableHistory(
-    const EncodedFrame &current,
-    const std::vector<const EncodedFrame *> &history,
-    std::vector<const EncodedFrame *> &usable, size_t &skipped)
-{
-    for (const EncodedFrame *f : history) {
-        if (f != nullptr && f->width == current.width &&
-            f->height == current.height && f->validate())
-            usable.push_back(f);
-        else
-            ++skipped;
-    }
 }
 
 bool
@@ -314,7 +298,13 @@ SoftwareDecoder::validateInputs(
     usable_.clear();
     if (usable_.capacity() < history.size())
         usable_.reserve(history.size());
-    filterUsableHistory(current, history, usable_, status.history_skipped);
+    for (const EncodedFrame *f : history) {
+        if (f != nullptr && f->width == current.width &&
+            f->height == current.height && f->validate())
+            usable_.push_back(f);
+        else
+            ++status.history_skipped;
+    }
     return true;
 }
 
@@ -328,8 +318,7 @@ SoftwareDecoder::tryDecode(const EncodedFrame &current,
         return status;
     out.reinit(current.width, current.height, PixelFormat::Gray8,
                config_.black_value);
-    decodeRows(current, usable_, 0, current.height, out, nullptr,
-               PlaneState::Black);
+    decodeFrame(current, usable_, out, nullptr, PlaneState::Black);
     return status;
 }
 

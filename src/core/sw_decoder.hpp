@@ -23,7 +23,7 @@
  * frame sampled it (R or St) and its source row is within max_upscan,
  * applied as a byte-wide blend over the row. History carries advance
  * lazily, only for rows with pixels left, and every carry catches up from
- * max_upscan rows above — which also primes the first row of a band.
+ * max_upscan rows above.
  *
  * A stream decodes through its DecodedFrameCache: the last decoded frame
  * plus per-row state. A row of it is refreshed from the current frame
@@ -35,7 +35,7 @@
  * is pooled in the instance, so steady-state decoding performs zero heap
  * allocations (asserted by tests/core/decode_alloc_test.cpp). The flip
  * side: a SoftwareDecoder instance is NOT safe for concurrent use — give
- * each thread its own (ParallelDecoder does exactly that per band).
+ * each thread its own (each fleet stream owns one).
  */
 
 #ifndef RPX_CORE_SW_DECODER_HPP
@@ -142,18 +142,6 @@ class SoftwareDecoder
                              const std::vector<const EncodedFrame *> &history,
                              DecodedFrameCache &cache) const;
 
-    /**
-     * The tryDecode history filter, exposed so band-parallel callers can
-     * validate once and fan out: appends the usable subset of `history`
-     * (non-null, geometry matches `current`, passes validate()) to
-     * `usable` and counts the rest into `skipped`.
-     */
-    static void
-    filterUsableHistory(const EncodedFrame &current,
-                        const std::vector<const EncodedFrame *> &history,
-                        std::vector<const EncodedFrame *> &usable,
-                        size_t &skipped);
-
     /** Number of pixels the last decode filled from history frames. */
     u64 lastHistoryFills() const { return last_history_fills_; }
 
@@ -170,28 +158,24 @@ class SoftwareDecoder
     u64 lastHistoryBytesRead() const { return last_history_read_; }
 
   private:
-    friend class ParallelDecoder;
-
     /** The strict entry checks: a consistent current frame and
      *  same-geometry, non-null history. Throws otherwise. */
     static void checkInputs(const EncodedFrame &current,
                             const std::vector<const EncodedFrame *> &history);
 
     /**
-     * Validate `current` and filter `history` into usable_ (the tryDecode
-     * front half). Returns false, with the status quarantined, when the
-     * current frame fails validation.
+     * Validate `current` and filter `history` into usable_: the frames
+     * that are non-null, match its geometry and pass validate(); the rest
+     * count into status.history_skipped. Returns false, with the status
+     * quarantined, when the current frame fails validation.
      */
     bool validateInputs(const EncodedFrame &current,
                         const std::vector<const EncodedFrame *> &history,
                         SwDecodeStatus &status) const;
 
     /**
-     * Decode rows [y0, y1) of `current` into `out`, which already has the
-     * frame's geometry; rows outside the band are not touched. History
-     * lookups and upscans still see the whole frame, so banded decodes
-     * concatenate to exactly the full decode (ParallelDecoder's per-band
-     * primitive). Inputs must be pre-validated.
+     * Decode `current` into `out`, which already has the frame's
+     * geometry. Inputs must be pre-validated.
      *
      * @param rows   null, or (for a cache plane) rows[y] is the state of
      *               row y, which every decoded row rewrites
@@ -201,12 +185,12 @@ class SoftwareDecoder
      *               take the full resolver, after a black fill unless the
      *               plane is already Black.
      */
-    void decodeRows(const EncodedFrame &current,
-                    const std::vector<const EncodedFrame *> &history,
-                    i32 y0, i32 y1, Image &out, DecodedRowState *rows,
-                    PlaneState plane) const;
+    void decodeFrame(const EncodedFrame &current,
+                     const std::vector<const EncodedFrame *> &history,
+                     Image &out, DecodedRowState *rows,
+                     PlaneState plane) const;
 
-    /** decodeRows over the whole frame through `cache`. */
+    /** decodeFrame through `cache`. */
     void decodeCached(const EncodedFrame &current,
                       const std::vector<const EncodedFrame *> &history,
                       bool history_complete, DecodedFrameCache &cache) const;
@@ -248,7 +232,7 @@ class SoftwareDecoder
  *
  * Frames are recognised by address and index, so history frames must be
  * the unchanged objects the cache saw (a FrameStore's slots are). Not
- * safe for concurrent decodes; ParallelDecoder bands write disjoint rows.
+ * safe for concurrent decodes.
  */
 class DecodedFrameCache
 {
@@ -261,7 +245,6 @@ class DecodedFrameCache
 
   private:
     friend class SoftwareDecoder;
-    friend class ParallelDecoder;
 
     /** A frame of the last decode, by address and index. */
     struct Link {

@@ -1,6 +1,7 @@
 #include "fleet/fleet.hpp"
 
 #include <algorithm>
+#include <future>
 #include <numeric>
 #include <optional>
 #include <sstream>
@@ -9,7 +10,6 @@
 
 #include "common/error.hpp"
 #include "common/json.hpp"
-#include "common/thread_pool.hpp"
 
 namespace rpx::fleet {
 
@@ -730,18 +730,21 @@ FleetServer::run()
 
     const bool watchdog = config_.guard.watchdog.enabled;
     {
-        ThreadPool pool(
-            static_cast<int>(cw + ew + 1 + dw + (watchdog ? 1 : 0)));
+        // One thread per stage loop. The futures join their threads when
+        // destroyed, and get() rethrows a loop's exception.
         std::vector<std::future<void>> workers;
+        const auto start_loop = [&](void (FleetServer::*loop)()) {
+            workers.push_back(std::async(std::launch::async, loop, this));
+        };
         for (u32 i = 0; i < cw; ++i)
-            workers.push_back(pool.submit([this] { captureLoop(); }));
+            start_loop(&FleetServer::captureLoop);
         for (u32 i = 0; i < ew; ++i)
-            workers.push_back(pool.submit([this] { encodeLoop(); }));
-        workers.push_back(pool.submit([this] { storeLoop(); }));
+            start_loop(&FleetServer::encodeLoop);
+        start_loop(&FleetServer::storeLoop);
         for (u32 i = 0; i < dw; ++i)
-            workers.push_back(pool.submit([this] { decodeLoop(); }));
+            start_loop(&FleetServer::decodeLoop);
         if (watchdog)
-            workers.push_back(pool.submit([this] { watchdogLoop(); }));
+            start_loop(&FleetServer::watchdogLoop);
 
         {
             std::lock_guard<std::mutex> lock(mutex_);

@@ -134,9 +134,7 @@ StreamContext::StreamContext(const PipelineConfig &config,
     store_ = std::make_unique<FrameStore>(*dram_, config.width,
                                           config.height, config.history);
 
-    ParallelDecoder::Config dc;
-    dc.threads = config.decoder_threads;
-    sw_decoder_ = std::make_unique<ParallelDecoder>(dc);
+    sw_decoder_ = std::make_unique<SoftwareDecoder>();
 
     if (config.fault.enabled() || force_degradation) {
         if (config.fault.plan) {

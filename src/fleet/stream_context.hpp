@@ -27,7 +27,7 @@
 #include "baseline/frame_based.hpp"
 #include "core/encoder.hpp"
 #include "core/frame_store.hpp"
-#include "core/parallel_decoder.hpp"
+#include "core/sw_decoder.hpp"
 #include "fault/degradation.hpp"
 #include "fault/fault.hpp"
 #include "isp/isp_pipeline.hpp"
@@ -93,14 +93,6 @@ struct PipelineConfig {
     int history = 4;
     u32 max_regions = 1600;
     ComparisonMode comparison_mode = ComparisonMode::Hybrid;
-    /**
-     * Decoder worker threads for whole-frame software decodes: 1 (default)
-     * is the serial path, 0 resolves to one per hardware thread, N > 1
-     * decodes row bands concurrently. Output is byte-identical across all
-     * settings. (Fleet streams keep this at 1 — fleet parallelism is across
-     * streams, not rows.)
-     */
-    int decoder_threads = 1;
     /**
      * Optional observability context (not owned; must outlive the
      * pipeline). When set, every component registers its counters there,
@@ -276,7 +268,7 @@ class StreamContext
     const RhythmicEncoder &encoder() const { return *encoder_; }
     FrameStore &store() { return *store_; }
     const FrameStore &store() const { return *store_; }
-    ParallelDecoder &swDecoder() { return *sw_decoder_; }
+    SoftwareDecoder &swDecoder() { return *sw_decoder_; }
     DramModel &dram() { return *dram_; }
     SensorModel &sensor() { return sensor_; }
     Csi2Link &csi() { return csi_; }
@@ -313,7 +305,8 @@ class StreamContext
      *  hd_foveated and slam_rhythmic (4-vCPU Xeon VM). */
     std::unique_ptr<RhythmicEncoder> encoder_;
     std::unique_ptr<FrameStore> store_;
-    std::unique_ptr<ParallelDecoder> sw_decoder_;
+    /** Heap-held like encoder_: the layout the stream was timed with. */
+    std::unique_ptr<SoftwareDecoder> sw_decoder_;
     DecodedFrameCache decoded_;
     FrameIndex next_frame_ = 0;
 

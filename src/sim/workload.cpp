@@ -124,7 +124,6 @@ runSlamWorkload(const SlamSequenceConfig &sequence_cfg,
     PipelineConfig pc;
     pc.width = w;
     pc.height = h;
-    pc.decoder_threads = config.decoder_threads;
     pc.obs = config.obs;
     pc.telemetry = config.telemetry;
     VisionPipeline pipeline(pc);
@@ -218,7 +217,6 @@ runFaceWorkload(const FaceSequenceConfig &sequence_cfg,
     PipelineConfig pc;
     pc.width = w;
     pc.height = h;
-    pc.decoder_threads = config.decoder_threads;
     pc.obs = config.obs;
     pc.telemetry = config.telemetry;
     VisionPipeline pipeline(pc);
@@ -267,7 +265,6 @@ runPoseWorkload(const PoseSequenceConfig &sequence_cfg,
     PipelineConfig pc;
     pc.width = w;
     pc.height = h;
-    pc.decoder_threads = config.decoder_threads;
     pc.obs = config.obs;
     pc.telemetry = config.telemetry;
     VisionPipeline pipeline(pc);

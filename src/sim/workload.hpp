@@ -44,11 +44,6 @@ struct WorkloadConfig {
     bool refresh_map = true;
     int map_refresh_interval = 15;
     /**
-     * Decoder worker threads for the run's pipeline (see
-     * PipelineConfig::decoder_threads); 1 = serial, 0 = hardware threads.
-     */
-    int decoder_threads = 1;
-    /**
      * Optional observability context handed to the run's VisionPipeline
      * (see PipelineConfig::obs). Not owned; null disables instrumentation.
      */

@@ -7,25 +7,15 @@
 namespace {
 
 std::atomic<unsigned long long> g_allocations{0};
-/** Allocations made on threads that did not set t_counts_as_main. */
-std::atomic<unsigned long long> g_worker_allocations{0};
 
 }
 
 namespace rpx::test {
 
-thread_local bool t_counts_as_main = false;
-
 unsigned long long
 allocationCount()
 {
     return g_allocations.load(std::memory_order_relaxed);
-}
-
-unsigned long long
-workerAllocationCount()
-{
-    return g_worker_allocations.load(std::memory_order_relaxed);
 }
 
 } // namespace rpx::test
@@ -39,8 +29,6 @@ namespace {
 countAllocation()
 {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
-    if (!rpx::test::t_counts_as_main)
-        g_worker_allocations.fetch_add(1, std::memory_order_relaxed);
 }
 
 } // namespace

@@ -16,12 +16,6 @@ namespace rpx::test {
 /** Allocations so far, on any thread. */
 unsigned long long allocationCount();
 
-/** Allocations so far on threads that did not set t_counts_as_main. */
-unsigned long long workerAllocationCount();
-
-/** Set on the measuring thread to tell its allocations from workers'. */
-extern thread_local bool t_counts_as_main;
-
 } // namespace rpx::test
 
 #endif // RPX_TESTS_COMMON_COUNTING_ALLOCATOR_HPP

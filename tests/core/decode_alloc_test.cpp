@@ -6,9 +6,9 @@
  * (tests/common/counting_allocator.cpp), so it can assert that — after a warm-up decode populates the pooled
  * scratch (source carries, the RhythmicDecoder's scratchpad slots and
  * frame arena) — repeated decodes of same-geometry frames perform ZERO heap
- * allocations: SoftwareDecoder::decodeInto, ParallelDecoder (threads=1,
- * and the band decodes of threads=2), cached decodes through a
- * DecodedFrameCache, and RhythmicDecoder::requestPixelsInto alike.
+ * allocations: SoftwareDecoder::decodeInto and tryDecode, cached decodes
+ * through a DecodedFrameCache, and RhythmicDecoder::requestPixelsInto
+ * alike.
  *
  * The hooks are process-global, which is exactly why this suite lives in
  * its own binary: no other test sees the counting allocator, and gtest's
@@ -25,7 +25,6 @@
 #include "core/decoder.hpp"
 #include "core/encoder.hpp"
 #include "core/frame_store.hpp"
-#include "core/parallel_decoder.hpp"
 #include "core/sw_decoder.hpp"
 #include "memory/dram.hpp"
 
@@ -33,8 +32,6 @@ namespace rpx {
 namespace {
 
 using test::allocationCount;
-using test::t_counts_as_main;
-using test::workerAllocationCount;
 
 Image
 noiseFrame(i32 w, i32 h, u64 seed)
@@ -117,34 +114,11 @@ TEST(DecodeAlloc, TryDecodeSteadyStateAllocatesNothing)
         << "the corruption-safe path must also be allocation-free warm";
 }
 
-TEST(DecodeAlloc, ParallelDecoderSerialPathAllocatesNothing)
-{
-    const i32 w = 96, h = 72;
-    RhythmicEncoder enc(w, h);
-    enc.setRegionLabels(testRegions(w, h));
-    const EncodedFrame f0 = enc.encodeFrame(noiseFrame(w, h, 21), 0);
-    const EncodedFrame f1 = enc.encodeFrame(noiseFrame(w, h, 22), 1);
-    const std::vector<const EncodedFrame *> history = {&f0};
-
-    ParallelDecoder dec; // threads = 1: the inline serial path
-    Image out;
-    dec.decodeInto(f1, history, out);
-    dec.decodeInto(f1, history, out);
-
-    const unsigned long long before = allocationCount();
-    dec.decodeInto(f1, history, out);
-    dec.decodeInto(f1, history, out);
-    EXPECT_EQ(allocationCount() - before, 0u);
-}
-
 /**
  * The paper's foveated layout: a stride-1 fovea over a stride-4, skip-2
  * periphery, decoded with a 4-frame history on frames that skip the
  * periphery (history fills through the lazy history carries) and on
  * frames that sample it (St rows through the current-frame carry).
- * The threads = 2 fan-out itself allocates (futures and the pool's job
- * queue, on the submitting thread), so there the band decodes — all of
- * which run on pool workers — are what must stay allocation-free.
  */
 TEST(DecodeAlloc, FoveatedHistoryDecodeAllocatesNothingWarm)
 {
@@ -165,47 +139,32 @@ TEST(DecodeAlloc, FoveatedHistoryDecodeAllocatesNothingWarm)
             history.push_back(&frames[newest - k]);
     };
 
-    t_counts_as_main = true;
-    const SoftwareDecoder serial;
-    ParallelDecoder::Config pcfg;
-    pcfg.threads = 2;
-    pcfg.min_band_rows = 4;
-    ParallelDecoder parallel(pcfg);
+    const SoftwareDecoder dec;
     Image out;
-    const auto decodeRound = [&] {
+    for (int round = 0; round < 2; ++round) {
         for (const size_t newest : {5u, 6u}) { // skips, then samples
             historyOf(newest);
-            serial.decodeInto(frames[newest], history, out);
-            parallel.decodeInto(frames[newest], history, out);
+            dec.decodeInto(frames[newest], history, out);
         }
-    };
-    decodeRound();
-    decodeRound();
+    }
 
     historyOf(5);
-    unsigned long long before = allocationCount();
-    serial.decodeInto(frames[5], history, out);
-    EXPECT_GT(serial.lastHistoryFills(), 0u);
+    const unsigned long long before = allocationCount();
+    dec.decodeInto(frames[5], history, out);
+    EXPECT_GT(dec.lastHistoryFills(), 0u);
     historyOf(6);
-    serial.decodeInto(frames[6], history, out);
+    dec.decodeInto(frames[6], history, out);
     EXPECT_EQ(allocationCount() - before, 0u)
-        << "warm foveated serial decode must not touch the heap";
-
-    before = workerAllocationCount();
-    decodeRound();
-    EXPECT_EQ(workerAllocationCount() - before, 0u)
-        << "warm foveated band decodes must not touch the heap";
+        << "warm foveated decode must not touch the heap";
 }
 
 /**
  * Cached decodes (DecodedFrameCache) of a same-geometry foveated
  * sequence, each frame over the three frames before it as a FrameStore
  * would hand them out: the first decode sizes the cache, the carries and
- * the scratch, and every later one allocates nothing — serial, through
- * ParallelDecoder's serial path, and in the band decodes of threads = 2
- * (whose fan-out allocates on the submitting thread only). The graceful
- * path is covered too: a quarantined frame, the hold-last-good copy of
- * the cache into a warm image, and the fallback decode after it.
+ * the scratch, and decoding the sequence again allocates nothing. The
+ * graceful path is covered too: a quarantined frame, the hold-last-good
+ * copy of the cache into a warm image, and the fallback decode after it.
  */
 TEST(DecodeAlloc, CachedSequenceDecodeAllocatesNothingAfterFirstFrame)
 {
@@ -228,49 +187,30 @@ TEST(DecodeAlloc, CachedSequenceDecodeAllocatesNothingAfterFirstFrame)
             history.push_back(&frames[newest - k]);
     };
 
-    t_counts_as_main = true;
-    const SoftwareDecoder serial;
-    ParallelDecoder inline_dec; // threads = 1
-    ParallelDecoder::Config pcfg;
-    pcfg.threads = 2;
-    pcfg.min_band_rows = 4;
-    ParallelDecoder banded(pcfg);
-    DecodedFrameCache serial_cache, inline_cache, banded_cache;
+    const SoftwareDecoder dec;
+    DecodedFrameCache cache;
     Image held(w, h);
+    u32 quarantined = 0; // bit t: frame t was quarantined
+    const auto decodeSequence = [&] {
+        historyOf(3);
+        dec.decodeInto(frames[3], history, cache);
+        for (size_t t = 4; t < frames.size(); ++t) {
+            historyOf(t);
+            if (dec.tryDecode(frames[t], history, cache).quarantined)
+                quarantined |= 1u << t;
+            held = cache.image(); // the copy-out / hold-last-good
+        }
+    };
+    decodeSequence(); // sizes everything
+    EXPECT_EQ(quarantined, 1u << 9);
 
-    historyOf(3); // the first frame: sizes everything
-    serial.decodeInto(frames[3], history, serial_cache);
-    inline_dec.decodeInto(frames[3], history, inline_cache);
-    banded.decodeInto(frames[3], history, banded_cache);
-
-    const unsigned long long worker_before = workerAllocationCount();
-    for (size_t t = 4; t < frames.size(); ++t) {
-        historyOf(t);
-        const SwDecodeStatus st =
-            serial.tryDecode(frames[t], history, serial_cache);
-        EXPECT_EQ(st.quarantined, t == 9);
-        inline_dec.tryDecode(frames[t], history, inline_cache);
-        banded.tryDecode(frames[t], history, banded_cache);
-        held = serial_cache.image(); // the copy-out / hold-last-good
-    }
-    EXPECT_EQ(workerAllocationCount() - worker_before, 0u)
-        << "warm cached band decodes must not touch the heap";
-    EXPECT_EQ(held, banded_cache.image());
-
-    // The serial paths alone, measured on the main thread.
-    historyOf(3);
-    serial.decodeInto(frames[3], history, serial_cache);
-    inline_dec.decodeInto(frames[3], history, inline_cache);
+    quarantined = 0;
     const unsigned long long before = allocationCount();
-    for (size_t t = 4; t < frames.size(); ++t) {
-        historyOf(t);
-        serial.tryDecode(frames[t], history, serial_cache);
-        inline_dec.tryDecode(frames[t], history, inline_cache);
-        held = inline_cache.image();
-    }
+    decodeSequence();
     EXPECT_EQ(allocationCount() - before, 0u)
-        << "warm cached serial decodes must not touch the heap";
-    EXPECT_EQ(held, serial_cache.image());
+        << "warm cached decodes must not touch the heap";
+    EXPECT_EQ(quarantined, 1u << 9);
+    EXPECT_EQ(held, cache.image());
 }
 
 TEST(DecodeAlloc, RhythmicDecoderTransactionsAllocateNothingWarm)

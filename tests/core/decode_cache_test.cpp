@@ -3,8 +3,7 @@
  * The decoded-frame cache (DecodedFrameCache, DESIGN.md §10): a cached
  * decode must be byte-identical to the full history decode and to the
  * per-pixel reference walk on every frame, with matching fill and black
- * tallies, at decoder threads 1, 2 and 4 — and in particular on the
- * frames where a cached row must not be reused: cold start, sources that
+ * tallies — and in particular on the frames where a cached row must not be reused: cold start, sources that
  * leave the history window, N <-> Sk label flips, a quarantined current
  * frame, a skipped history frame and a geometry change.
  */
@@ -12,13 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <deque>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/encoder.hpp"
-#include "core/parallel_decoder.hpp"
 #include "core/sw_decoder.hpp"
 #include "reference_decode.hpp"
 
@@ -37,30 +34,21 @@ noiseFrame(i32 w, i32 h, u64 seed)
 }
 
 /**
- * A stream's decoders, each with its own cache: the serial decoder and
- * ParallelDecoder at 1, 2 and 4 threads (4-row bands). decode() runs
- * every one of them on a frame and checks it against the reference walk
- * and the uncached decode.
+ * A stream's decoder and its cache. decode() runs it on a frame and
+ * checks the result against the reference walk and the uncached decode.
  */
 class CachedStream
 {
   public:
     explicit CachedStream(const SoftwareDecoder::Config &cfg = {})
-        : cfg_(cfg), serial_(cfg)
+        : cfg_(cfg), dec_(cfg)
     {
-        for (const int threads : {1, 2, 4}) {
-            ParallelDecoder::Config pc;
-            pc.decoder = cfg;
-            pc.threads = threads;
-            pc.min_band_rows = 4;
-            parallel_.push_back(std::make_unique<ParallelDecoder>(pc));
-        }
     }
 
     /**
      * Decode `current` over `history` (tryDecode, or the strict path
-     * when `strict`) through every cache. A frame that fails validation
-     * must be quarantined with each cache left as it was; any other frame
+     * when `strict`) through the cache. A frame that fails validation
+     * must be quarantined with the cache left as it was; any other frame
      * must match the reference over the usable history.
      */
     void
@@ -68,14 +56,12 @@ class CachedStream
            const std::vector<const EncodedFrame *> &history,
            const std::string &where, bool strict = false)
     {
-        std::vector<const EncodedFrame *> usable;
         size_t skipped = 0;
         const bool valid = current.validate();
-        if (valid)
-            SoftwareDecoder::filterUsableHistory(current, history, usable,
-                                                 skipped);
         const ReferenceDecode ref =
-            valid ? referenceDecode(current, usable, cfg_)
+            valid ? referenceDecode(
+                        current, usableHistory(current, history, &skipped),
+                        cfg_)
                   : ReferenceDecode{};
         Image full;
         const SoftwareDecoder plain(cfg_);
@@ -84,48 +70,35 @@ class CachedStream
             EXPECT_EQ(full.data(), ref.image.data()) << where;
         }
 
-        const auto check = [&](auto &dec, DecodedFrameCache &cache,
-                               const std::string &path) {
-            const Image before = cache.image();
-            if (strict) {
-                dec.decodeInto(current, history, cache);
-            } else {
-                const SwDecodeStatus st =
-                    dec.tryDecode(current, history, cache);
-                EXPECT_EQ(st.quarantined, !valid) << where << path;
-                EXPECT_EQ(st.history_skipped, skipped) << where << path;
-            }
-            if (!valid) {
-                EXPECT_EQ(cache.image(), before) << where << path;
-                return;
-            }
-            EXPECT_TRUE(cache.holdsFrame()) << where << path;
-            EXPECT_EQ(cache.image().data(), ref.image.data())
-                << where << path;
-            EXPECT_EQ(dec.lastHistoryFills(), ref.history_fills)
-                << where << path;
-            EXPECT_EQ(dec.lastBlackPixels(), ref.black) << where << path;
-        };
-        check(serial_, serial_cache_, " serial");
+        const Image before = cache_.image();
+        if (strict) {
+            dec_.decodeInto(current, history, cache_);
+        } else {
+            const SwDecodeStatus st = dec_.tryDecode(current, history, cache_);
+            EXPECT_EQ(st.quarantined, !valid) << where;
+            EXPECT_EQ(st.history_skipped, skipped) << where;
+        }
         last_full_history_read_ = plain.lastHistoryBytesRead();
-        last_cached_history_read_ = serial_.lastHistoryBytesRead();
-        for (size_t i = 0; i < parallel_.size(); ++i)
-            check(*parallel_[i], parallel_cache_[i],
-                  " threads=" +
-                      std::to_string(parallel_[i]->threadCount()));
+        last_cached_history_read_ = dec_.lastHistoryBytesRead();
+        if (!valid) {
+            EXPECT_EQ(cache_.image(), before) << where;
+            return;
+        }
+        EXPECT_TRUE(cache_.holdsFrame()) << where;
+        EXPECT_EQ(cache_.image().data(), ref.image.data()) << where;
+        EXPECT_EQ(dec_.lastHistoryFills(), ref.history_fills) << where;
+        EXPECT_EQ(dec_.lastBlackPixels(), ref.black) << where;
     }
 
-    /** History bytes the serial cached decode of the last frame read. */
+    /** History bytes the cached decode of the last frame read. */
     u64 cachedHistoryRead() const { return last_cached_history_read_; }
     /** History bytes the uncached decode of the last frame read. */
     u64 fullHistoryRead() const { return last_full_history_read_; }
 
   private:
     SoftwareDecoder::Config cfg_;
-    SoftwareDecoder serial_;
-    DecodedFrameCache serial_cache_;
-    std::vector<std::unique_ptr<ParallelDecoder>> parallel_;
-    DecodedFrameCache parallel_cache_[3];
+    SoftwareDecoder dec_;
+    DecodedFrameCache cache_;
     u64 last_full_history_read_ = 0;
     u64 last_cached_history_read_ = 0;
 };
@@ -133,7 +106,7 @@ class CachedStream
 /**
  * The frames a FrameStore of `depth` would hold: newest first, at stable
  * addresses (push_front/pop_back), so history frames are the objects the
- * caches saw.
+ * cache saw.
  */
 class Window
 {

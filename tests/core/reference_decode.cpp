@@ -122,4 +122,20 @@ referenceDecode(const EncodedFrame &current,
     return ref;
 }
 
+std::vector<const EncodedFrame *>
+usableHistory(const EncodedFrame &current,
+              const std::vector<const EncodedFrame *> &history,
+              size_t *skipped)
+{
+    std::vector<const EncodedFrame *> usable;
+    for (const EncodedFrame *f : history) {
+        if (f != nullptr && f->width == current.width &&
+            f->height == current.height && f->validate())
+            usable.push_back(f);
+        else if (skipped)
+            ++*skipped;
+    }
+    return usable;
+}
+
 } // namespace rpx

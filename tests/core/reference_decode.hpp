@@ -87,6 +87,16 @@ referenceDecode(const EncodedFrame &current,
                 const std::vector<const EncodedFrame *> &history,
                 const SoftwareDecoder::Config &config = {});
 
+/**
+ * The history a tryDecode of `current` decodes over: the frames that are
+ * non-null, match its geometry and pass validate(). The others are
+ * counted into `skipped` when it is given.
+ */
+std::vector<const EncodedFrame *>
+usableHistory(const EncodedFrame &current,
+              const std::vector<const EncodedFrame *> &history,
+              size_t *skipped = nullptr);
+
 } // namespace rpx
 
 #endif // RPX_TESTS_CORE_REFERENCE_DECODE_HPP

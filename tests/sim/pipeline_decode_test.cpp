@@ -3,8 +3,7 @@
  * The decode stage's cached decode, end to end: every frame a
  * VisionPipeline decodes through its stream's DecodedFrameCache must be
  * byte-identical to the per-pixel reference walk over the frames in its
- * FrameStore, with matching fill and black tallies, at decoder threads
- * 1, 2 and 4. The sequences are the ones the workloads run: the SLAM
+ * FrameStore, with matching fill and black tallies. The sequences are the ones the workloads run: the SLAM
  * loop's region trace, the Figs. 10-15 sequences (SLAM, pose, face at
  * cycle length 6) and the fault-injection cases of pipeline_fault_test,
  * whose quarantines, skipped history frames and degradation-ladder label
@@ -14,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -34,57 +32,43 @@ struct ReplayFrame {
 };
 
 /**
- * Push `frames` frames through three pipelines built from `pc` at decoder
- * threads 1, 2 and 4, checking each decode against the reference over
- * the store's usable history. A quarantined frame must hold the last
- * good image. Returns the number of quarantined frames.
+ * Push `frames` frames through a pipeline built from `pc`, checking each
+ * decode against the reference over the store's usable history. A
+ * quarantined frame must hold the last good image. Returns the number of
+ * quarantined frames.
  */
 int
-expectReplayMatchesReference(PipelineConfig pc, int frames,
+expectReplayMatchesReference(const PipelineConfig &pc, int frames,
                              const std::function<ReplayFrame(int)> &frameAt,
                              const std::string &what)
 {
-    std::vector<std::unique_ptr<VisionPipeline>> pipelines;
-    for (const int threads : {1, 2, 4}) {
-        pc.decoder_threads = threads;
-        pipelines.push_back(std::make_unique<VisionPipeline>(pc));
-    }
-    std::vector<Image> last_good(pipelines.size());
+    VisionPipeline p(pc);
+    const SoftwareDecoder &dec = p.streamContext().swDecoder();
+    Image last_good;
     int quarantined = 0;
     for (int t = 0; t < frames; ++t) {
         const ReplayFrame f = frameAt(t);
-        ReferenceDecode ref;
-        for (size_t i = 0; i < pipelines.size(); ++i) {
-            VisionPipeline &p = *pipelines[i];
-            const std::string where = what + " t=" + std::to_string(t) +
-                                      " threads=" +
-                                      std::to_string(1 << i);
-            if (!f.labels.empty())
-                p.runtime().setRegionLabels(f.labels);
-            const PipelineFrameResult r = p.processFrame(f.scene);
-            if (r.quarantined) {
-                quarantined += i == 0;
-                if (!last_good[i].empty()) {
-                    EXPECT_EQ(r.decoded, last_good[i]) << where;
-                }
-                continue;
+        const std::string where = what + " t=" + std::to_string(t);
+        if (!f.labels.empty())
+            p.runtime().setRegionLabels(f.labels);
+        const PipelineFrameResult r = p.processFrame(f.scene);
+        if (r.quarantined) {
+            ++quarantined;
+            if (!last_good.empty()) {
+                EXPECT_EQ(r.decoded, last_good) << where;
             }
-            if (i == 0) {
-                const FrameStore &store = p.frameStore();
-                std::vector<const EncodedFrame *> history, usable;
-                for (size_t k = 1; k < store.size(); ++k)
-                    history.push_back(store.recent(k));
-                size_t skipped = 0;
-                SoftwareDecoder::filterUsableHistory(
-                    *store.recent(0), history, usable, skipped);
-                ref = referenceDecode(*store.recent(0), usable);
-            }
-            EXPECT_EQ(r.decoded.data(), ref.image.data()) << where;
-            const ParallelDecoder &dec = p.streamContext().swDecoder();
-            EXPECT_EQ(dec.lastHistoryFills(), ref.history_fills) << where;
-            EXPECT_EQ(dec.lastBlackPixels(), ref.black) << where;
-            last_good[i] = r.decoded;
+            continue;
         }
+        const FrameStore &store = p.frameStore();
+        std::vector<const EncodedFrame *> history;
+        for (size_t k = 1; k < store.size(); ++k)
+            history.push_back(store.recent(k));
+        const ReferenceDecode ref = referenceDecode(
+            *store.recent(0), usableHistory(*store.recent(0), history));
+        EXPECT_EQ(r.decoded.data(), ref.image.data()) << where;
+        EXPECT_EQ(dec.lastHistoryFills(), ref.history_fills) << where;
+        EXPECT_EQ(dec.lastBlackPixels(), ref.black) << where;
+        last_good = r.decoded;
     }
     return quarantined;
 }

@@ -93,7 +93,7 @@ TEST(Pipeline, HdFoveatedDecodeReadsOnlyTheLedgersBytes)
                                        {720, 404, 480, 272, 1, 1, 0}};
     sortRegionsByY(labels);
     pipeline.runtime().setRegionLabels(labels);
-    const ParallelDecoder &dec = pipeline.streamContext().swDecoder();
+    const SoftwareDecoder &dec = pipeline.streamContext().swDecoder();
     for (int t = 0; t < 6; ++t) {
         const auto r = pipeline.processFrame(
             testScene(1920, 1080, 40 + static_cast<u64>(t)));

@@ -181,22 +181,15 @@ TEST(Smoke, CliFleetJournalReconcilesPerStream)
                                      /*ladder=*/true);
 }
 
-TEST(Smoke, CliThreadedDecode)
-{
-    const fs::path dir = freshOutDir();
-    EXPECT_EQ(runCli(dir, "run --task slam --scheme RP --frames 8"
-                          " --decoder-threads 4"),
-              0)
-        << readFile(dir / "cli.log");
-}
-
 TEST(Smoke, CliRejectsUnknownFlag)
 {
     const fs::path dir = freshOutDir();
-    // A misspelt flag, and the removed encoder thread count: a script
-    // that still passes it fails loudly instead of running serial.
+    // A misspelt flag, and the removed encoder and decoder thread
+    // counts: a script that still passes one fails loudly instead of
+    // running serial.
     for (const std::string flag : {"--jornal-out x.jsonl",
-                                   "--encoder-threads 4"}) {
+                                   "--encoder-threads 4",
+                                   "--decoder-threads 4"}) {
         EXPECT_EQ(runCli(dir, "run --task slam --frames 1 " + flag), 2)
             << flag;
         const std::string name = flag.substr(0, flag.find(' '));
